@@ -29,15 +29,19 @@ constexpr std::size_t kBatchChunk = 64;
 thread_local std::vector<double> stateless_generic_scratch;
 
 // Function multi-versioning: the hot entry points are cloned for
-// x86-64-v3 (AVX2+FMA) with a portable baseline fallback, resolved once at
-// load time. `flatten` pulls the whole scoring core into each clone so it
-// vectorizes at that clone's ISA. Disabled under TSan/ASan: their runtimes
-// are not initialized yet when the loader runs ifunc resolvers, which
-// segfaults at startup.
+// x86-64-v4 (AVX-512) and x86-64-v3 (AVX2+FMA) with a portable baseline
+// fallback, resolved once at load time. `flatten` pulls the whole scoring
+// core into each clone so it vectorizes at that clone's ISA. The v4 clone
+// is what K = 256 needs: the v3 one spills exp_core's constants out of its
+// 16 ymm registers, while v4 has 32 zmm registers and 8 lanes. Disabled
+// under TSan/ASan: their runtimes are not initialized yet when the loader
+// runs ifunc resolvers, which segfaults at startup.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define ICGMM_KERNEL_HOT \
-  __attribute__((target_clones("arch=x86-64-v3", "default"), flatten))
+#define ICGMM_KERNEL_HOT                                               \
+  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
+                               "default"),                          \
+                 flatten))
 #else
 #define ICGMM_KERNEL_HOT
 #endif

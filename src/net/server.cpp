@@ -210,8 +210,13 @@ void Server::stop() {
     std::lock_guard<std::mutex> lock(close_mu_);
     close_queue_.clear();  // entries are still in conns_, closed below
   }
-  closed_.fetch_add(conns_.size(), std::memory_order_relaxed);
-  conns_.clear();  // destructors close the sockets
+  // Connections still open close like any other: counted, and announced
+  // with one kConnClose each (the io thread is gone, so this is the only
+  // thread touching conns_). Sockets close as the last references drop.
+  while (!conns_.empty()) {
+    const ConnPtr conn = conns_.begin()->second;  // erased by the close
+    close_connection(conn);
+  }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);

@@ -126,6 +126,7 @@ void Runtime::register_metrics() {
         out.push_back({"icgmm_shadow_misses", s.shadow_misses});
         out.push_back({"icgmm_shadow_divergence", s.shadow_divergence});
         out.push_back({"icgmm_shadow_dropped", s.shadow_dropped});
+        out.push_back({"icgmm_shard_lock_waits", s.shard_lock_waits});
       });
 }
 
@@ -154,40 +155,54 @@ void Runtime::stop() {
 
 cache::AccessResult Runtime::access(PageIndex page, Timestamp ts,
                                     bool is_write) {
-  // Capture before serving: the recorder sees exactly the accepted
-  // stream in arrival order (try-push only — a full ring drops and
-  // counts, it never stalls this path).
-  if (recorder_) recorder_->record(page, ts, is_write);
+  const Access a{.page = page, .timestamp = ts, .is_write = is_write};
   cache::AccessResult result;
-  if (front_ && !is_write) {
-    const FrontCache::ReadProbe probe = front_->probe_read(page);
+  apply_batch({&a, 1}, {&result, 1});
+  return result;
+}
+
+cache::AccessResult Runtime::serve_one(const Access& a,
+                                       ShardedCache::Hold& hold) {
+  cache::AccessResult result;
+  if (front_ && !a.is_write) {
+    const FrontCache::ReadProbe probe = front_->probe_read(a.page);
     if (probe.outcome == FrontCache::ReadOutcome::kHit) {
       // Served by the caller's replica: DRAM-speed hit, no shard mutex,
       // no policy update. The hit is counted by the front cache and
-      // folded into merged_stats(); the drift sampler still sees the
-      // access so the model's view of the stream stays unbiased.
-      maybe_sample(page, ts);
+      // folded into merged_stats(); the recorder and the drift sampler
+      // still see the access so neither view of the stream is biased.
+      if (recorder_) recorder_->record(a.page, a.timestamp, false);
+      maybe_sample(a.page, a.timestamp);
       return {.hit = true, .is_write = false};
     }
-    result = sharded_->access({.page = page, .timestamp = ts,
-                               .is_write = false});
+    result = serve_shard(a, hold);
     if (probe.outcome == FrontCache::ReadOutcome::kMissPromotable &&
         result.hit) {
-      front_->promote(page, probe.stamp);
+      front_->promote(a.page, probe.stamp);
     }
   } else if (front_) {
     // Write-invalidate: the stripe is unstable (writer count raised) for
     // the whole shard write, so no replica can fill or serve this page
     // across it.
-    const FrontCache::WriteGuard guard = front_->write_guard(page);
-    result = sharded_->access({.page = page, .timestamp = ts,
-                               .is_write = true});
+    const FrontCache::WriteGuard guard = front_->write_guard(a.page);
+    result = serve_shard(a, hold);
   } else {
-    result = sharded_->access(
-        {.page = page, .timestamp = ts, .is_write = is_write});
+    result = serve_shard(a, hold);
   }
-  maybe_sample(page, ts);
+  maybe_sample(a.page, a.timestamp);
   return result;
+}
+
+cache::AccessResult Runtime::serve_shard(const Access& a,
+                                         ShardedCache::Hold& hold) {
+  hold.lock();
+  // Captured under the shard lock, before serving: each shard's capture
+  // order is exactly its serving order, which is what lets a capture
+  // taken under many connections replay exactly on one (try-push only —
+  // a full ring drops and counts, it never stalls this path).
+  if (recorder_) recorder_->record(a.page, a.timestamp, a.is_write);
+  return hold.access(
+      {.page = a.page, .timestamp = a.timestamp, .is_write = a.is_write});
 }
 
 void Runtime::maybe_sample(PageIndex page, Timestamp ts) {
@@ -211,25 +226,27 @@ void Runtime::maybe_sample(PageIndex page, Timestamp ts) {
 void Runtime::apply_batch(std::span<const Access> batch,
                           std::span<cache::AccessResult> results) {
   assert(results.empty() || results.size() >= batch.size());
-  const bool record = !results.empty();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Access& a = batch[i];
-    const cache::AccessResult r = access(a.page, a.timestamp, a.is_write);
-    if (record) results[i] = r;
-  }
+  sharded_->serve_grouped(
+      batch.size(), [batch](std::size_t i) { return batch[i].page; },
+      [&](std::size_t i, ShardedCache::Hold& hold) {
+        const cache::AccessResult r = serve_one(batch[i], hold);
+        if (!results.empty()) results[i] = r;
+      });
 }
 
 void Runtime::apply_batch(std::span<const Access> batch,
                           BatchOutcome& outcome) {
   outcome = {};
   outcome.count = static_cast<std::uint32_t>(batch.size());
-  for (const Access& a : batch) {
-    const cache::AccessResult r = access(a.page, a.timestamp, a.is_write);
-    outcome.hits += r.hit ? 1 : 0;
-    outcome.admitted += r.admitted ? 1 : 0;
-    outcome.evictions += r.evicted ? 1 : 0;
-    outcome.dirty_evictions += r.evicted_dirty ? 1 : 0;
-  }
+  sharded_->serve_grouped(
+      batch.size(), [batch](std::size_t i) { return batch[i].page; },
+      [&](std::size_t i, ShardedCache::Hold& hold) {
+        const cache::AccessResult r = serve_one(batch[i], hold);
+        outcome.hits += r.hit ? 1 : 0;
+        outcome.admitted += r.admitted ? 1 : 0;
+        outcome.evictions += r.evicted ? 1 : 0;
+        outcome.dirty_evictions += r.evicted_dirty ? 1 : 0;
+      });
 }
 
 std::uint64_t Runtime::inferences() const {
@@ -263,6 +280,7 @@ RuntimeSnapshot Runtime::snapshot() const {
   for (std::uint32_t i = 0; i < sharded_->shards(); ++i) {
     snap.per_shard.push_back(sharded_->shard_stats(i));
   }
+  snap.shard_lock_waits = sharded_->lock_waits();
   snap.inferences = inferences();
   for (const auto& batcher : batchers_) {
     // Batcher counters are written under the shard lock; reading here is a

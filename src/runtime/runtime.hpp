@@ -1,15 +1,17 @@
 // The embeddable serving runtime: the thread-safe facade wrapping the
 // single-threaded ICGMM pieces for concurrent traffic.
 //
-//   requests --> FrontCache (optional hot-page read replicas)
-//                    |
-//                    v (front miss / write)
-//                ShardRouter --> per-shard {mutex, SetAssociativeCache,
-//                                           ReplacementPolicy clone,
-//                                           InferenceBatcher}
-//                                   |                       ^
-//                                   v (sampled accesses)    | (snapshots)
-//                             ModelRefresher --- publishes --> ModelSlot
+//   span --> ShardRouter: route once, group by shard
+//              |
+//              v (per shard group, in span order)
+//            FrontCache (optional hot-page read replicas)
+//              |
+//              v (front miss / write; lock taken once per group)
+//            per-shard {mutex, SetAssociativeCache, ReplacementPolicy
+//                       clone, InferenceBatcher}
+//              |                                     ^
+//              v (sampled accesses)                  | (snapshots)
+//            ModelRefresher --- publishes -------> ModelSlot
 //
 // Two construction modes:
 //  * prototype mode — any ReplacementPolicy, cloned once per shard
@@ -20,7 +22,14 @@
 //    background ModelRefresher adapts the model to drift from sampled
 //    traffic.
 //
-// access() is safe from any number of threads. start()/stop() bracket the
+// Serving is shard-grouped: apply_batch() routes its span once and serves
+// each shard's requests under one hold of that shard's mutex, visiting the
+// shards in index order (ShardedCache::serve_grouped); access() is the
+// one-request span. With the front cache off every shard sees its requests
+// in span order, so a span serves bit-identically to per-element access()
+// at any chunking.
+//
+// access() and apply_batch() are safe from any number of threads. start()/stop() bracket the
 // background adaptation thread; a runtime without adaptation needs
 // neither.
 #pragma once
@@ -107,7 +116,8 @@ struct RuntimeConfig {
   /// Optional observability sinks (not owned; must outlive the runtime).
   /// With `metrics` set the runtime registers a provider exporting every
   /// RuntimeSnapshot counter (icgmm_cache_*, icgmm_gmm_*, icgmm_front_*,
-  /// icgmm_deferred_*, icgmm_record_*) — the registry wraps the existing
+  /// icgmm_deferred_*, icgmm_record_*, icgmm_shadow_*,
+  /// icgmm_shard_lock_waits) — the registry wraps the existing
   /// atomics, it does not fork them. With `events` set the flight
   /// recorder sees model publishes, drain barriers, stats clears, and
   /// miss-ring drops.
@@ -173,6 +183,9 @@ struct RuntimeSnapshot {
   std::uint64_t shadow_misses = 0;     ///< would-have-missed
   std::uint64_t shadow_divergence = 0; ///< shadow verdict != serving verdict
   std::uint64_t shadow_dropped = 0;    ///< accesses lost to full shadow rings
+  /// Serving shard-lock acquisitions that found the mutex held by another
+  /// thread (one per contended group, not per request). Lifetime total.
+  std::uint64_t shard_lock_waits = 0;
 };
 
 class Runtime {
@@ -207,24 +220,28 @@ class Runtime {
   /// Stops background adaptation, draining queued samples. Idempotent.
   void stop();
 
-  /// Serves one request from any thread.
+  /// Serves one request from any thread: a one-element apply_batch().
   cache::AccessResult access(PageIndex page, Timestamp ts,
                              bool is_write = false);
 
-  /// Serves a span of requests in order, from any thread — the entry point
-  /// replay_trace and the net server share (one syscall-batched read
-  /// becomes one span through the miss path). When `results` is non-empty
-  /// it must hold at least batch.size() elements and receives the
-  /// per-request outcomes. Equivalent to calling access() per element —
-  /// asserted bit-identical by the apply-batch tests.
+  /// Serves a span of requests from any thread — the entry point
+  /// replay_trace and the net server share (one wire batch becomes one
+  /// span). The span is served in shard-major order: each shard's requests
+  /// in span order, under one hold of that shard's lock, shards in index
+  /// order. When `results` is non-empty it must hold at least
+  /// batch.size() elements and receives each outcome at its request's
+  /// index. With the front cache off this is bit-identical to access()
+  /// per element at any chunking; with it on, to access() per element
+  /// over the span's stable shard-major permutation (the apply-batch
+  /// tests assert both).
   void apply_batch(std::span<const Access> batch,
                    std::span<cache::AccessResult> results = {});
 
-  /// Same serving semantics (access() per element, in order), but folds
-  /// the per-request outcomes into `outcome` as they complete instead of
-  /// staging a results array — the net server's completion path, where
-  /// any worker may run any batch and only the aggregate goes back on
-  /// the wire. `outcome` is overwritten, not accumulated into.
+  /// Same serving as above, but folds the per-request outcomes into
+  /// `outcome` as they complete instead of staging a results array — the
+  /// net server's completion path, where any worker may run any batch and
+  /// only the aggregate goes back on the wire. `outcome` is overwritten,
+  /// not accumulated into.
   void apply_batch(std::span<const Access> batch, BatchOutcome& outcome);
 
   /// Merged + per-shard statistics and model/refresher counters.
@@ -278,6 +295,11 @@ class Runtime {
   void drain_shadow();
 
  private:
+  /// One request inside its shard group: recorder tap, front-cache probe,
+  /// promote and write guard, the shard access, and the refresher sample.
+  cache::AccessResult serve_one(const Access& a, ShardedCache::Hold& hold);
+  /// The shard-bound part of serve_one: lock, recorder tap, access.
+  cache::AccessResult serve_shard(const Access& a, ShardedCache::Hold& hold);
   void maybe_sample(PageIndex page, Timestamp ts);
   void register_metrics();
 

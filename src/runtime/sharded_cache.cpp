@@ -1,5 +1,8 @@
 #include "runtime/sharded_cache.hpp"
 
+#include <algorithm>
+#include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace icgmm::runtime {
@@ -43,51 +46,108 @@ ShardedCache::ShardedCache(ShardedCacheConfig cfg,
       }) {}
 
 cache::AccessResult ShardedCache::access(const cache::AccessContext& ctx) {
-  const std::uint32_t idx = router_.route(ctx.page);
-  Shard& shard = *shards_[idx];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const cache::AccessResult result = shard.cache->access(ctx);
+  Hold hold(*this, router_.route(ctx.page));
+  return hold.access(ctx);
+}
+
+ShardedCache::GroupScratch& ShardedCache::group_scratch(std::size_t n) const {
+  assert(n <= std::numeric_limits<std::uint32_t>::max());
+  thread_local GroupScratch scratch;
+  if (scratch.shard.size() < n) {
+    scratch.shard.resize(n);
+    scratch.order.resize(n);
+  }
+  if (scratch.start.size() < std::size_t{shards()} + 1) {
+    scratch.start.resize(std::size_t{shards()} + 1);
+  }
+  return scratch;
+}
+
+void ShardedCache::partition(GroupScratch& s, std::size_t n) const noexcept {
+  // Counting sort: start[i + 1] counts shard i, the prefix sum turns the
+  // counts into group bounds, and a forward scatter keeps span order
+  // within each group (stable).
+  std::uint32_t* start = s.start.data();
+  std::fill(start, start + shards() + 1, 0u);
+  for (std::size_t i = 0; i < n; ++i) ++start[s.shard[i] + 1];
+  for (std::uint32_t i = 0; i < shards(); ++i) start[i + 1] += start[i];
+  // start[i] now doubles as group i's write cursor; the scatter advances
+  // each cursor to the next group's bound, so shifting back restores it.
+  for (std::size_t i = 0; i < n; ++i) {
+    s.order[start[s.shard[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  for (std::uint32_t i = shards(); i > 0; --i) start[i] = start[i - 1];
+  start[0] = 0;
+}
+
+void ShardedCache::Hold::lock() {
+  if (locked_) return;
+  if (!shard_.mu.try_lock()) {
+    shard_.lock_waits.fetch_add(1, std::memory_order_relaxed);
+    shard_.mu.lock();
+  }
+  locked_ = true;
+}
+
+ShardedCache::Hold::~Hold() {
+  if (!locked_) return;
+  // Publish the group's tally before unlocking: a clear_stats() racing an
+  // unlocked mirror update would leave the mirrors permanently ahead of
+  // the authoritative per-shard stats.
+  Counters& c = shard_.counters;
+  const auto publish = [](std::atomic<std::uint64_t>& mirror,
+                          std::uint64_t n) {
+    if (n != 0) mirror.fetch_add(n, std::memory_order_relaxed);
+  };
+  publish(c.accesses, tally_.accesses);
+  publish(c.hits, tally_.hits);
+  publish(c.read_misses, tally_.read_misses);
+  publish(c.write_misses, tally_.write_misses);
+  publish(c.fills, tally_.fills);
+  publish(c.bypasses, tally_.bypasses);
+  publish(c.evictions, tally_.evictions);
+  publish(c.dirty_evictions, tally_.dirty_evictions);
+  shard_.mu.unlock();
+}
+
+cache::AccessResult ShardedCache::Hold::access(
+    const cache::AccessContext& ctx) {
+  lock();
+  const cache::AccessResult result = shard_.cache->access(ctx);
   // Async miss pipeline: hand the miss to the decision thread. Pushed
   // under the shard lock, so all producers are serialized — the ring's
   // single-producer contract. A full ring drops (and counts) the rescore
   // rather than stalling the serving path.
-  if (!result.hit && shard.ring) {
-    if (!shard.ring->try_push({ctx.page, ctx.timestamp}) &&
-        events_ != nullptr) {
-      events_->emit(obs::EventType::kRingDrop, idx);
+  if (!result.hit && shard_.ring) {
+    if (!shard_.ring->try_push({ctx.page, ctx.timestamp}) &&
+        owner_.events_ != nullptr) {
+      owner_.events_->emit(obs::EventType::kRingDrop, index_);
     }
   }
   // Shadow evaluation: every access (hit or miss) flows to the shadow
   // policy with the serving verdict attached, under the same lock-held
   // single-producer discipline. The shadow never reads serving state;
   // this push is the entire coupling surface.
-  if (shard.shadow) {
-    if (!shard.shadow->try_push({.page = ctx.page, .timestamp = ctx.timestamp,
-                                 .is_write = ctx.is_write,
-                                 .serving_hit = result.hit}) &&
-        events_ != nullptr) {
-      events_->emit(obs::EventType::kShadowRingDrop, idx);
+  if (shard_.shadow) {
+    if (!shard_.shadow->try_push({.page = ctx.page,
+                                  .timestamp = ctx.timestamp,
+                                  .is_write = ctx.is_write,
+                                  .serving_hit = result.hit}) &&
+        owner_.events_ != nullptr) {
+      owner_.events_->emit(obs::EventType::kShadowRingDrop, index_);
     }
   }
-  // Mirror the outcome into the lock-free-readable counters (same
-  // derivation the cache applies internally, see
-  // SetAssociativeCache::access). Updated while still holding the shard
-  // lock: a clear_stats() racing an unlocked mirror update would leave
-  // the mirrors permanently ahead of the authoritative per-shard stats.
-  Counters& c = shard.counters;
-  c.accesses.fetch_add(1, std::memory_order_relaxed);
+  // Tally the outcome for the counter mirrors (same derivation the cache
+  // applies internally, see SetAssociativeCache::access).
+  ++tally_.accesses;
   if (result.hit) {
-    c.hits.fetch_add(1, std::memory_order_relaxed);
+    ++tally_.hits;
   } else {
-    (ctx.is_write ? c.write_misses : c.read_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-    (result.admitted ? c.fills : c.bypasses)
-        .fetch_add(1, std::memory_order_relaxed);
+    ++(ctx.is_write ? tally_.write_misses : tally_.read_misses);
+    ++(result.admitted ? tally_.fills : tally_.bypasses);
     if (result.evicted) {
-      c.evictions.fetch_add(1, std::memory_order_relaxed);
-      if (result.evicted_dirty) {
-        c.dirty_evictions.fetch_add(1, std::memory_order_relaxed);
-      }
+      ++tally_.evictions;
+      if (result.evicted_dirty) ++tally_.dirty_evictions;
     }
   }
   return result;
@@ -182,6 +242,14 @@ std::uint64_t ShardedCache::valid_blocks() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     total += shard->cache->valid_blocks();
+  }
+  return total;
+}
+
+std::uint64_t ShardedCache::lock_waits() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->lock_waits.load(std::memory_order_relaxed);
   }
   return total;
 }

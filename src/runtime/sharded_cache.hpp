@@ -8,15 +8,24 @@
 // counters mirroring CacheStats — so merged statistics are readable
 // lock-free while a request storm is in flight.
 //
-// Consistency: each atomic counter is updated (relaxed) while the shard
-// lock is still held, so the mirrors never drift from the authoritative
-// per-shard stats — even against a concurrent clear_stats(). Readers of
-// merged_stats() take no locks; a mid-flight snapshot is per-counter
-// coherent, while identities like hits + misses == accesses are
-// guaranteed only at quiescence (e.g. after worker joins).
+// Serving is grouped: serve_grouped() routes a span of requests once,
+// stable-partitions it by shard, and serves each shard's group under one
+// Hold — a single lazily taken hold of that shard's mutex — visiting the
+// shards in index order. Per-shard request order is the span order, so a
+// shard sees exactly the sequence per-element access() calls would have
+// given it; access() itself is the one-request Hold.
+//
+// Consistency: a Hold tallies its group's outcomes and publishes them into
+// the atomic counters (relaxed) while the shard lock is still held, so
+// the mirrors never drift from the authoritative per-shard stats — even
+// against a concurrent clear_stats(). Readers of merged_stats() take no
+// locks; a mid-flight snapshot is per-counter coherent, while identities
+// like hits + misses == accesses are guaranteed only at quiescence (e.g.
+// after worker joins).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -71,8 +80,19 @@ class ShardedCache {
   const cache::CacheConfig& shard_config() const noexcept { return shard_cfg_; }
   const ShardRouter& router() const noexcept { return router_; }
 
-  /// Routes, locks the owning shard, and processes the request.
+  class Hold;
+
+  /// Serves one request: the one-request case of serve_grouped().
   cache::AccessResult access(const cache::AccessContext& ctx);
+
+  /// Serves requests [0, n) in shard-major order: routes each request once
+  /// (`page_of(i)` gives its page), stable-partitions the indices by shard
+  /// in thread-local scratch, then visits the shards in index order and
+  /// calls `fn(i, hold)` for each of a shard's requests in span order, all
+  /// under one Hold of that shard. Not reentrant on one thread: `fn` must
+  /// not start another serve_grouped().
+  template <class PageOf, class Fn>
+  void serve_grouped(std::size_t n, const PageOf& page_of, const Fn& fn);
 
   /// Lock-free merged statistics (relaxed sums of the per-shard atomics).
   cache::CacheStats merged_stats() const noexcept;
@@ -96,6 +116,11 @@ class ShardedCache {
   /// and policy state are kept (warm-up discipline, as clear_stats()).
   void clear_stats();
 
+  /// Serving lock acquisitions (one per Hold that locked) that found the
+  /// shard mutex held by another thread, summed over shards. A lifetime
+  /// total: clear_stats() does not zero it.
+  std::uint64_t lock_waits() const noexcept;
+
   // --- async miss pipeline hooks -----------------------------------------
 
  private:
@@ -113,6 +138,9 @@ class ShardedCache {
 
   struct alignas(64) Shard {
     mutable std::mutex mu;
+    /// Bumped only by a Hold whose try_lock failed — on a line that is
+    /// already bouncing between the contending threads.
+    std::atomic<std::uint64_t> lock_waits{0};
     std::unique_ptr<cache::SetAssociativeCache> cache;
     Counters counters;
     std::unique_ptr<MissRing> ring;  ///< null unless miss_ring_capacity > 0
@@ -120,6 +148,37 @@ class ShardedCache {
   };
 
  public:
+  /// One hold of a shard's lock, serving a group of requests bound for
+  /// that shard. The lock is taken at the first lock()/access(), not at
+  /// construction, so a group whose requests never reach the shard (all
+  /// front-cache hits) takes no lock. Destruction publishes the group's
+  /// counter tally and unlocks.
+  class Hold {
+   public:
+    Hold(ShardedCache& owner, std::uint32_t shard) noexcept
+        : owner_(owner), shard_(*owner.shards_[shard]), index_(shard) {}
+    ~Hold();
+
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+
+    /// Takes the shard lock unless this hold has it already; a lock found
+    /// held by another thread counts one lock wait.
+    void lock();
+
+    /// Serves one request bound for this shard under the hold: the cache
+    /// access, then the miss-ring and shadow-ring pushes.
+    cache::AccessResult access(const cache::AccessContext& ctx);
+
+   private:
+    ShardedCache& owner_;
+    Shard& shard_;
+    std::uint32_t index_;
+    bool locked_ = false;
+    /// The group's outcomes, published into Shard::counters at unlock.
+    cache::CacheStats tally_;
+  };
+
   /// Shard `i`'s miss ring, or nullptr when miss_ring_capacity was 0.
   /// The decision thread is the only consumer; producers are access()
   /// calls serialized by the shard lock.
@@ -181,6 +240,18 @@ class ShardedCache {
   std::uint64_t shadow_ring_dropped() const noexcept;
 
  private:
+  /// Thread-local partition scratch for serve_grouped(): grown to the
+  /// largest span a thread has served, never shrunk, so steady-state
+  /// serving allocates nothing.
+  struct GroupScratch {
+    std::vector<std::uint32_t> shard;  ///< route of request i
+    std::vector<std::uint32_t> order;  ///< request indices, shard-major
+    std::vector<std::uint32_t> start;  ///< group bounds into order (shards+1)
+  };
+  GroupScratch& group_scratch(std::size_t n) const;
+  /// Counting sort of scratch.shard[0, n) into scratch.order/start.
+  void partition(GroupScratch& scratch, std::size_t n) const noexcept;
+
   static cache::CacheConfig split_config(const ShardedCacheConfig& cfg);
 
   ShardRouter router_;
@@ -188,5 +259,26 @@ class ShardedCache {
   obs::EventRing* events_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+template <class PageOf, class Fn>
+void ShardedCache::serve_grouped(std::size_t n, const PageOf& page_of,
+                                 const Fn& fn) {
+  if (n == 0) return;
+  if (n == 1 || shards() == 1) {  // one group, already in span order
+    Hold hold(*this, router_.route(page_of(std::size_t{0})));
+    for (std::size_t i = 0; i < n; ++i) fn(i, hold);
+    return;
+  }
+  GroupScratch& s = group_scratch(n);
+  for (std::size_t i = 0; i < n; ++i) s.shard[i] = router_.route(page_of(i));
+  partition(s, n);
+  for (std::uint32_t shard = 0; shard < shards(); ++shard) {
+    if (s.start[shard] == s.start[shard + 1]) continue;
+    Hold hold(*this, shard);
+    for (std::uint32_t k = s.start[shard]; k < s.start[shard + 1]; ++k) {
+      fn(std::size_t{s.order[k]}, hold);
+    }
+  }
+}
 
 }  // namespace icgmm::runtime

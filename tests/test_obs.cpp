@@ -626,5 +626,31 @@ TEST(ObsE2E, TraceSampleZeroDisablesStageHistograms) {
   server.stop();
 }
 
+TEST(ObsE2E, StopClosesOpenConnectionsWithOneEventEach) {
+  // Clients that never close: stop() closes their connections itself, and
+  // each must be announced and counted like a peer-initiated close.
+  obs::EventRing ring(64);
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 2, .events = &ring});
+  server.start();
+  net::Client a = net::Client::connect("127.0.0.1", server.port());
+  net::Client b = net::Client::connect("127.0.0.1", server.port());
+  a.ping();  // a reply proves the server accepted the connection
+  b.ping();
+  server.stop();  // a and b are still open
+
+  std::size_t opens = 0;
+  std::size_t closes = 0;
+  for (const obs::Event& e : ring.dump()) {
+    opens += e.type == obs::EventType::kConnOpen ? 1 : 0;
+    closes += e.type == obs::EventType::kConnClose ? 1 : 0;
+  }
+  const net::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.connections_accepted, 2u);
+  EXPECT_EQ(stats.connections_closed, stats.connections_accepted);
+  EXPECT_EQ(opens, 2u);
+  EXPECT_EQ(closes, 2u);
+}
+
 }  // namespace
 }  // namespace icgmm

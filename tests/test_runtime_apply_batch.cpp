@@ -1,16 +1,27 @@
 // Runtime::apply_batch — the span entry point replay_trace and the net
-// server share. Replaying a trace through replay_trace must be
-// bit-identical to hand-feeding the same stream through apply_batch at
-// any chunking, per-request results must match access() exactly, and the
-// GMM inference counters must agree — at threads == 1 everything is
-// deterministic, so all comparisons are exact equality.
+// server share, served shard-grouped (one lock hold per shard per span).
+// Replaying a trace through replay_trace must be bit-identical to
+// hand-feeding the same stream through apply_batch at any chunking,
+// per-request results must match access() exactly, and the GMM inference
+// counters must agree — at threads == 1 everything is deterministic, so
+// all comparisons are exact equality. With the front cache on, a span
+// equals access() over its stable shard-major permutation. Concurrent
+// spans keep every counter identity, and a contended group lock is
+// counted as a lock wait.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <latch>
 #include <memory>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "cache/policies/classic.hpp"
+#include "common/rng.hpp"
 #include "core/icgmm.hpp"
+#include "obs/registry.hpp"
 #include "runtime/replay.hpp"
 #include "test_util.hpp"
 #include "trace/timestamp_transform.hpp"
@@ -41,6 +52,65 @@ std::vector<runtime::Access> make_stream(const trace::Trace& t) {
                       .is_write = r.is_write()});
   }
   return stream;
+}
+
+/// Marks roughly one request in six a write (seeded), so the per-request
+/// comparisons cover dirty evictions and write misses too.
+std::vector<runtime::Access> with_writes(std::vector<runtime::Access> stream,
+                                         std::uint64_t seed) {
+  Rng rng(seed);
+  for (runtime::Access& a : stream) a.is_write = rng.chance(0.15);
+  return stream;
+}
+
+::testing::AssertionResult results_equal(
+    std::span<const cache::AccessResult> actual,
+    std::span<const cache::AccessResult> expected) {
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure() << "size " << actual.size()
+                                         << " != " << expected.size();
+  }
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const cache::AccessResult& a = actual[i];
+    const cache::AccessResult& e = expected[i];
+    if (a.hit != e.hit || a.admitted != e.admitted || a.evicted != e.evicted ||
+        a.evicted_dirty != e.evicted_dirty || a.is_write != e.is_write ||
+        (a.evicted && a.victim_page != e.victim_page)) {
+      return ::testing::AssertionFailure()
+             << "request " << i << ": hit " << a.hit << "/" << e.hit
+             << " admitted " << a.admitted << "/" << e.admitted
+             << " evicted " << a.evicted << "/" << e.evicted << " victim "
+             << a.victim_page << "/" << e.victim_page;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Serves `stream` through a fresh runtime per chunking in {1, 7, 64,
+/// whole span} and requires every per-request result, the merged stats and
+/// the inference count to equal per-element access() on a fresh runtime.
+template <class MakeRuntime>
+void expect_spans_equal_access(const MakeRuntime& make,
+                               const std::vector<runtime::Access>& stream) {
+  const std::unique_ptr<runtime::Runtime> ref = make();
+  std::vector<cache::AccessResult> expected;
+  expected.reserve(stream.size());
+  for (const runtime::Access& a : stream) {
+    expected.push_back(ref->access(a.page, a.timestamp, a.is_write));
+  }
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{64}, stream.size()}) {
+    SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
+    const std::unique_ptr<runtime::Runtime> rt = make();
+    std::vector<cache::AccessResult> results(stream.size());
+    for (std::size_t i = 0; i < stream.size(); i += chunk) {
+      const std::size_t n = std::min(chunk, stream.size() - i);
+      rt->apply_batch({stream.data() + i, n}, {results.data() + i, n});
+    }
+    EXPECT_TRUE(results_equal(results, expected));
+    expect_stats_eq(rt->cache().merged_stats(), ref->cache().merged_stats());
+    EXPECT_EQ(rt->inferences(), ref->inferences());
+  }
 }
 
 TEST(RuntimeApplyBatch, ReplayVsManualBatchesBitIdenticalStatsLru) {
@@ -104,32 +174,192 @@ TEST(RuntimeApplyBatch, PerRequestResultsMatchAccessExactly) {
   const trace::Trace t = test_util::zipf_trace(20000, 1024, 0.9, 0xB3);
   const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(32, 4),
                                     .shards = 2};
-  const std::vector<runtime::Access> stream = make_stream(t);
+  expect_spans_equal_access(
+      [&rcfg] {
+        return std::make_unique<runtime::Runtime>(rcfg, cache::LruPolicy());
+      },
+      with_writes(make_stream(t), 0xB3));
+}
 
-  runtime::Runtime one_by_one(rcfg, cache::LruPolicy());
-  std::vector<cache::AccessResult> expected;
-  expected.reserve(stream.size());
-  for (const runtime::Access& a : stream) {
-    expected.push_back(one_by_one.access(a.page, a.timestamp, a.is_write));
-  }
+TEST(RuntimeApplyBatch, GmmBothPerRequestResultsAndInferencesMatchAccess) {
+  // gmm-both (GMM admission + GMM eviction) at 4 shards: the grouped path
+  // reorders requests across shards, never within one, so every decision —
+  // victims and scorings included — is the per-element one.
+  const trace::Trace t = test_util::zipf_trace(20000, 2048, 0.9, 0xB4);
+  core::IcgmmConfig cfg = test_util::small_system_config();
+  cfg.engine.cache = test_util::tiny_cache(64, 8);
+  core::IcgmmSystem system(cfg);
+  system.train(t);
+  const auto strategy = cache::GmmStrategy::kCachingEviction;
+  const double threshold = system.pick_threshold(t, strategy);
+  const runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
+  const std::vector<runtime::Access> stream = with_writes(make_stream(t), 0xB4);
+  expect_spans_equal_access(
+      [&] { return system.make_runtime(rcfg, strategy, threshold); }, stream);
 
-  runtime::Runtime spanned(rcfg, cache::LruPolicy());
-  std::vector<cache::AccessResult> results(stream.size());
-  spanned.apply_batch(stream, results);
+  const auto probe = system.make_runtime(rcfg, strategy, threshold);
+  probe->apply_batch(stream);
+  EXPECT_GT(probe->inferences(), 0u);
+  EXPECT_GT(probe->cache().merged_stats().evictions, 0u);
+  EXPECT_GT(probe->cache().merged_stats().write_misses, 0u);
+}
 
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_EQ(results[i].hit, expected[i].hit) << "at " << i;
-    EXPECT_EQ(results[i].admitted, expected[i].admitted) << "at " << i;
-    EXPECT_EQ(results[i].evicted, expected[i].evicted) << "at " << i;
-    EXPECT_EQ(results[i].evicted_dirty, expected[i].evicted_dirty)
-        << "at " << i;
-    EXPECT_EQ(results[i].is_write, expected[i].is_write) << "at " << i;
-    if (results[i].evicted) {
-      EXPECT_EQ(results[i].victim_page, expected[i].victim_page) << "at " << i;
+TEST(RuntimeApplyBatch, FrontCacheOnSpanEqualsAccessOverShardMajorOrder) {
+  // With the front cache on, the probe/promote/write-guard steps run in
+  // the order the shards are served, so a span equals per-element access()
+  // over its stable shard-major permutation (single thread: exact).
+  const trace::Trace t = test_util::zipf_trace(30000, 256, 1.2, 0xB5);
+  const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
+                                    .shards = 4,
+                                    .front = {.enabled = true,
+                                              .replicas = 1,
+                                              .capacity = 16,
+                                              .promote_after = 2,
+                                              .stripes = 64}};
+  const std::vector<runtime::Access> stream = with_writes(make_stream(t), 0xB5);
+
+  for (const std::size_t chunk : {std::size_t{64}, stream.size()}) {
+    SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
+    runtime::Runtime spanned(rcfg, cache::LruPolicy());
+    runtime::Runtime looped(rcfg, cache::LruPolicy());
+    std::vector<cache::AccessResult> results(stream.size());
+    std::vector<cache::AccessResult> expected(stream.size());
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < stream.size(); i += chunk) {
+      const std::size_t n = std::min(chunk, stream.size() - i);
+      spanned.apply_batch({stream.data() + i, n}, {results.data() + i, n});
+      order.resize(n);
+      for (std::size_t j = 0; j < n; ++j) order[j] = i + j;
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return looped.cache().router().route(stream[a].page) <
+                                looped.cache().router().route(stream[b].page);
+                       });
+      for (const std::size_t k : order) {
+        const runtime::Access& a = stream[k];
+        expected[k] = looped.access(a.page, a.timestamp, a.is_write);
+      }
     }
+    EXPECT_TRUE(results_equal(results, expected));
+    const runtime::RuntimeSnapshot s = spanned.snapshot();
+    const runtime::RuntimeSnapshot l = looped.snapshot();
+    expect_stats_eq(s.merged, l.merged);
+    EXPECT_EQ(s.front_hits, l.front_hits);
+    EXPECT_EQ(s.front_fills, l.front_fills);
+    EXPECT_EQ(s.front_invalidations, l.front_invalidations);
+    EXPECT_GT(s.front_hits, 0u);
+    EXPECT_GT(s.front_invalidations, 0u);
   }
-  expect_stats_eq(spanned.cache().merged_stats(),
-                  one_by_one.cache().merged_stats());
+}
+
+TEST(RuntimeApplyBatch, ConcurrentSpansWithAsyncMissAndShadowKeepIdentities) {
+  const trace::Trace t = test_util::zipf_trace(24000, 2048, 0.9, 0xB6);
+  core::IcgmmConfig cfg = test_util::small_system_config();
+  cfg.engine.cache = test_util::tiny_cache(64, 8);
+  core::IcgmmSystem system(cfg);
+  system.train(t);
+  const auto strategy = cache::GmmStrategy::kCachingEviction;
+  const double threshold = system.pick_threshold(t, strategy);
+  runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
+  rcfg.async_miss = {.enabled = true, .ring_capacity = 256};
+  rcfg.shadow = {.enabled = true,
+                 .policy_factory =
+                     [](std::uint32_t) {
+                       return std::make_unique<cache::LruPolicy>();
+                     },
+                 .ring_capacity = 256};
+  const auto rt = system.make_runtime(rcfg, strategy, threshold);
+  const std::vector<runtime::Access> stream = with_writes(make_stream(t), 0xB6);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kFrame = 64;
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      // Interleaved frames: every thread touches every shard all along.
+      for (std::size_t i = w * kFrame; i < stream.size();
+           i += kThreads * kFrame) {
+        const std::size_t n = std::min(kFrame, stream.size() - i);
+        rt->apply_batch({stream.data() + i, n});
+      }
+    });
+  }
+  for (std::thread& th : workers) th.join();
+  rt->drain_deferred();
+  rt->drain_shadow();
+
+  const runtime::RuntimeSnapshot snap = rt->snapshot();
+  EXPECT_EQ(snap.merged.accesses, stream.size());
+  EXPECT_EQ(snap.merged.hits + snap.merged.misses(), snap.merged.accesses);
+  cache::CacheStats shard_sum;
+  for (const cache::CacheStats& s : snap.per_shard) {
+    shard_sum.accesses += s.accesses;
+    shard_sum.hits += s.hits;
+    shard_sum.read_misses += s.read_misses;
+    shard_sum.write_misses += s.write_misses;
+    shard_sum.fills += s.fills;
+    shard_sum.bypasses += s.bypasses;
+    shard_sum.evictions += s.evictions;
+    shard_sum.dirty_evictions += s.dirty_evictions;
+  }
+  expect_stats_eq(snap.merged, shard_sum);
+  EXPECT_EQ(snap.deferred_enqueued, snap.deferred_applied);
+  EXPECT_EQ(snap.deferred_enqueued + snap.deferred_dropped,
+            snap.merged.misses());
+  EXPECT_GT(snap.deferred_applied, 0u);
+  EXPECT_EQ(snap.shadow_accesses + snap.shadow_dropped, snap.merged.accesses);
+  EXPECT_EQ(snap.shadow_hits + snap.shadow_misses, snap.shadow_accesses);
+  EXPECT_GT(snap.shadow_accesses, 0u);
+}
+
+TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
+  obs::MetricsRegistry reg;
+  runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(32, 4),
+                              .shards = 4};
+  rcfg.metrics = &reg;
+  runtime::Runtime rt(rcfg, cache::LruPolicy());
+
+  // One thread alone never finds a shard lock held.
+  runtime::ReplayConfig replay;
+  replay.threads = 1;
+  runtime::replay_trace(rt, test_util::zipf_trace(20000, 1024, 0.9, 0xB7),
+                        replay);
+  EXPECT_EQ(rt.snapshot().shard_lock_waits, 0u);
+
+  // Hold shard 0 while another thread's span needs it: that thread's
+  // try_lock fails, the wait is counted, then it blocks until released.
+  PageIndex page = 0;
+  while (rt.cache().router().route(page) != 0) ++page;
+  std::latch held(1);
+  std::latch release(1);
+  std::thread holder([&] {
+    rt.cache().with_shard_mut(0, [&](runtime::ShardedCache::ShardOps&) {
+      held.count_down();
+      release.wait();
+    });
+  });
+  held.wait();
+  std::thread server([&] {
+    const std::vector<runtime::Access> batch = {{.page = page + 0},
+                                                {.page = page + 0}};
+    rt.apply_batch(batch);
+  });
+  // lock_waits() reads atomics only (snapshot() would block on shard 0).
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+  while (rt.cache().lock_waits() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  release.count_down();
+  holder.join();
+  server.join();
+
+  const runtime::RuntimeSnapshot snap = rt.snapshot();
+  EXPECT_EQ(snap.shard_lock_waits, 1u);  // one group, one wait
+  EXPECT_EQ(obs::MetricsRegistry::value_of(reg.collect(),
+                                           "icgmm_shard_lock_waits"),
+            snap.shard_lock_waits);
 }
 
 TEST(RuntimeApplyBatch, EmptyBatchAndNoResultsSpanAreNoOps) {
