@@ -29,9 +29,9 @@
 // in span order, so a span serves bit-identically to per-element access()
 // at any chunking.
 //
-// access() and apply_batch() are safe from any number of threads. start()/stop() bracket the
-// background adaptation thread; a runtime without adaptation needs
-// neither.
+// access() and apply_batch() are safe from any number of threads.
+// start()/stop() bracket the background adaptation thread; a runtime
+// without adaptation needs neither.
 #pragma once
 
 #include <cstdint>

@@ -112,6 +112,7 @@ ShardedCache::Hold::~Hold() {
 
 cache::AccessResult ShardedCache::Hold::access(
     const cache::AccessContext& ctx) {
+  assert(owner_.router_.route(ctx.page) == index_);
   lock();
   const cache::AccessResult result = shard_.cache->access(ctx);
   // Async miss pipeline: hand the miss to the decision thread. Pushed

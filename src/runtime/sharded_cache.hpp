@@ -155,8 +155,6 @@ class ShardedCache {
   /// counter tally and unlocks.
   class Hold {
    public:
-    Hold(ShardedCache& owner, std::uint32_t shard) noexcept
-        : owner_(owner), shard_(*owner.shards_[shard]), index_(shard) {}
     ~Hold();
 
     Hold(const Hold&) = delete;
@@ -167,10 +165,15 @@ class ShardedCache {
     void lock();
 
     /// Serves one request bound for this shard under the hold: the cache
-    /// access, then the miss-ring and shadow-ring pushes.
+    /// access, then the miss-ring and shadow-ring pushes. `ctx.page` must
+    /// route to this shard.
     cache::AccessResult access(const cache::AccessContext& ctx);
 
    private:
+    friend class ShardedCache;  // only routing code binds a hold to a shard
+    Hold(ShardedCache& owner, std::uint32_t shard) noexcept
+        : owner_(owner), shard_(*owner.shards_[shard]), index_(shard) {}
+
     ShardedCache& owner_;
     Shard& shard_;
     std::uint32_t index_;

@@ -54,8 +54,8 @@ std::vector<runtime::Access> make_stream(const trace::Trace& t) {
   return stream;
 }
 
-/// Marks roughly one request in six a write (seeded), so the per-request
-/// comparisons cover dirty evictions and write misses too.
+/// Marks 15% of the requests writes (seeded), so the per-request
+/// comparisons cover write misses and dirty evictions too.
 std::vector<runtime::Access> with_writes(std::vector<runtime::Access> stream,
                                          std::uint64_t seed) {
   Rng rng(seed);
