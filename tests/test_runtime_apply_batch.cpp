@@ -252,6 +252,40 @@ TEST(RuntimeApplyBatch, FrontCacheOnSpanEqualsAccessOverShardMajorOrder) {
   }
 }
 
+/// Four threads serve `stream` in interleaved 64-request frames, so every
+/// thread touches every shard all along, then join.
+void serve_interleaved(runtime::Runtime& rt,
+                       const std::vector<runtime::Access>& stream) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kFrame = 64;
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (std::size_t i = w * kFrame; i < stream.size();
+           i += kThreads * kFrame) {
+        const std::size_t n = std::min(kFrame, stream.size() - i);
+        rt.apply_batch({stream.data() + i, n});
+      }
+    });
+  }
+  for (std::thread& th : workers) th.join();
+}
+
+cache::CacheStats shard_sum(const runtime::RuntimeSnapshot& snap) {
+  cache::CacheStats sum;
+  for (const cache::CacheStats& s : snap.per_shard) {
+    sum.accesses += s.accesses;
+    sum.hits += s.hits;
+    sum.read_misses += s.read_misses;
+    sum.write_misses += s.write_misses;
+    sum.fills += s.fills;
+    sum.bypasses += s.bypasses;
+    sum.evictions += s.evictions;
+    sum.dirty_evictions += s.dirty_evictions;
+  }
+  return sum;
+}
+
 TEST(RuntimeApplyBatch, ConcurrentSpansWithAsyncMissAndShadowKeepIdentities) {
   const trace::Trace t = test_util::zipf_trace(24000, 2048, 0.9, 0xB6);
   core::IcgmmConfig cfg = test_util::small_system_config();
@@ -271,38 +305,14 @@ TEST(RuntimeApplyBatch, ConcurrentSpansWithAsyncMissAndShadowKeepIdentities) {
   const auto rt = system.make_runtime(rcfg, strategy, threshold);
   const std::vector<runtime::Access> stream = with_writes(make_stream(t), 0xB6);
 
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kFrame = 64;
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&, w] {
-      // Interleaved frames: every thread touches every shard all along.
-      for (std::size_t i = w * kFrame; i < stream.size();
-           i += kThreads * kFrame) {
-        const std::size_t n = std::min(kFrame, stream.size() - i);
-        rt->apply_batch({stream.data() + i, n});
-      }
-    });
-  }
-  for (std::thread& th : workers) th.join();
+  serve_interleaved(*rt, stream);
   rt->drain_deferred();
   rt->drain_shadow();
 
   const runtime::RuntimeSnapshot snap = rt->snapshot();
   EXPECT_EQ(snap.merged.accesses, stream.size());
   EXPECT_EQ(snap.merged.hits + snap.merged.misses(), snap.merged.accesses);
-  cache::CacheStats shard_sum;
-  for (const cache::CacheStats& s : snap.per_shard) {
-    shard_sum.accesses += s.accesses;
-    shard_sum.hits += s.hits;
-    shard_sum.read_misses += s.read_misses;
-    shard_sum.write_misses += s.write_misses;
-    shard_sum.fills += s.fills;
-    shard_sum.bypasses += s.bypasses;
-    shard_sum.evictions += s.evictions;
-    shard_sum.dirty_evictions += s.dirty_evictions;
-  }
-  expect_stats_eq(snap.merged, shard_sum);
+  expect_stats_eq(snap.merged, shard_sum(snap));
   EXPECT_EQ(snap.deferred_enqueued, snap.deferred_applied);
   EXPECT_EQ(snap.deferred_enqueued + snap.deferred_dropped,
             snap.merged.misses());
@@ -310,6 +320,30 @@ TEST(RuntimeApplyBatch, ConcurrentSpansWithAsyncMissAndShadowKeepIdentities) {
   EXPECT_EQ(snap.shadow_accesses + snap.shadow_dropped, snap.merged.accesses);
   EXPECT_EQ(snap.shadow_hits + snap.shadow_misses, snap.shadow_accesses);
   EXPECT_GT(snap.shadow_accesses, 0u);
+}
+
+TEST(RuntimeApplyBatch, ConcurrentSpansWithFrontCacheKeepIdentities) {
+  // Front probes, promotions and write guards run inside other threads'
+  // group holds: every access is counted once, by a replica or a shard.
+  const trace::Trace t = test_util::zipf_trace(40000, 256, 1.2, 0xB8);
+  const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
+                                    .shards = 4,
+                                    .front = {.enabled = true,
+                                              .replicas = 5,
+                                              .capacity = 16,
+                                              .promote_after = 2,
+                                              .stripes = 64}};
+  runtime::Runtime rt(rcfg, cache::LruPolicy());
+  const std::vector<runtime::Access> stream = with_writes(make_stream(t), 0xB8);
+
+  serve_interleaved(rt, stream);
+
+  const runtime::RuntimeSnapshot snap = rt.snapshot();
+  EXPECT_EQ(snap.merged.accesses, stream.size());
+  EXPECT_EQ(snap.merged.hits + snap.merged.misses(), snap.merged.accesses);
+  EXPECT_EQ(shard_sum(snap).accesses + snap.front_hits, snap.merged.accesses);
+  EXPECT_GT(snap.front_hits, 0u);
+  EXPECT_GT(snap.front_invalidations, 0u);
 }
 
 TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
