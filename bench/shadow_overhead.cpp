@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       }
       runtime::Runtime rt(rcfg, cache::LruPolicy());
       const runtime::ReplayResult r = runtime::replay_trace(rt, workload, serve);
-      rt.drain_shadow();
+      rt.drain_deferred();
       if (r.requests_per_second / 1e6 > best.mreq_per_s) {
         best.mreq_per_s = r.requests_per_second / 1e6;
         const runtime::RuntimeSnapshot snap = rt.snapshot();

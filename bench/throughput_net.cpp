@@ -29,8 +29,8 @@
 #include "core/policy_engine.hpp"
 #include "core/threshold.hpp"
 #include "net/client.hpp"
-#include "net/latency_recorder.hpp"
 #include "net/server.hpp"
+#include "obs/histogram.hpp"
 #include "trace/timestamp_transform.hpp"
 #include "trace/zipf.hpp"
 
@@ -78,7 +78,7 @@ constexpr std::uint32_t kShards = 4;
 
 void drive_connection(std::uint16_t port, std::uint8_t protocol,
                       std::span<const net::WireAccess> chunk,
-                      std::uint32_t batch, net::LatencyRecorder& latency) {
+                      std::uint32_t batch, obs::LatencyHistogram& latency) {
   net::Client client = net::Client::connect("127.0.0.1", port);
   if (protocol == net::kProtocolV2 &&
       client.negotiate() != net::kProtocolV2) {
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
         net::Server server(*rt, {.port = 0, .workers = kWorkers});
         server.start();
 
-        std::vector<net::LatencyRecorder> lat(conns);
+        std::vector<obs::LatencyHistogram> lat(conns);
         std::vector<std::thread> threads;
         const auto t0 = Clock::now();
         for (std::uint32_t c = 0; c < conns; ++c) {
@@ -170,8 +170,8 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(Clock::now() - t0).count();
         server.stop();
 
-        net::LatencyRecorder merged;
-        for (const net::LatencyRecorder& l : lat) merged.merge(l);
+        obs::LatencyHistogram merged;
+        for (const obs::LatencyHistogram& l : lat) merged.merge(l);
         const runtime::RuntimeSnapshot snap = rt->snapshot();
         cells.push_back(
             {policy, protocol, conns, batch,

@@ -9,15 +9,7 @@
 // honest numbers, but parallel speedup is not observable — the JSON
 // records hardware_concurrency so baselines are interpretable.
 //
-// --zipf-s runs an additional skew sweep with the hot-page front cache
-// off and on (LRU, 4 shards): under high skew one head page serializes
-// on its owning shard's mutex, and the replicated read-front is supposed
-// to absorb exactly that — the sweep captures the win (and the
-// low-skew non-regression) in the same JSON schema, with front_hit_rate
-// per cell.
-//
 // Usage: throughput_runtime [-n REQUESTS] [--quick] [--json FILE]
-//                           [--zipf-s S1,S2,...]
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -29,7 +21,6 @@
 #include "bench_util.hpp"
 #include "cache/policies/classic.hpp"
 #include "common/run_env.hpp"
-#include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "core/policy_engine.hpp"
 #include "core/threshold.hpp"
@@ -40,13 +31,14 @@ namespace {
 
 using namespace icgmm;
 
+/// Zipf skew of the serving workload (recorded in every JSON cell).
+constexpr double kZipfS = 0.99;
+
 /// Zipf-popularity trace over 4x the cache's block count (the usual
-/// "working set larger than cache" serving regime), 10% writes. Skew `s`
-/// controls how much of the stream one head page absorbs.
-trace::Trace make_workload(std::size_t n, const cache::CacheConfig& cache,
-                           double s = 0.99) {
+/// "working set larger than cache" serving regime), 10% writes.
+trace::Trace make_workload(std::size_t n, const cache::CacheConfig& cache) {
   const std::uint64_t pages = cache.blocks() * 4;
-  trace::Zipf zipf(pages, s);
+  trace::Zipf zipf(pages, kZipfS);
   Rng rng(0xbe7c4);
   trace::Trace t("zipf-serving");
   t.reserve(n);
@@ -63,34 +55,15 @@ struct Cell {
   std::string policy;
   std::uint32_t shards = 0;
   std::uint32_t threads = 0;
-  double zipf_s = 0.99;
-  bool front_cache = false;
-  bool async_miss = false;
-  double front_hit_rate = 0.0;
-  /// Fraction of enqueued deferred rescores the bounded ring dropped
-  /// (async cells only) — the honesty metric for the async speedup: a
-  /// starved decision thread drops work instead of blocking serving.
-  double deferred_drop_rate = 0.0;
   double mreq_per_s = 0.0;
   double miss_rate = 0.0;
 };
-
-/// "0.8,1.1,1.4" -> {0.8, 1.1, 1.4}; throws on any malformed token so a
-/// typo cannot silently truncate the sweep in a captured baseline.
-std::vector<double> parse_double_list(const char* arg) {
-  std::vector<double> out;
-  for (const std::string_view tok : split(arg, ',')) {
-    out.push_back(parse_double(trim(tok)));
-  }
-  return out;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Options opt;
   std::string json_path;
-  std::vector<double> zipf_sweep;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       opt.quick = true;
@@ -99,14 +72,6 @@ int main(int argc, char** argv) {
       opt.requests = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--zipf-s") == 0 && i + 1 < argc) {
-      try {
-        zipf_sweep = parse_double_list(argv[++i]);
-      } catch (const std::exception& e) {
-        std::cerr << "error: bad --zipf-s list '" << argv[i] << "': "
-                  << e.what() << "\n";
-        return 1;
-      }
     }
   }
 
@@ -126,20 +91,15 @@ int main(int argc, char** argv) {
   const std::uint32_t thread_sweep[] = {1, 2, 4};
   std::vector<Cell> cells;
 
-  // The GMM policy runs twice: synchronous (inference inline on every
-  // miss, under the shard lock) and through the asynchronous miss
-  // pipeline (provisional admission, rescore on the decision thread).
-  // The delta between the two GMM rows at equal geometry is the serving
-  // cost of inline inference; the async rows also report how much
-  // deferred work the bounded ring dropped.
+  // The delta between the two policies' rows at equal geometry is the
+  // serving cost of inline inference (admission score plus the
+  // eviction-time set rescore, under the shard lock).
   struct Variant {
     const char* name;
     bool gmm;
-    bool async;
   };
-  constexpr Variant kVariants[] = {{"LRU", false, false},
-                                   {"GMM-caching-eviction", true, false},
-                                   {"GMM-async-miss", true, true}};
+  constexpr Variant kVariants[] = {{"LRU", false},
+                                   {"GMM-caching-eviction", true}};
 
   runtime::ReplayConfig serve;
   serve.warmup_fraction = 0.0;  // throughput: measure the whole run
@@ -149,7 +109,6 @@ int main(int argc, char** argv) {
         runtime::RuntimeConfig rcfg;
         rcfg.cache = cache_cfg;
         rcfg.shards = shards;
-        rcfg.async_miss.enabled = v.async;
         std::unique_ptr<runtime::Runtime> rt;
         if (!v.gmm) {
           rt = std::make_unique<runtime::Runtime>(rcfg, cache::LruPolicy());
@@ -160,65 +119,14 @@ int main(int argc, char** argv) {
               cache::GmmPolicyConfig{
                   .strategy = cache::GmmStrategy::kCachingEviction,
                   .threshold = threshold});
-          // In async mode inference leaves the serving path entirely.
-          serve.policy_runs_on_miss = !v.async;
+          serve.policy_runs_on_miss = true;
         }
         serve.threads = threads;
         const runtime::ReplayResult r =
             runtime::replay_trace(*rt, workload, serve);
-        double drop_rate = 0.0;
-        if (v.async) {
-          const runtime::RuntimeSnapshot snap = rt->snapshot();
-          drop_rate = snap.deferred_enqueued == 0
-                          ? 0.0
-                          : static_cast<double>(snap.deferred_dropped) /
-                                static_cast<double>(snap.deferred_enqueued +
-                                                    snap.deferred_dropped);
-        }
         cells.push_back({.policy = v.name,
                          .shards = shards,
                          .threads = threads,
-                         .async_miss = v.async,
-                         .deferred_drop_rate = drop_rate,
-                         .mreq_per_s = r.requests_per_second / 1e6,
-                         .miss_rate = r.run.stats.miss_rate()});
-      }
-    }
-  }
-
-  // --zipf-s: skew sweep with the hot-page front cache off and on. LRU
-  // isolates the shard-mutex serialization (no inference on the miss
-  // path); 4 shards so the head page's owning shard is one of several.
-  for (const double s : zipf_sweep) {
-    const trace::Trace hot = make_workload(opt.requests, cache_cfg, s);
-    for (const bool front : {false, true}) {
-      for (const std::uint32_t threads : {1u, 4u}) {
-        runtime::RuntimeConfig rcfg;
-        rcfg.cache = cache_cfg;
-        rcfg.shards = 4;
-        if (front) {
-          rcfg.front = {.enabled = true,
-                        .replicas = threads,
-                        .capacity = 16,
-                        .promote_after = 8,
-                        .stripes = 256};
-        }
-        runtime::Runtime rt(rcfg, cache::LruPolicy());
-        serve.policy_runs_on_miss = false;
-        serve.threads = threads;
-        const runtime::ReplayResult r = runtime::replay_trace(rt, hot, serve);
-        const runtime::RuntimeSnapshot snap = rt.snapshot();
-        const double front_hit_rate =
-            snap.merged.accesses == 0
-                ? 0.0
-                : static_cast<double>(snap.front_hits) /
-                      static_cast<double>(snap.merged.accesses);
-        cells.push_back({.policy = "LRU",
-                         .shards = 4,
-                         .threads = threads,
-                         .zipf_s = s,
-                         .front_cache = front,
-                         .front_hit_rate = front_hit_rate,
                          .mreq_per_s = r.requests_per_second / 1e6,
                          .miss_rate = r.run.stats.miss_rate()});
       }
@@ -228,15 +136,11 @@ int main(int argc, char** argv) {
   std::cout << "serving throughput, " << workload.size() << " requests, "
             << workload.unique_pages() << " pages, hardware threads: "
             << std::thread::hardware_concurrency() << "\n\n";
-  Table table({"policy", "zipf s", "shards", "threads", "front", "async",
-               "M req/s", "miss rate", "front hits", "drop rate"});
+  Table table({"policy", "shards", "threads", "M req/s", "miss rate"});
   for (const Cell& c : cells) {
-    table.add_row({c.policy, Table::fmt(c.zipf_s, 2), std::to_string(c.shards),
-                   std::to_string(c.threads), c.front_cache ? "on" : "off",
-                   c.async_miss ? "on" : "off", Table::fmt(c.mreq_per_s, 2),
-                   Table::fmt_percent(c.miss_rate),
-                   Table::fmt_percent(c.front_hit_rate),
-                   Table::fmt_percent(c.deferred_drop_rate)});
+    table.add_row({c.policy, std::to_string(c.shards),
+                   std::to_string(c.threads), Table::fmt(c.mreq_per_s, 2),
+                   Table::fmt_percent(c.miss_rate)});
   }
   std::cout << table.render();
 
@@ -251,12 +155,7 @@ int main(int argc, char** argv) {
       const Cell& c = cells[i];
       out << "    {\"policy\": \"" << c.policy << "\", \"shards\": "
           << c.shards << ", \"threads\": " << c.threads
-          << ", \"zipf_s\": " << c.zipf_s << ", \"front_cache\": "
-          << (c.front_cache ? "true" : "false") << ", \"async_miss\": "
-          << (c.async_miss ? "true" : "false")
-          << ", \"front_hit_rate\": " << c.front_hit_rate
-          << ", \"deferred_drop_rate\": " << c.deferred_drop_rate
-          << ", \"mreq_per_s\": " << c.mreq_per_s << ", \"miss_rate\": "
+          << ", \"zipf_s\": " << kZipfS << ", \"mreq_per_s\": " << c.mreq_per_s << ", \"miss_rate\": "
           << c.miss_rate << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -8,21 +8,13 @@
 //                           gmm-caching|gmm-eviction|gmm-both]
 //                 [--cache-mb MB] [--assoc WAYS] [--seed S]
 //                 [--threads T] [--shards S]
-//                 [--async-miss] [--async-ring CAP]
 //                 [--scorer float|quantized]
 //                 [--shadow-policy NAME] [--shadow-ring CAP]
-//                 [--front-cache] [--front-capacity M] [--front-replicas N]
-//                 [--front-promote K]
 //
 // Every run is served through the concurrent runtime (src/runtime/);
 // --threads 1 --shards 1 (the default) is bit-identical to the
 // single-threaded simulator, higher values exercise the sharded serving
-// path and report aggregate throughput. --front-cache enables the
-// replicated hot-page read-front (docs/ARCHITECTURE.md) — the tuning
-// flags imply it. --async-miss (GMM policies only) runs the asynchronous
-// miss pipeline: GMM decisions drain to a background thread and the
-// replay drains them before reporting, so the stats identities hold.
-// --scorer quantized (GMM policies only) serves through the fixed-point
+// path and report aggregate throughput. --scorer quantized (GMM policies only) serves through the fixed-point
 // QuantScorerKernel. --shadow-policy NAME runs a second policy against
 // the same stream off the serving path (gmm-* shadows require a gmm-*
 // serving policy) and reports its would-have-hit and divergence
@@ -58,8 +50,6 @@ struct Args {
   std::uint64_t seed = 7;
   std::uint32_t threads = 1;
   std::uint32_t shards = 1;
-  runtime::FrontCacheConfig front;  // off unless a --front-* flag is given
-  runtime::AsyncMissConfig async_miss;  // off unless --async-miss
   std::string scorer = "float";
   std::string shadow_policy;  // empty = shadow evaluation off
   std::uint32_t shadow_ring = 8192;
@@ -81,15 +71,9 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--seed")) args.seed = std::stoull(next());
     else if (!std::strcmp(argv[i], "--threads")) args.threads = static_cast<std::uint32_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--shards")) args.shards = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--async-miss")) args.async_miss.enabled = true;
-    else if (!std::strcmp(argv[i], "--async-ring")) { args.async_miss.ring_capacity = static_cast<std::uint32_t>(std::stoul(next())); args.async_miss.enabled = true; }
     else if (!std::strcmp(argv[i], "--scorer")) args.scorer = next();
     else if (!std::strcmp(argv[i], "--shadow-policy")) args.shadow_policy = next();
     else if (!std::strcmp(argv[i], "--shadow-ring")) args.shadow_ring = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--front-cache")) args.front.enabled = true;
-    else if (!std::strcmp(argv[i], "--front-capacity")) { args.front.capacity = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
-    else if (!std::strcmp(argv[i], "--front-replicas")) { args.front.replicas = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
-    else if (!std::strcmp(argv[i], "--front-promote")) { args.front.promote_after = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
     else throw std::invalid_argument(std::string("unknown flag: ") + argv[i]);
   }
   return args;
@@ -133,12 +117,6 @@ int main(int argc, char** argv) {
   runtime::RuntimeConfig rcfg;
   rcfg.cache = cfg.engine.cache;
   rcfg.shards = args.shards;
-  rcfg.front = args.front;
-  rcfg.async_miss = args.async_miss;
-  if (args.async_miss.enabled && args.policy.rfind("gmm", 0) != 0) {
-    std::cerr << "error: --async-miss requires a gmm-* policy\n";
-    return 1;
-  }
   if (args.scorer != "float" && args.scorer != "quantized") {
     std::cerr << "error: --scorer must be float or quantized\n";
     return 1;
@@ -170,9 +148,6 @@ int main(int argc, char** argv) {
         return make_classic(name);
       };
     }
-  }
-  if (rcfg.front.enabled && rcfg.front.replicas == 0) {
-    rcfg.front.replicas = args.threads;  // one replica per serving thread
   }
   runtime::ReplayConfig replay_cfg;
   replay_cfg.threads = args.threads;
@@ -218,7 +193,7 @@ int main(int argc, char** argv) {
   served = runtime::replay_trace(*rt, workload, replay_cfg);
   // Shadow trails the stream by a bounded amount; settle it so the
   // report's shadow rows are exact for the whole replay.
-  rt->drain_shadow();
+  rt->drain_deferred();
   } catch (const std::exception& e) {
     // e.g. a --shards value the cache geometry cannot split into
     std::cerr << "error: " << e.what() << "\n";
@@ -247,32 +222,11 @@ int main(int argc, char** argv) {
   report.add_row({"miss rate", Table::fmt_percent(result.miss_rate())});
   report.add_row({"AMAT", Table::fmt_micros(result.amat_us())});
   report.add_row({"hits", std::to_string(result.stats.hits)});
-  if (rcfg.front.enabled) {
-    // Front hits are already inside "hits"; break them out so the
-    // replication win is visible. Identity: front + shard hits + misses
-    // == accesses.
-    const runtime::RuntimeSnapshot snap = rt->snapshot();
-    report.add_row({"front-cache hits", std::to_string(snap.front_hits)});
-    report.add_row(
-        {"front-cache hit rate",
-         Table::fmt_percent(
-             result.stats.accesses == 0
-                 ? 0.0
-                 : static_cast<double>(snap.front_hits) /
-                       static_cast<double>(result.stats.accesses))});
-  }
   report.add_row({"read misses", std::to_string(result.stats.read_misses)});
   report.add_row({"write misses", std::to_string(result.stats.write_misses)});
   report.add_row({"bypasses", std::to_string(result.stats.bypasses)});
   report.add_row({"dirty evictions", std::to_string(result.stats.dirty_evictions)});
   report.add_row({"policy inferences", std::to_string(result.policy_inferences)});
-  if (rcfg.async_miss.enabled) {
-    const runtime::RuntimeSnapshot snap = rt->snapshot();
-    report.add_row({"deferred applied", std::to_string(snap.deferred_applied)});
-    report.add_row({"deferred dropped", std::to_string(snap.deferred_dropped)});
-    report.add_row({"deferred demotions",
-                    std::to_string(snap.deferred_demotions)});
-  }
   if (rcfg.shadow.enabled) {
     // Drained above, so these are exact over the whole replay (modulo
     // ring-full drops, reported alongside).

@@ -87,34 +87,6 @@ AccessResult SetAssociativeCache::access(const AccessContext& ctx) {
   return result;
 }
 
-std::uint32_t SetAssociativeCache::residents(
-    std::uint64_t set, std::span<PageIndex> pages,
-    std::span<std::uint32_t> ways) const noexcept {
-  std::uint32_t count = 0;
-  for (std::uint32_t way = 0; way < cfg_.associativity; ++way) {
-    const Block& b = block(set, way);
-    if (!b.valid) continue;
-    pages[count] = b.tag;
-    ways[count] = way;
-    ++count;
-  }
-  return count;
-}
-
-InvalidateResult SetAssociativeCache::invalidate(PageIndex page) noexcept {
-  const std::uint64_t set = set_of(page);
-  for (std::uint32_t way = 0; way < cfg_.associativity; ++way) {
-    Block& b = block(set, way);
-    if (!b.valid || b.tag != page) continue;
-    InvalidateResult result{.found = true, .was_dirty = b.dirty};
-    b = Block{};
-    ++stats_.evictions;
-    if (result.was_dirty) ++stats_.dirty_evictions;
-    return result;
-  }
-  return {};
-}
-
 bool SetAssociativeCache::contains(PageIndex page) const noexcept {
   const std::uint64_t set = set_of(page);
   for (std::uint32_t way = 0; way < cfg_.associativity; ++way) {

@@ -24,13 +24,6 @@ struct AccessResult {
   PageIndex victim_page = 0;    ///< valid when evicted
 };
 
-/// Outcome of an invalidate() — the async miss pipeline's demotion
-/// primitive (undoing a provisional admission the GMM later rejected).
-struct InvalidateResult {
-  bool found = false;      ///< the page was resident and is now dropped
-  bool was_dirty = false;  ///< the dropped block still owes an SSD writeback
-};
-
 class SetAssociativeCache {
  public:
   /// Upper bound on associativity (sizes the on-stack tag buffer handed to
@@ -49,20 +42,6 @@ class SetAssociativeCache {
 
   /// True if `page` is currently resident (no state change).
   bool contains(PageIndex page) const noexcept;
-
-  /// Copies set `set`'s valid tags (and their way indices) into
-  /// pages/ways; both spans must hold at least `associativity` elements.
-  /// Returns the number of valid blocks written — the tag snapshot the
-  /// deferred decision thread rescopes a set from.
-  std::uint32_t residents(std::uint64_t set, std::span<PageIndex> pages,
-                          std::span<std::uint32_t> ways) const noexcept;
-
-  /// Drops `page` if resident. Counted as an eviction (a dirty one as a
-  /// dirty eviction: the data still owes its writeback) — this is how the
-  /// async pipeline demotes a provisionally admitted page the GMM scored
-  /// below the admission threshold. The policy is not notified; the freed
-  /// way is simply preferred as an invalid way by the next fill.
-  InvalidateResult invalidate(PageIndex page) noexcept;
 
   /// Number of valid blocks (for occupancy assertions in tests).
   std::uint64_t valid_blocks() const noexcept;

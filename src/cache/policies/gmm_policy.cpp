@@ -70,10 +70,6 @@ double GmmPolicy::score_page(const AccessContext& ctx) {
 
 bool GmmPolicy::should_admit(const AccessContext& ctx) {
   if (cfg_.strategy == GmmStrategy::kEvictionOnly) return true;
-  // Deferred mode: admit provisionally, no inference on the serving path.
-  // The decision thread rescores the page later and demotes it if the
-  // model scores it below the threshold.
-  if (cfg_.deferred) return true;
   return score_page(ctx) >= cfg_.threshold;
 }
 
@@ -94,7 +90,7 @@ std::uint32_t GmmPolicy::choose_victim(std::uint64_t set,
     return victim;
   }
 
-  if (cfg_.rescore_set_on_evict && !cfg_.deferred) {
+  if (cfg_.rescore_set_on_evict) {
     // Refresh the set's scores at the current timestamp. The II=1 pipeline
     // streams all ways through the GMM in `assoc` extra cycles, so this
     // counts as part of the single per-miss engine invocation.
@@ -156,14 +152,6 @@ void GmmPolicy::on_hit(std::uint64_t set, std::uint32_t way,
 
 void GmmPolicy::on_fill(std::uint64_t set, std::uint32_t way,
                         const AccessContext& ctx) {
-  if (cfg_.deferred) {
-    // The block carries a neutral provisional score until the decision
-    // thread's rescore lands (or forever, if that rescore was dropped
-    // from a full ring — still a bounded, accounted degradation).
-    score_[set * ways_ + way] = provisional_score();
-    touch(set, way);
-    return;
-  }
   // kEvictionOnly never scored during admission; score now so the block
   // carries its GMM score into future eviction decisions.
   score_[set * ways_ + way] = score_page(ctx);

@@ -8,7 +8,6 @@
 // paper bypasses the GMM on hits); refresh_on_hit exists as an ablation.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -62,16 +61,6 @@ struct GmmPolicyConfig {
   /// cycles). Off = compare fill-time scores, which go stale as the
   /// temporal phase moves on — kept as an ablation.
   bool rescore_set_on_evict = true;
-  /// Eventual-policy mode (the async miss pipeline): NO inference runs on
-  /// the serving path. should_admit admits everything provisionally,
-  /// choose_victim ranks the *stored* scores as-is (no inline set
-  /// rescore; LRU fallback for kCachingOnly as before), and on_fill
-  /// stores a neutral provisional score — the admission threshold when
-  /// finite, else 0 — instead of calling the scorer. A decision thread
-  /// later rescores the set through apply_deferred_score() and demotes
-  /// provisional admissions the model rejects. Default off = the
-  /// synchronous mode, the bit-identity anchor every golden test pins.
-  bool deferred = false;
   /// Scoring backend the wiring site builds (see ScorerBackend). With
   /// kQuantized the wiring site also snaps `threshold` onto the
   /// quantized score grid (QuantScorerKernel::quantize_threshold), so
@@ -116,30 +105,6 @@ class GmmPolicy final : public ReplacementPolicy {
   /// Stored score of a resident block (tests/introspection).
   double stored_score(std::uint64_t set, std::uint32_t way) const {
     return score_.at(set * ways_ + way);
-  }
-
-  // --- deferred-decision application (async miss pipeline) -----------------
-  // Called by the decision thread under the owning shard's lock, never by
-  // the cache itself.
-
-  /// Overwrites the stored score of (set, way) with a deferred rescore at
-  /// the enqueued timestamp — the asynchronous replacement for the inline
-  /// eviction-time set rescore.
-  void apply_deferred_score(std::uint64_t set, std::uint32_t way,
-                            double score) {
-    score_.at(set * ways_ + way) = score;
-  }
-
-  /// Accounts GMM scorings the decision thread performed on this policy's
-  /// behalf, so inferences() stays comparable between the synchronous and
-  /// deferred modes.
-  void note_deferred_inferences(std::uint64_t n) noexcept { inferences_ += n; }
-
-  /// Score a deferred fill carries until its rescore lands: exactly at the
-  /// admission boundary (or 0 when the threshold is -inf), so a
-  /// provisional block neither pins its set nor is the automatic victim.
-  double provisional_score() const noexcept {
-    return std::isfinite(cfg_.threshold) ? cfg_.threshold : 0.0;
   }
 
  private:

@@ -347,13 +347,13 @@ struct QuantAvx512Entry {
     __m256i t32v[kChunks];
     for (std::size_t ci = 0; ci < kChunks; ++ci) {
       const __m512i mpv =
-          _mm512_load_si512(static_cast<const void*>(wide + 8 * ci));
-      const __m512i av = _mm512_load_si512(
+          _mm512_loadu_si512(static_cast<const void*>(wide + 8 * ci));
+      const __m512i av = _mm512_loadu_si512(
           static_cast<const void*>(wide + KLanes + 8 * ci));
       const __m512i crs =
-          _mm512_load_si512(static_cast<const void*>(cross + 8 * ci));
+          _mm512_loadu_si512(static_cast<const void*>(cross + 8 * ci));
       const __m512i ctv =
-          _mm512_load_si512(static_cast<const void*>(ctm + 8 * ci));
+          _mm512_loadu_si512(static_cast<const void*>(ctm + 8 * ci));
       const __m512i dp = _mm512_sub_epi64(xp, mpv);
       const __m512i dpa = _mm512_sra_epi64(_mm512_mul_epi32(dp, av), cnt_fc);
       const __m512i inner = _mm512_min_epi64(

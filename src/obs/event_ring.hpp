@@ -30,9 +30,8 @@ enum class EventType : std::uint8_t {
   kConnClose = 2,     ///< arg = fd
   kProtocolError = 3, ///< arg = fd (stream poisoned, connection dropped)
   kModelPublish = 4,  ///< arg = model version after the publish
-  kDrainBarrier = 5,  ///< arg = deferred decisions applied so far
+  kDrainBarrier = 5,  ///< arg = accesses the shadow has replayed so far
   kStatsClear = 6,    ///< arg = accesses at the clear
-  kRingDrop = 7,      ///< arg = shard whose miss ring dropped a rescore
   kShadowRingDrop = 8,  ///< arg = shard whose shadow ring dropped an access
 };
 
@@ -136,7 +135,6 @@ inline const char* to_string(EventType t) noexcept {
     case EventType::kModelPublish: return "model-publish";
     case EventType::kDrainBarrier: return "drain-barrier";
     case EventType::kStatsClear: return "stats-clear";
-    case EventType::kRingDrop: return "ring-drop";
     case EventType::kShadowRingDrop: return "shadow-ring-drop";
   }
   return "unknown";

@@ -3,9 +3,8 @@
 // into the top band) with <= ~3% relative quantile error — constant
 // memory, O(1) record, mergeable across threads.
 //
-// Promoted from net/latency_recorder.hpp (which now aliases this class)
-// so the server-side observability layer and the load generator share one
-// histogram implementation. Header-only and allocation-free so it is
+// The server-side observability layer and the load generator share this
+// one histogram implementation. Header-only and allocation-free so it is
 // usable from tight reply loops; single-writer — ConcurrentHistogram
 // below is the thread-safe sibling sharing the same bucket scheme.
 #pragma once

@@ -2,8 +2,8 @@
 // from the serving threads to the recorder's writer thread.
 //
 // The serving path is the producer side: ANY thread inside
-// Runtime::access may push, so unlike the async miss pipeline's
-// shard-locked SPSC MissRing this ring must order its own producers.
+// Runtime::access may push, so unlike the shadow evaluator's
+// shard-locked SpscRing this ring must order its own producers.
 // It uses the bounded Vyukov MPMC scheme — one sequence word per cell,
 // producers claim slots with a CAS on tail_, each cell's sequence
 // publishes the payload with release/acquire — restricted to a single
@@ -12,7 +12,7 @@
 //
 // Overflow never blocks a producer: try_push returns false on a full
 // ring and the caller counts the drop — the same never-stall discipline
-// as MissRing and the ModelRefresher's sample queue. A dropped record
+// as SpscRing and the ModelRefresher's sample queue. A dropped record
 // costs capture completeness (the drop counter is surfaced all the way
 // to the wire STATS reply so lossy captures are visible); blocking would
 // cost serving latency immediately.

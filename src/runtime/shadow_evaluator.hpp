@@ -5,8 +5,8 @@
 //
 // The serving path pushes every access (hit or miss, with the serving
 // verdict attached) into a per-shard bounded ShadowRing under the shard
-// lock — the same single-producer discipline and never-block overflow
-// contract as the async miss pipeline's MissRing. This one push is the
+// lock, which makes any number of serving threads a single producer; a
+// full ring drops (and counts) instead of blocking. This one push is the
 // entire coupling surface: the shadow side owns its own tag-only
 // SetAssociativeCache directories (one per shard, same split geometry as
 // the serving shards) and replays the stream through them on a single
@@ -22,9 +22,9 @@
 // accesses skew the shadow directory from that point on, so dropped()
 // must be 0 for the identity to be exact.
 //
-// Lifecycle mirrors DecisionThread: the worker runs from construction to
-// stop() (stop-drain: keeps sweeping until a full sweep finds nothing,
-// then exits), and drain() is the two-sweep bounded-staleness barrier.
+// Lifecycle: the worker runs from construction to stop() (stop-drain:
+// keeps sweeping until a full sweep finds nothing, then exits), and
+// drain() is the two-sweep bounded-staleness barrier.
 #pragma once
 
 #include <atomic>

@@ -29,9 +29,6 @@ ShardedCache::ShardedCache(ShardedCacheConfig cfg, const PolicyFactory& factory)
     auto shard = std::make_unique<Shard>();
     shard->cache =
         std::make_unique<cache::SetAssociativeCache>(shard_cfg_, factory(i));
-    if (cfg.miss_ring_capacity > 0) {
-      shard->ring = std::make_unique<MissRing>(cfg.miss_ring_capacity);
-    }
     if (cfg.shadow_ring_capacity > 0) {
       shard->shadow = std::make_unique<ShadowRing>(cfg.shadow_ring_capacity);
     }
@@ -80,17 +77,15 @@ void ShardedCache::partition(GroupScratch& s, std::size_t n) const noexcept {
   start[0] = 0;
 }
 
-void ShardedCache::Hold::lock() {
-  if (locked_) return;
+ShardedCache::Hold::Hold(ShardedCache& owner, std::uint32_t shard)
+    : owner_(owner), shard_(*owner.shards_[shard]), index_(shard) {
   if (!shard_.mu.try_lock()) {
     shard_.lock_waits.fetch_add(1, std::memory_order_relaxed);
     shard_.mu.lock();
   }
-  locked_ = true;
 }
 
 ShardedCache::Hold::~Hold() {
-  if (!locked_) return;
   // Publish the group's tally before unlocking: a clear_stats() racing an
   // unlocked mirror update would leave the mirrors permanently ahead of
   // the authoritative per-shard stats.
@@ -113,22 +108,13 @@ ShardedCache::Hold::~Hold() {
 cache::AccessResult ShardedCache::Hold::access(
     const cache::AccessContext& ctx) {
   assert(owner_.router_.route(ctx.page) == index_);
-  lock();
   const cache::AccessResult result = shard_.cache->access(ctx);
-  // Async miss pipeline: hand the miss to the decision thread. Pushed
-  // under the shard lock, so all producers are serialized — the ring's
-  // single-producer contract. A full ring drops (and counts) the rescore
-  // rather than stalling the serving path.
-  if (!result.hit && shard_.ring) {
-    if (!shard_.ring->try_push({ctx.page, ctx.timestamp}) &&
-        owner_.events_ != nullptr) {
-      owner_.events_->emit(obs::EventType::kRingDrop, index_);
-    }
-  }
   // Shadow evaluation: every access (hit or miss) flows to the shadow
-  // policy with the serving verdict attached, under the same lock-held
-  // single-producer discipline. The shadow never reads serving state;
-  // this push is the entire coupling surface.
+  // policy with the serving verdict attached. Pushed under the shard
+  // lock, so all producers are serialized — the ring's single-producer
+  // contract; a full ring drops (and counts) rather than stalling
+  // serving. The shadow never reads serving state; this push is the
+  // entire coupling surface.
   if (shard_.shadow) {
     if (!shard_.shadow->try_push({.page = ctx.page,
                                   .timestamp = ctx.timestamp,
@@ -182,38 +168,6 @@ void ShardedCache::with_policy(
   const Shard& s = *shards_.at(shard);
   std::lock_guard<std::mutex> lock(s.mu);
   fn(s.cache->policy());
-}
-
-void ShardedCache::with_shard_mut(
-    std::uint32_t shard, const std::function<void(ShardOps&)>& fn) {
-  Shard& s = *shards_.at(shard);
-  std::lock_guard<std::mutex> lock(s.mu);
-  ShardOps ops(s);
-  fn(ops);
-}
-
-std::uint64_t ShardedCache::ring_pushed() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    if (shard->ring) total += shard->ring->pushed();
-  }
-  return total;
-}
-
-std::uint64_t ShardedCache::ring_popped() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    if (shard->ring) total += shard->ring->popped();
-  }
-  return total;
-}
-
-std::uint64_t ShardedCache::ring_dropped() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    if (shard->ring) total += shard->ring->dropped();
-  }
-  return total;
 }
 
 std::uint64_t ShardedCache::shadow_ring_pushed() const noexcept {

@@ -10,8 +10,8 @@
 //
 // Serving is grouped: serve_grouped() routes a span of requests once,
 // stable-partitions it by shard, and serves each shard's group under one
-// Hold — a single lazily taken hold of that shard's mutex — visiting the
-// shards in index order. Per-shard request order is the span order, so a
+// Hold — a single hold of that shard's mutex — visiting the shards in
+// index order. Per-shard request order is the span order, so a
 // shard sees exactly the sequence per-element access() calls would have
 // given it; access() itself is the one-request Hold.
 //
@@ -34,8 +34,8 @@
 
 #include "cache/cache.hpp"
 #include "obs/event_ring.hpp"
-#include "runtime/miss_ring.hpp"
 #include "runtime/shard_router.hpp"
+#include "runtime/spsc_ring.hpp"
 
 namespace icgmm::runtime {
 
@@ -44,22 +44,18 @@ struct ShardedCacheConfig {
   /// a CacheConfig with capacity_bytes / shards). Must divide cleanly.
   cache::CacheConfig cache;
   std::uint32_t shards = 4;
-  /// When non-zero, each shard carries a bounded MissRing of this capacity
-  /// and access() enqueues every miss into the owning shard's ring (under
-  /// that shard's lock, which is what makes the ring's single-producer
-  /// contract hold). Zero = no rings, no per-miss overhead — the default
-  /// synchronous mode. Set by Runtime's async miss pipeline.
-  std::uint32_t miss_ring_capacity = 0;
   /// When non-zero, each shard carries a bounded ShadowRing of this
   /// capacity and access() enqueues EVERY access (hit or miss, with the
   /// serving verdict) into the owning shard's ring — the feed for the
-  /// shadow policy evaluator. Same producer discipline and never-block
-  /// overflow contract as the miss ring. Zero = no rings, no per-access
-  /// overhead — the default. Set by Runtime's shadow evaluation.
+  /// shadow policy evaluator. Pushed under that shard's lock, which is
+  /// what makes the ring's single-producer contract hold; a full ring
+  /// drops (and counts) instead of blocking. Zero = no rings, no
+  /// per-access overhead — the default. Set by Runtime's shadow
+  /// evaluation.
   std::uint32_t shadow_ring_capacity = 0;
-  /// Optional flight recorder (not owned; must outlive the cache): a miss
-  /// ring dropping a rescore emits kRingDrop with the shard index; a
-  /// shadow ring dropping an access emits kShadowRingDrop.
+  /// Optional flight recorder (not owned; must outlive the cache): a
+  /// shadow ring dropping an access emits kShadowRingDrop with the shard
+  /// index.
   obs::EventRing* events = nullptr;
 };
 
@@ -116,12 +112,10 @@ class ShardedCache {
   /// and policy state are kept (warm-up discipline, as clear_stats()).
   void clear_stats();
 
-  /// Serving lock acquisitions (one per Hold that locked) that found the
-  /// shard mutex held by another thread, summed over shards. A lifetime
-  /// total: clear_stats() does not zero it.
+  /// Serving lock acquisitions (one per Hold) that found the shard mutex
+  /// held by another thread, summed over shards. A lifetime total:
+  /// clear_stats() does not zero it.
   std::uint64_t lock_waits() const noexcept;
-
-  // --- async miss pipeline hooks -----------------------------------------
 
  private:
   // Padded so two shards' hot state never share a cache line.
@@ -143,15 +137,13 @@ class ShardedCache {
     std::atomic<std::uint64_t> lock_waits{0};
     std::unique_ptr<cache::SetAssociativeCache> cache;
     Counters counters;
-    std::unique_ptr<MissRing> ring;  ///< null unless miss_ring_capacity > 0
     std::unique_ptr<ShadowRing> shadow;  ///< null unless shadow_ring_capacity > 0
   };
 
  public:
   /// One hold of a shard's lock, serving a group of requests bound for
-  /// that shard. The lock is taken at the first lock()/access(), not at
-  /// construction, so a group whose requests never reach the shard (all
-  /// front-cache hits) takes no lock. Destruction publishes the group's
+  /// that shard. Construction takes the lock (a lock found held by another
+  /// thread counts one lock wait); destruction publishes the group's
   /// counter tally and unlocks.
   class Hold {
    public:
@@ -160,34 +152,21 @@ class ShardedCache {
     Hold(const Hold&) = delete;
     Hold& operator=(const Hold&) = delete;
 
-    /// Takes the shard lock unless this hold has it already; a lock found
-    /// held by another thread counts one lock wait.
-    void lock();
-
     /// Serves one request bound for this shard under the hold: the cache
-    /// access, then the miss-ring and shadow-ring pushes. `ctx.page` must
-    /// route to this shard.
+    /// access, then the shadow-ring push. `ctx.page` must route to this
+    /// shard.
     cache::AccessResult access(const cache::AccessContext& ctx);
 
    private:
     friend class ShardedCache;  // only routing code binds a hold to a shard
-    Hold(ShardedCache& owner, std::uint32_t shard) noexcept
-        : owner_(owner), shard_(*owner.shards_[shard]), index_(shard) {}
+    Hold(ShardedCache& owner, std::uint32_t shard);
 
     ShardedCache& owner_;
     Shard& shard_;
     std::uint32_t index_;
-    bool locked_ = false;
     /// The group's outcomes, published into Shard::counters at unlock.
     cache::CacheStats tally_;
   };
-
-  /// Shard `i`'s miss ring, or nullptr when miss_ring_capacity was 0.
-  /// The decision thread is the only consumer; producers are access()
-  /// calls serialized by the shard lock.
-  MissRing* miss_ring(std::uint32_t shard) noexcept {
-    return shards_[shard]->ring.get();
-  }
 
   /// Shard `i`'s shadow access ring, or nullptr when shadow_ring_capacity
   /// was 0. The ShadowEvaluator is the only consumer; producers are
@@ -196,49 +175,8 @@ class ShardedCache {
     return shards_[shard]->shadow.get();
   }
 
-  /// Mutating view of one shard handed to with_shard_mut's callback. Keeps
-  /// the invariant that the lock-free counter mirrors never drift from the
-  /// authoritative CacheStats: demote() updates both under the same lock
-  /// hold, exactly like access() does.
-  class ShardOps {
-   public:
-    cache::SetAssociativeCache& cache() noexcept { return *shard_.cache; }
-
-    /// Drops `page` if resident, mirroring the eviction into the atomic
-    /// counters — the demotion primitive for provisional admissions the
-    /// GMM rejected.
-    cache::InvalidateResult demote(PageIndex page) noexcept {
-      const cache::InvalidateResult r = shard_.cache->invalidate(page);
-      if (r.found) {
-        shard_.counters.evictions.fetch_add(1, std::memory_order_relaxed);
-        if (r.was_dirty) {
-          shard_.counters.dirty_evictions.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      }
-      return r;
-    }
-
-   private:
-    friend class ShardedCache;
-    explicit ShardOps(Shard& shard) : shard_(shard) {}
-    Shard& shard_;
-  };
-
-  /// Runs `fn` with mutable access to shard `i` under its lock — the
-  /// decision thread's apply path (rescore the set, demote rejects).
-  void with_shard_mut(std::uint32_t shard,
-                      const std::function<void(ShardOps&)>& fn);
-
-  /// Sums of the per-shard ring counters (0 when rings are disabled).
-  /// pushed/dropped are exact once the pushing side is quiescent;
-  /// popped once the decision thread has drained.
-  std::uint64_t ring_pushed() const noexcept;
-  std::uint64_t ring_popped() const noexcept;
-  std::uint64_t ring_dropped() const noexcept;
-
   /// Sums of the per-shard shadow ring counters (0 when shadow rings are
-  /// disabled). Same exactness contract as the miss-ring counters.
+  /// disabled). Exact once the pushing side is quiescent.
   std::uint64_t shadow_ring_pushed() const noexcept;
   std::uint64_t shadow_ring_dropped() const noexcept;
 

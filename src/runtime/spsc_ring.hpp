@@ -1,23 +1,22 @@
-// Bounded single-producer/single-consumer rings carrying work from the
-// serving path to a background thread — the hand-off point both the
-// async miss pipeline and the shadow evaluator share (the ICGMM
-// decoupling: the datapath answers the access immediately, background
-// engines observe asynchronously).
+// Bounded single-producer/single-consumer ring carrying served accesses
+// from the serving path to the shadow evaluator's background thread (the
+// ICGMM decoupling: the datapath answers the access immediately, the
+// background engine observes asynchronously).
 //
 // Producer discipline: pushes happen while the owning shard's mutex is
 // held, so successive pushes are serialized and ordered (the mutex
 // provides the happens-before edge between producing threads); the ring
 // itself only has to order one producer against one consumer, which the
 // release/acquire pair on tail_/head_ does. The consumer is a single
-// background worker (DecisionThread or ShadowEvaluator).
+// background worker (ShadowEvaluator).
 //
 // Overflow never blocks the serving path: like ModelRefresher's bounded
 // sample queue, a full ring drops the entry and counts it. A dropped
-// entry costs fidelity slowly (a missed rescore, a shadow directory that
-// skipped one access); blocking would cost serving latency immediately.
-// The drop counter is what lets the bounded-staleness invariant stay
-// checkable: at any drain barrier, pushed() == (entries applied by the
-// consumer) and every offered entry is either pushed or dropped.
+// entry costs fidelity slowly (a shadow directory that skipped one
+// access); blocking would cost serving latency immediately. The drop
+// counter is what lets the bounded-staleness invariant stay checkable: at
+// any drain barrier, pushed() == (entries applied by the consumer) and
+// every offered entry is either pushed or dropped.
 #pragma once
 
 #include <atomic>
@@ -104,16 +103,6 @@ class SpscRing {
   alignas(64) std::atomic<std::uint64_t> tail_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };
-
-/// One deferred decision: "this page missed (and was provisionally
-/// admitted) at this logical timestamp — rescore its set and apply the
-/// GMM's admission/eviction judgement."
-struct MissEntry {
-  PageIndex page = 0;
-  Timestamp timestamp = 0;
-};
-
-using MissRing = SpscRing<MissEntry>;
 
 /// One observed access, as the shadow evaluator sees it: the request
 /// plus the serving cache's verdict, so would-have-hit divergence is

@@ -8,8 +8,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/latency_recorder.hpp"
 #include "net/protocol.hpp"
+#include "obs/histogram.hpp"
 
 namespace icgmm::net {
 namespace {
@@ -527,7 +527,7 @@ TEST(NetProtocol, WrongPayloadSizeForFixedSizeRepliesRejected) {
 // --- the loadgen's latency recorder ----------------------------------------
 
 TEST(NetLatencyRecorder, QuantilesBoundTrueValuesWithinBucketError) {
-  LatencyRecorder rec;
+  obs::LatencyHistogram rec;
   // 1..1000 us, uniformly.
   for (std::uint64_t us = 1; us <= 1000; ++us) rec.record(us * 1000);
   EXPECT_EQ(rec.count(), 1000u);
@@ -543,7 +543,7 @@ TEST(NetLatencyRecorder, QuantilesBoundTrueValuesWithinBucketError) {
 }
 
 TEST(NetLatencyRecorder, MergeAndWeightedRecordMatchLoopedRecord) {
-  LatencyRecorder a, b, c;
+  obs::LatencyHistogram a, b, c;
   for (int i = 0; i < 10; ++i) a.record(1000, 8);
   for (int i = 0; i < 80; ++i) b.record(1000);
   EXPECT_EQ(a.count(), b.count());
@@ -556,7 +556,7 @@ TEST(NetLatencyRecorder, MergeAndWeightedRecordMatchLoopedRecord) {
 }
 
 TEST(NetLatencyRecorder, EmptyAndExtremeValues) {
-  LatencyRecorder rec;
+  obs::LatencyHistogram rec;
   EXPECT_EQ(rec.quantile_ns(0.5), 0u);
   EXPECT_EQ(rec.count(), 0u);
   rec.record(0);

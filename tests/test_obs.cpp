@@ -290,7 +290,7 @@ TEST(ObsEventRing, OverflowAccountingIsExact) {
   obs::EventRing ring(8);
   EXPECT_EQ(ring.capacity(), 8u);
   for (std::uint64_t i = 0; i < 20; ++i) {
-    ring.emit(obs::EventType::kRingDrop, i);
+    ring.emit(obs::EventType::kShadowRingDrop, i);
   }
   EXPECT_EQ(ring.total(), 20u);
   EXPECT_EQ(ring.dropped(), 12u);  // total - capacity once wrapped

@@ -4,10 +4,8 @@
 // hand-feeding the same stream through apply_batch at any chunking,
 // per-request results must match access() exactly, and the GMM inference
 // counters must agree — at threads == 1 everything is deterministic, so
-// all comparisons are exact equality. With the front cache on, a span
-// equals access() over its stable shard-major permutation. Concurrent
-// spans keep every counter identity, and a contended group lock is
-// counted as a lock wait.
+// all comparisons are exact equality. Concurrent spans keep every counter
+// identity, and a contended group lock is counted as a lock wait.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,54 +202,6 @@ TEST(RuntimeApplyBatch, GmmBothPerRequestResultsAndInferencesMatchAccess) {
   EXPECT_GT(probe->cache().merged_stats().write_misses, 0u);
 }
 
-TEST(RuntimeApplyBatch, FrontCacheOnSpanEqualsAccessOverShardMajorOrder) {
-  // With the front cache on, the probe/promote/write-guard steps run in
-  // the order the shards are served, so a span equals per-element access()
-  // over its stable shard-major permutation (single thread: exact).
-  const trace::Trace t = test_util::zipf_trace(30000, 256, 1.2, 0xB5);
-  const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
-                                    .shards = 4,
-                                    .front = {.enabled = true,
-                                              .replicas = 1,
-                                              .capacity = 16,
-                                              .promote_after = 2,
-                                              .stripes = 64}};
-  const std::vector<runtime::Access> stream = with_writes(make_stream(t), 0xB5);
-
-  for (const std::size_t chunk : {std::size_t{64}, stream.size()}) {
-    SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
-    runtime::Runtime spanned(rcfg, cache::LruPolicy());
-    runtime::Runtime looped(rcfg, cache::LruPolicy());
-    std::vector<cache::AccessResult> results(stream.size());
-    std::vector<cache::AccessResult> expected(stream.size());
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < stream.size(); i += chunk) {
-      const std::size_t n = std::min(chunk, stream.size() - i);
-      spanned.apply_batch({stream.data() + i, n}, {results.data() + i, n});
-      order.resize(n);
-      for (std::size_t j = 0; j < n; ++j) order[j] = i + j;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return looped.cache().router().route(stream[a].page) <
-                                looped.cache().router().route(stream[b].page);
-                       });
-      for (const std::size_t k : order) {
-        const runtime::Access& a = stream[k];
-        expected[k] = looped.access(a.page, a.timestamp, a.is_write);
-      }
-    }
-    EXPECT_TRUE(results_equal(results, expected));
-    const runtime::RuntimeSnapshot s = spanned.snapshot();
-    const runtime::RuntimeSnapshot l = looped.snapshot();
-    expect_stats_eq(s.merged, l.merged);
-    EXPECT_EQ(s.front_hits, l.front_hits);
-    EXPECT_EQ(s.front_fills, l.front_fills);
-    EXPECT_EQ(s.front_invalidations, l.front_invalidations);
-    EXPECT_GT(s.front_hits, 0u);
-    EXPECT_GT(s.front_invalidations, 0u);
-  }
-}
-
 /// Four threads serve `stream` in interleaved 64-request frames, so every
 /// thread touches every shard all along, then join.
 void serve_interleaved(runtime::Runtime& rt,
@@ -286,7 +236,7 @@ cache::CacheStats shard_sum(const runtime::RuntimeSnapshot& snap) {
   return sum;
 }
 
-TEST(RuntimeApplyBatch, ConcurrentSpansWithAsyncMissAndShadowKeepIdentities) {
+TEST(RuntimeApplyBatch, ConcurrentSpansWithShadowKeepIdentities) {
   const trace::Trace t = test_util::zipf_trace(24000, 2048, 0.9, 0xB6);
   core::IcgmmConfig cfg = test_util::small_system_config();
   cfg.engine.cache = test_util::tiny_cache(64, 8);
@@ -295,7 +245,6 @@ TEST(RuntimeApplyBatch, ConcurrentSpansWithAsyncMissAndShadowKeepIdentities) {
   const auto strategy = cache::GmmStrategy::kCachingEviction;
   const double threshold = system.pick_threshold(t, strategy);
   runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
-  rcfg.async_miss = {.enabled = true, .ring_capacity = 256};
   rcfg.shadow = {.enabled = true,
                  .policy_factory =
                      [](std::uint32_t) {
@@ -307,43 +256,14 @@ TEST(RuntimeApplyBatch, ConcurrentSpansWithAsyncMissAndShadowKeepIdentities) {
 
   serve_interleaved(*rt, stream);
   rt->drain_deferred();
-  rt->drain_shadow();
 
   const runtime::RuntimeSnapshot snap = rt->snapshot();
   EXPECT_EQ(snap.merged.accesses, stream.size());
   EXPECT_EQ(snap.merged.hits + snap.merged.misses(), snap.merged.accesses);
   expect_stats_eq(snap.merged, shard_sum(snap));
-  EXPECT_EQ(snap.deferred_enqueued, snap.deferred_applied);
-  EXPECT_EQ(snap.deferred_enqueued + snap.deferred_dropped,
-            snap.merged.misses());
-  EXPECT_GT(snap.deferred_applied, 0u);
   EXPECT_EQ(snap.shadow_accesses + snap.shadow_dropped, snap.merged.accesses);
   EXPECT_EQ(snap.shadow_hits + snap.shadow_misses, snap.shadow_accesses);
   EXPECT_GT(snap.shadow_accesses, 0u);
-}
-
-TEST(RuntimeApplyBatch, ConcurrentSpansWithFrontCacheKeepIdentities) {
-  // Front probes, promotions and write guards run inside other threads'
-  // group holds: every access is counted once, by a replica or a shard.
-  const trace::Trace t = test_util::zipf_trace(40000, 256, 1.2, 0xB8);
-  const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
-                                    .shards = 4,
-                                    .front = {.enabled = true,
-                                              .replicas = 5,
-                                              .capacity = 16,
-                                              .promote_after = 2,
-                                              .stripes = 64}};
-  runtime::Runtime rt(rcfg, cache::LruPolicy());
-  const std::vector<runtime::Access> stream = with_writes(make_stream(t), 0xB8);
-
-  serve_interleaved(rt, stream);
-
-  const runtime::RuntimeSnapshot snap = rt.snapshot();
-  EXPECT_EQ(snap.merged.accesses, stream.size());
-  EXPECT_EQ(snap.merged.hits + snap.merged.misses(), snap.merged.accesses);
-  EXPECT_EQ(shard_sum(snap).accesses + snap.front_hits, snap.merged.accesses);
-  EXPECT_GT(snap.front_hits, 0u);
-  EXPECT_GT(snap.front_invalidations, 0u);
 }
 
 TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
@@ -360,14 +280,15 @@ TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
                         replay);
   EXPECT_EQ(rt.snapshot().shard_lock_waits, 0u);
 
-  // Hold shard 0 while another thread's span needs it: that thread's
-  // try_lock fails, the wait is counted, then it blocks until released.
+  // Hold shard 0 (with_policy takes the serving mutex) while another
+  // thread's span needs it: that thread's try_lock fails, the wait is
+  // counted, then it blocks until released.
   PageIndex page = 0;
   while (rt.cache().router().route(page) != 0) ++page;
   std::latch held(1);
   std::latch release(1);
   std::thread holder([&] {
-    rt.cache().with_shard_mut(0, [&](runtime::ShardedCache::ShardOps&) {
+    rt.cache().with_policy(0, [&](const cache::ReplacementPolicy&) {
       held.count_down();
       release.wait();
     });

@@ -56,7 +56,7 @@ TEST(Shadow, OffBuildsNoMachinery) {
     EXPECT_EQ(rt.cache().shadow_ring(s), nullptr);
   }
   rt.access(1, 0);
-  rt.drain_shadow();  // documented no-op with shadow off
+  rt.drain_deferred();  // documented no-op with shadow off
   const runtime::RuntimeSnapshot snap = rt.snapshot();
   EXPECT_EQ(snap.shadow_accesses, 0u);
   EXPECT_EQ(snap.shadow_hits, 0u);
@@ -93,7 +93,7 @@ TEST(Shadow, NeverMutatesServingState) {
                .ring_capacity = 1u << 16};
   runtime::Runtime shadowed(on, cache::LruPolicy());
   runtime::replay_trace(shadowed, t, cfg);
-  shadowed.drain_shadow();
+  shadowed.drain_deferred();
 
   expect_stats_eq(shadowed.cache().merged_stats(),
                   baseline.cache().merged_stats());
@@ -124,7 +124,7 @@ TEST(Shadow, SameConfigLruShadowHasZeroDivergence) {
   cfg.threads = 2;
   cfg.warmup_fraction = 0.0;
   runtime::replay_trace(rt, t, cfg);
-  rt.drain_shadow();
+  rt.drain_deferred();
 
   const runtime::RuntimeSnapshot snap = rt.snapshot();
   const cache::CacheStats merged = rt.cache().merged_stats();
@@ -158,7 +158,7 @@ TEST(Shadow, DivergentPolicyIsMeasuredWithoutDrops) {
   for (const trace::Record& r : t) {
     rt.access(r.page(), transform.next());
   }
-  rt.drain_shadow();
+  rt.drain_deferred();
   const runtime::RuntimeSnapshot snap = rt.snapshot();
   ASSERT_EQ(snap.shadow_dropped, 0u);
   EXPECT_EQ(snap.shadow_accesses, rt.cache().merged_stats().accesses);
@@ -233,7 +233,7 @@ TEST(Shadow, QuantizedGmmShadowOverQuantizedServingIsExact) {
   replay_cfg.threads = 1;
   replay_cfg.warmup_fraction = 0.0;
   runtime::replay_trace(*rt, t, replay_cfg);
-  rt->drain_shadow();
+  rt->drain_deferred();
 
   const runtime::RuntimeSnapshot snap = rt->snapshot();
   const cache::CacheStats merged = rt->cache().merged_stats();
@@ -245,8 +245,8 @@ TEST(Shadow, QuantizedGmmShadowOverQuantizedServingIsExact) {
 
 TEST(Shadow, ClearStatsDrainsButKeepsCumulativeCounters) {
   // clear_stats() zeroes serving counters but shadow counters are
-  // cumulative (the deferred-counters precedent): the drain it runs makes
-  // them exact, it does not reset them.
+  // cumulative (the clear scopes serving stats, not background engines):
+  // the drain it runs makes them exact, it does not reset them.
   runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(16, 4),
                               .shards = 1};
   rcfg.shadow = {.enabled = true,
@@ -283,9 +283,9 @@ TEST(Shadow, ConcurrentProducersHammer) {
       }
     });
   }
-  rt.drain_shadow();  // barrier racing live producers must be safe
+  rt.drain_deferred();  // barrier racing live producers must be safe
   for (std::thread& th : workers) th.join();
-  rt.drain_shadow();
+  rt.drain_deferred();
 
   const runtime::RuntimeSnapshot snap = rt.snapshot();
   EXPECT_EQ(snap.shadow_accesses + snap.shadow_dropped,

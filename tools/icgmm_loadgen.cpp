@@ -57,7 +57,7 @@
 #include "common/run_env.hpp"
 #include "common/rng.hpp"
 #include "net/client.hpp"
-#include "net/latency_recorder.hpp"
+#include "obs/histogram.hpp"
 #include "record/format.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
@@ -232,7 +232,7 @@ Workload build_workload(const Args& args) {
 }
 
 struct ConnResult {
-  net::LatencyRecorder latency;
+  obs::LatencyHistogram latency;
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
   std::uint64_t hits = 0;
@@ -385,7 +385,7 @@ int main(int argc, char** argv) {
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - t0).count();
 
-  net::LatencyRecorder latency;
+  obs::LatencyHistogram latency;
   std::uint64_t completed = 0, batches = 0, hits = 0;
   int failed = 0;
   int protocol = 0;  // all connections negotiate against one server

@@ -8,11 +8,8 @@
 //               [--cache-mb MB] [--assoc WAYS]
 //               [--train-requests N] [--train-benchmark NAME] [--seed S]
 //               [--adapt] [--sample-every N]
-//               [--async-miss] [--async-ring CAP]
 //               [--scorer float|quantized]
 //               [--shadow-policy NAME] [--shadow-ring CAP]
-//               [--front-cache] [--front-capacity M] [--front-replicas N]
-//               [--front-promote K]
 //               [--record PATH] [--record-sample N] [--record-window W]
 //               [--record-ring CAP] [--record-chunk N]
 //               [--metrics-port P] [--trace-sample N]
@@ -27,17 +24,6 @@
 // thread, the fully deterministic mode). SIGINT/SIGTERM shut down
 // cleanly: stop accepting, drain, print a final stats line, exit 0.
 // --stats-every prints a one-line serving report periodically.
-//
-// --front-cache puts the replicated hot-page read-front in front of the
-// shards (one replica per worker by default; see docs/ARCHITECTURE.md) —
-// the tuning flags imply it. FLUSH invalidates the replicas, so flushed
-// counters stay exact.
-//
-// --async-miss (GMM policies only) turns on the asynchronous miss
-// pipeline: misses admit provisionally and the GMM rescore + eviction
-// decision runs on a background decision thread — eventual-policy
-// consistency, see docs/ARCHITECTURE.md. FLUSH drains the pipeline first,
-// so flushed counters remain exact.
 //
 // --scorer quantized (GMM policies only) serves through the int-SIMD
 // fixed-point QuantScorerKernel instead of the float ScorerKernel; the
@@ -108,11 +94,9 @@ struct Args {
   std::uint64_t seed = 7;
   bool adapt = false;
   std::uint32_t sample_every = 64;
-  runtime::AsyncMissConfig async_miss;  // off unless --async-miss
   std::string scorer = "float";
   std::string shadow_policy;  // empty = shadow evaluation off
   std::uint32_t shadow_ring = 8192;
-  runtime::FrontCacheConfig front;  // off unless a --front-* flag is given
   record::RecorderConfig record;  // off unless --record PATH is given
   int metrics_port = -1;  // -1 = no HTTP endpoint; 0 = ephemeral port
   std::uint32_t trace_sample = 1;
@@ -139,15 +123,9 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--seed")) args.seed = std::stoull(next());
     else if (!std::strcmp(argv[i], "--adapt")) args.adapt = true;
     else if (!std::strcmp(argv[i], "--sample-every")) args.sample_every = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--async-miss")) args.async_miss.enabled = true;
-    else if (!std::strcmp(argv[i], "--async-ring")) { args.async_miss.ring_capacity = static_cast<std::uint32_t>(std::stoul(next())); args.async_miss.enabled = true; }
     else if (!std::strcmp(argv[i], "--scorer")) args.scorer = next();
     else if (!std::strcmp(argv[i], "--shadow-policy")) args.shadow_policy = next();
     else if (!std::strcmp(argv[i], "--shadow-ring")) args.shadow_ring = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--front-cache")) args.front.enabled = true;
-    else if (!std::strcmp(argv[i], "--front-capacity")) { args.front.capacity = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
-    else if (!std::strcmp(argv[i], "--front-replicas")) { args.front.replicas = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
-    else if (!std::strcmp(argv[i], "--front-promote")) { args.front.promote_after = static_cast<std::uint32_t>(std::stoul(next())); args.front.enabled = true; }
     else if (!std::strcmp(argv[i], "--record")) args.record.path = next();
     else if (!std::strcmp(argv[i], "--record-sample")) args.record.sample_every = static_cast<std::uint32_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--record-window")) args.record.sample_window = static_cast<std::uint32_t>(std::stoul(next()));
@@ -201,8 +179,6 @@ int main(int argc, char** argv) {
   rcfg.shards = args.shards;
   rcfg.adapt = args.adapt;
   rcfg.sample_every = args.sample_every;
-  rcfg.front = args.front;
-  rcfg.async_miss = args.async_miss;
   rcfg.record = args.record;
   rcfg.metrics = &metrics;
   rcfg.events = &events;
@@ -214,11 +190,6 @@ int main(int argc, char** argv) {
     rcfg.record.provenance = "{";
     rcfg.record.provenance += run_env_json_fields();
     rcfg.record.provenance += "}";
-  }
-  if (args.async_miss.enabled && args.policy.rfind("gmm", 0) != 0) {
-    std::cerr << "error: --async-miss requires a GMM policy (the classic "
-                 "policies have no deferred decision to run)\n";
-    return 1;
   }
   if (args.scorer != "float" && args.scorer != "quantized") {
     std::cerr << "error: --scorer must be float or quantized\n";
@@ -240,10 +211,6 @@ int main(int argc, char** argv) {
     rcfg.shadow.enabled = true;
     rcfg.shadow.policy_name = args.shadow_policy;
     rcfg.shadow.ring_capacity = args.shadow_ring;
-  }
-  if (rcfg.front.enabled && rcfg.front.replicas == 0) {
-    // One replica per worker (the I/O thread serves when workers == 0).
-    rcfg.front.replicas = args.workers > 0 ? args.workers : 1;
   }
 
   std::unique_ptr<runtime::Runtime> rt;
@@ -338,8 +305,6 @@ int main(int argc, char** argv) {
             << " (protocols v1+v2, policy " << rt->policy_name()
             << ", shards " << args.shards << ", workers " << args.workers
             << (args.adapt ? ", adaptive" : "")
-            << (rcfg.async_miss.enabled ? ", async-miss" : "")
-            << (rcfg.front.enabled ? ", front-cache" : "")
             << (quantized ? ", scorer quantized" : "")
             << (rcfg.shadow.enabled ? ", shadow " + rcfg.shadow.policy_name
                                     : "")
@@ -392,15 +357,6 @@ int main(int argc, char** argv) {
                              scrape("icgmm_cache_accesses", samples))
               << " inferences=" << scrape("icgmm_gmm_inferences", samples)
               << " model_v=" << scrape("icgmm_gmm_model_version", samples);
-    if (rcfg.front.enabled) {
-      std::cout << " front_hits=" << scrape("icgmm_front_hits", samples);
-    }
-    if (rcfg.async_miss.enabled) {
-      std::cout << " deferred=" << scrape("icgmm_deferred_applied", samples)
-                << "/" << scrape("icgmm_deferred_enqueued", samples)
-                << " demotions="
-                << scrape("icgmm_deferred_demotions", samples);
-    }
     if (!rcfg.record.path.empty()) {
       std::cout << " recorded=" << scrape("icgmm_record_written", samples)
                 << "/" << scrape("icgmm_record_dropped", samples)
@@ -432,15 +388,6 @@ int main(int argc, char** argv) {
             << " protocol errors, hit rate "
             << hit_rate_of(scrape("icgmm_cache_hits", samples),
                            scrape("icgmm_cache_accesses", samples));
-  if (rcfg.front.enabled) {
-    std::cout << ", front hits " << scrape("icgmm_front_hits", samples);
-  }
-  if (rcfg.async_miss.enabled) {
-    std::cout << ", deferred " << scrape("icgmm_deferred_applied", samples)
-              << " applied / " << scrape("icgmm_deferred_dropped", samples)
-              << " dropped, " << scrape("icgmm_deferred_demotions", samples)
-              << " demotions";
-  }
   if (!rcfg.record.path.empty()) {
     std::cout << ", recorded " << scrape("icgmm_record_written", samples)
               << " in " << scrape("icgmm_record_chunks", samples)
