@@ -1,13 +1,10 @@
 // Scoring-kernel microbenchmark: the seed GaussianMixture::log_score path
 // (AoS components, out-of-line per-component log_pdf, thread_local terms
-// buffer, per-call log-weight adds) vs the flat SoA gmm::ScorerKernel vs
-// the integer fixed-point gmm::QuantScorerKernel, on the two miss-path
-// shapes — single-page admission scoring and the 8-way set rescore —
-// across K in {2, 4, 8, 16} (the fixed-K cores) and the paper's K = 256
-// (the generic core the serving daemon runs; its rows score an eighth as
-// many pages per rep). The quant columns measure the serving
-// configuration (`--scorer quantized`): Q16, timestamp cache on, same
-// dispatch geometry as the float kernel.
+// buffer, per-call log-weight adds) vs the flat SoA gmm::ScorerKernel, on
+// the two miss-path shapes — single-page admission scoring and the 8-way
+// set rescore — across K in {2, 4, 8, 16} (the fixed-K cores) and the
+// paper's K = 256 (the generic core the serving daemon runs; its rows
+// score an eighth as many pages per rep).
 //
 // Self-timed (steady_clock, interleaved best-of reps); deliberately does
 // NOT use google-benchmark so it builds everywhere the library builds.
@@ -32,7 +29,6 @@
 #include "common/table.hpp"
 #include "gmm/kernel.hpp"
 #include "gmm/mixture.hpp"
-#include "gmm/quant_kernel.hpp"
 #include "trace/timestamp_transform.hpp"
 
 namespace {
@@ -113,9 +109,7 @@ struct Row {
   std::size_t scores = 0;  // per rep
   double seed_ns = 0.0;
   double kernel_ns = 0.0;
-  double quant_ns = 0.0;
   double speedup() const noexcept { return seed_ns / kernel_ns; }
-  double quant_speedup() const noexcept { return kernel_ns / quant_ns; }
 };
 
 /// The target_clones variant of the float kernel the loader resolved on
@@ -156,8 +150,7 @@ int main(int argc, char** argv) {
   for (auto& t : stamps) t = transform.next();
 
   std::vector<Row> rows;
-  Table table({"K", "mode", "seed ns", "kernel ns", "speedup", "quant ns",
-               "quant vs kernel"});
+  Table table({"K", "mode", "seed ns", "kernel ns", "speedup"});
   for (const std::size_t k : {2u, 4u, 8u, 16u, 256u}) {
     const std::size_t n = k > 16 ? large_k_scores : scores;
     const std::size_t batches = n / kWays;
@@ -166,10 +159,6 @@ int main(int argc, char** argv) {
     std::vector<double> log_w;
     for (double w : model.weights()) log_w.push_back(std::log(w));
     const gmm::ScorerKernel kernel = model.make_kernel();
-    // The serving configuration of `--scorer quantized`: Q16 grid,
-    // timestamp cache on (PolicyEngine::quant_score_fn builds the same).
-    const gmm::QuantScorerKernel qkernel(model, {.frac_bits = 16},
-                                         /*timestamp_cache=*/true);
 
     // --- single-page path (admission scoring: one page per call) ---
     const Measurement seed_single = best_of(n, reps, [&](std::size_t off) {
@@ -188,20 +177,13 @@ int main(int argc, char** argv) {
       }
       return acc;
     });
-    const Measurement quant_single = best_of(n, reps, [&](std::size_t off) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc += qkernel.score_one(pages[off + i], stamps[i]);
-      }
-      return acc;
-    });
 
     // --- 8-way set rescore (batch path) ---
     const Measurement seed_batch = best_of(n, reps, [&](std::size_t off) {
       double acc = 0.0;
       double out[kWays];
       for (std::size_t b = 0; b < batches; ++b) {
-        // The seed's batched_log_score: one log_score call per way.
+        // The seed's set rescore: one log_score call per way.
         for (std::size_t j = 0; j < kWays; ++j) {
           out[j] = seed_log_score(model, log_w,
                                   static_cast<double>(pages[off + b * kWays + j]),
@@ -221,41 +203,22 @@ int main(int argc, char** argv) {
       }
       return acc;
     });
-    const Measurement quant_batch = best_of(n, reps, [&](std::size_t off) {
-      double acc = 0.0;
-      double out[kWays];
-      for (std::size_t b = 0; b < batches; ++b) {
-        qkernel.score_batch({&pages[off + b * kWays], kWays},
-                            stamps[b * kWays], {out, kWays});
-        acc += out[0] + out[kWays - 1];
-      }
-      return acc;
-    });
 
     rows.push_back({k, "single", n, seed_single.ns_per_score,
-                    kern_single.ns_per_score, quant_single.ns_per_score});
+                    kern_single.ns_per_score});
     rows.push_back({k, "batch8", n, seed_batch.ns_per_score,
-                    kern_batch.ns_per_score, quant_batch.ns_per_score});
+                    kern_batch.ns_per_score});
     for (const Row* r : {&rows[rows.size() - 2], &rows[rows.size() - 1]}) {
       table.add_row({std::to_string(r->k), r->mode, Table::fmt(r->seed_ns),
                      Table::fmt(r->kernel_ns),
-                     Table::fmt(r->speedup()) + "x",
-                     Table::fmt(r->quant_ns),
-                     Table::fmt(r->quant_speedup()) + "x"});
+                     Table::fmt(r->speedup()) + "x"});
     }
     // Checksums double as a sanity check that both paths scored the same
     // workload (they agree to ~1e-12 relative; exact equality is the unit
-    // tests' job). The quantized path scores on a 2^-16 grid, so it gets
-    // the looser behavioral bound its accuracy tests pin (<1e-2 per-score
-    // absolute error, summed here over `n` calls).
+    // tests' job).
     if (std::abs(seed_single.checksum - kern_single.checksum) >
         1e-6 * std::abs(seed_single.checksum)) {
       std::cerr << "checksum mismatch at K=" << k << "\n";
-      return 1;
-    }
-    if (std::abs(quant_single.checksum - kern_single.checksum) >
-        1e-2 * static_cast<double>(n)) {
-      std::cerr << "quant checksum divergence at K=" << k << "\n";
       return 1;
     }
   }
@@ -279,9 +242,7 @@ int main(int argc, char** argv) {
           << "\", \"scores_per_rep\": " << r.scores
           << ", \"seed_ns_per_score\": " << r.seed_ns
           << ", \"kernel_ns_per_score\": " << r.kernel_ns
-          << ", \"speedup\": " << r.speedup()
-          << ", \"quant_ns_per_score\": " << r.quant_ns
-          << ", \"quant_speedup_vs_kernel\": " << r.quant_speedup() << "}"
+          << ", \"speedup\": " << r.speedup() << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

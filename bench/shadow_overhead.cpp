@@ -6,9 +6,10 @@
 //                guarantees this is bit-identical serving)
 //   lru        — a classic LRU shadow (pure tag-directory replay; the
 //                cheapest possible candidate policy)
-//   gmm-quant  — a quantized-GMM shadow (GmmPolicy over the fixed-point
-//                QuantScorerKernel; the expensive candidate — every
-//                shadow miss runs integer mixture inference)
+//   gmm        — a GMM shadow (GmmPolicy over the float ScorerKernel;
+//                the expensive candidate — every shadow miss runs
+//                mixture inference and every shadow eviction rescores
+//                the set)
 //
 // What the serving path pays is one bounded-ring try-push per access;
 // everything else runs on the shadow thread. On a multicore host the
@@ -35,7 +36,6 @@
 #include "common/table.hpp"
 #include "core/policy_engine.hpp"
 #include "core/threshold.hpp"
-#include "gmm/quant_kernel.hpp"
 #include "runtime/replay.hpp"
 #include "trace/zipf.hpp"
 
@@ -61,7 +61,7 @@ trace::Trace make_workload(std::size_t n, const cache::CacheConfig& cache) {
 }
 
 struct Cell {
-  std::string shadow;   // "off" | "lru" | "gmm-quant"
+  std::string shadow;   // "off" | "lru" | "gmm"
   double mreq_per_s = 0.0;
   double overhead_pct = 0.0;  // vs the off row
   std::uint64_t shadow_accesses = 0;
@@ -84,9 +84,8 @@ int main(int argc, char** argv) {
   cache::CacheConfig cache_cfg;  // paper geometry: 64 MB / 4 KB / 8-way
   const trace::Trace workload = make_workload(opt.requests, cache_cfg);
 
-  // The gmm-quant shadow needs a trained model; a small mixture is
-  // enough for an overhead (not accuracy) measurement. Threshold snapped
-  // onto the quantized grid by make_policy's kQuantized branch.
+  // The gmm shadow needs a trained model; a small mixture is enough for
+  // an overhead (not accuracy) measurement.
   core::PolicyEngineConfig pe_cfg;
   pe_cfg.em.components = 8;
   pe_cfg.train_subsample = 8000;
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
   serve.policy_runs_on_miss = false;  // LRU serving
   serve.threads = 1;
 
-  const char* kVariants[] = {"off", "lru", "gmm-quant"};
+  const char* kVariants[] = {"off", "lru", "gmm"};
   std::vector<Cell> cells;
   for (const char* variant : kVariants) {
     Cell best;
@@ -118,14 +117,13 @@ int main(int argc, char** argv) {
         rcfg.shadow.policy_factory = [](std::uint32_t) {
           return std::make_unique<cache::LruPolicy>();
         };
-      } else if (std::strcmp(variant, "gmm-quant") == 0) {
+      } else if (std::strcmp(variant, "gmm") == 0) {
         rcfg.shadow.enabled = true;
-        rcfg.shadow.policy_name = "gmm-quant";
+        rcfg.shadow.policy_name = "gmm";
         rcfg.shadow.policy_factory = [&engine, threshold](std::uint32_t) {
           return engine.make_policy(cache::GmmPolicyConfig{
               .strategy = cache::GmmStrategy::kCachingEviction,
-              .threshold = threshold,
-              .scorer = cache::ScorerBackend::kQuantized});
+              .threshold = threshold});
         };
       }
       runtime::Runtime rt(rcfg, cache::LruPolicy());

@@ -8,17 +8,16 @@
 //                           gmm-caching|gmm-eviction|gmm-both]
 //                 [--cache-mb MB] [--assoc WAYS] [--seed S]
 //                 [--threads T] [--shards S]
-//                 [--scorer float|quantized]
 //                 [--shadow-policy NAME] [--shadow-ring CAP]
 //
 // Every run is served through the concurrent runtime (src/runtime/);
 // --threads 1 --shards 1 (the default) is bit-identical to the
 // single-threaded simulator, higher values exercise the sharded serving
-// path and report aggregate throughput. --scorer quantized (GMM policies only) serves through the fixed-point
-// QuantScorerKernel. --shadow-policy NAME runs a second policy against
-// the same stream off the serving path (gmm-* shadows require a gmm-*
-// serving policy) and reports its would-have-hit and divergence
-// counters; the replay drains the shadow before reporting.
+// path and report aggregate throughput. --shadow-policy NAME runs a
+// second policy against the same stream off the serving path (gmm-*
+// shadows require a gmm-* serving policy) and reports its would-have-hit
+// and divergence counters; the replay drains the shadow before
+// reporting.
 //
 // Examples:
 //   cache_sim_cli --benchmark hashmap --policy gmm-both --cache-mb 64
@@ -50,7 +49,6 @@ struct Args {
   std::uint64_t seed = 7;
   std::uint32_t threads = 1;
   std::uint32_t shards = 1;
-  std::string scorer = "float";
   std::string shadow_policy;  // empty = shadow evaluation off
   std::uint32_t shadow_ring = 8192;
 };
@@ -71,7 +69,6 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--seed")) args.seed = std::stoull(next());
     else if (!std::strcmp(argv[i], "--threads")) args.threads = static_cast<std::uint32_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--shards")) args.shards = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--scorer")) args.scorer = next();
     else if (!std::strcmp(argv[i], "--shadow-policy")) args.shadow_policy = next();
     else if (!std::strcmp(argv[i], "--shadow-ring")) args.shadow_ring = static_cast<std::uint32_t>(std::stoul(next()));
     else throw std::invalid_argument(std::string("unknown flag: ") + argv[i]);
@@ -117,18 +114,6 @@ int main(int argc, char** argv) {
   runtime::RuntimeConfig rcfg;
   rcfg.cache = cfg.engine.cache;
   rcfg.shards = args.shards;
-  if (args.scorer != "float" && args.scorer != "quantized") {
-    std::cerr << "error: --scorer must be float or quantized\n";
-    return 1;
-  }
-  const cache::ScorerBackend backend = args.scorer == "quantized"
-                                           ? cache::ScorerBackend::kQuantized
-                                           : cache::ScorerBackend::kFloat;
-  if (backend == cache::ScorerBackend::kQuantized &&
-      args.policy.rfind("gmm", 0) != 0) {
-    std::cerr << "error: --scorer quantized requires a gmm-* policy\n";
-    return 1;
-  }
   if (args.shadow_policy.rfind("gmm", 0) == 0 &&
       args.policy.rfind("gmm", 0) != 0) {
     std::cerr << "error: a gmm-* shadow requires a gmm-* serving policy\n";
@@ -167,7 +152,7 @@ int main(int argc, char** argv) {
     const double threshold = system.pick_threshold(workload, strategy);
     if (rcfg.shadow.enabled && args.shadow_policy.rfind("gmm", 0) == 0) {
       // The shadow reuses the trained engine: same model and threshold
-      // recipe, strategy/scorer from the shadow flags. `system` outlives
+      // recipe, strategy from the shadow flag. `system` outlives
       // the runtime (both are main-scope locals, system declared first).
       const cache::GmmStrategy sstrat =
           args.shadow_policy == "gmm-caching" ? cache::GmmStrategy::kCachingOnly
@@ -175,12 +160,12 @@ int main(int argc, char** argv) {
               ? cache::GmmStrategy::kEvictionOnly
               : cache::GmmStrategy::kCachingEviction;
       const cache::GmmPolicyConfig shadow_cfg{
-          .strategy = sstrat, .threshold = threshold, .scorer = backend};
+          .strategy = sstrat, .threshold = threshold};
       rcfg.shadow.policy_factory = [&system, shadow_cfg](std::uint32_t) {
         return system.engine().make_policy(shadow_cfg);
       };
     }
-    rt = system.make_runtime(rcfg, strategy, threshold, backend);
+    rt = system.make_runtime(rcfg, strategy, threshold);
     replay_cfg.policy_runs_on_miss = true;  // GMM scores every miss
   } else {
     std::unique_ptr<cache::ReplacementPolicy> policy = make_classic(args.policy);

@@ -17,14 +17,6 @@ const char* to_string(GmmStrategy s) noexcept {
   return "GMM-unknown";
 }
 
-const char* to_string(ScorerBackend b) noexcept {
-  switch (b) {
-    case ScorerBackend::kFloat: return "float";
-    case ScorerBackend::kQuantized: return "quantized";
-  }
-  return "unknown";
-}
-
 GmmPolicy::GmmPolicy(ScoreFn scorer, GmmPolicyConfig cfg)
     : ReplacementPolicy(to_string(cfg.strategy)),
       scorer_(std::move(scorer)),

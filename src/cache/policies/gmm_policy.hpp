@@ -37,17 +37,6 @@ enum class GmmStrategy : std::uint8_t {
 
 const char* to_string(GmmStrategy s) noexcept;
 
-/// Which scoring kernel the wiring site (PolicyEngine, runtime::Runtime)
-/// builds behind the ScoreFn closures. The policy itself is
-/// backend-agnostic — it only compares the doubles it is handed — so this
-/// lives in the config purely as plumbing the wiring site reads.
-enum class ScorerBackend : std::uint8_t {
-  kFloat,      ///< gmm::ScorerKernel (double polynomial exp/log)
-  kQuantized,  ///< gmm::QuantScorerKernel (fixed-point, LUT exp/log)
-};
-
-const char* to_string(ScorerBackend b) noexcept;
-
 struct GmmPolicyConfig {
   GmmStrategy strategy = GmmStrategy::kCachingEviction;
   /// Log-score admission threshold (tuned per trace; see core/threshold).
@@ -61,13 +50,6 @@ struct GmmPolicyConfig {
   /// cycles). Off = compare fill-time scores, which go stale as the
   /// temporal phase moves on — kept as an ablation.
   bool rescore_set_on_evict = true;
-  /// Scoring backend the wiring site builds (see ScorerBackend). With
-  /// kQuantized the wiring site also snaps `threshold` onto the
-  /// quantized score grid (QuantScorerKernel::quantize_threshold), so
-  /// the admission compare is an exact integer comparison.
-  ScorerBackend scorer = ScorerBackend::kFloat;
-  /// Q-format fraction width for the quantized backend.
-  unsigned quant_frac_bits = 16;
 };
 
 class GmmPolicy final : public ReplacementPolicy {

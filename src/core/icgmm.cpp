@@ -85,14 +85,12 @@ sim::RunResult IcgmmSystem::run_baseline(const trace::Trace& trace,
 
 std::unique_ptr<runtime::Runtime> IcgmmSystem::make_runtime(
     runtime::RuntimeConfig cfg, cache::GmmStrategy strategy,
-    double threshold, cache::ScorerBackend scorer) const {
+    double threshold) const {
   // Same policy configuration make_policy hands the simulator, so a
-  // 1-shard/1-thread runtime reproduces run_gmm decisions bit for bit
-  // (with the default float scorer).
+  // 1-shard/1-thread runtime reproduces run_gmm decisions bit for bit.
   return std::make_unique<runtime::Runtime>(
       cfg, engine_.model(),
-      cache::GmmPolicyConfig{.strategy = strategy, .threshold = threshold,
-                             .scorer = scorer});
+      cache::GmmPolicyConfig{.strategy = strategy, .threshold = threshold});
 }
 
 StrategyComparison IcgmmSystem::compare(const trace::Trace& trace) {

@@ -81,14 +81,10 @@ class IcgmmSystem {
 
   /// Builds a concurrent serving runtime whose per-shard GMM policies
   /// score against a snapshot of the trained model (drift adaptation per
-  /// cfg.adapt). `scorer` selects the float kernel or the fixed-point
-  /// QuantScorerKernel serving path (the runtime snaps `threshold` onto
-  /// the quantized grid in that case). Throws std::logic_error when not
-  /// trained.
+  /// cfg.adapt). Throws std::logic_error when not trained.
   std::unique_ptr<runtime::Runtime> make_runtime(
       runtime::RuntimeConfig cfg, cache::GmmStrategy strategy,
-      double threshold,
-      cache::ScorerBackend scorer = cache::ScorerBackend::kFloat) const;
+      double threshold) const;
 
   /// The threshold the last admission-strategy run used.
   double last_threshold() const noexcept { return last_threshold_; }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "gmm/kernel.hpp"
-#include "gmm/quant_kernel.hpp"
 
 namespace icgmm::core {
 
@@ -65,17 +64,6 @@ cache::ScoreFn PolicyEngine::score_fn() const {
   };
 }
 
-cache::ScoreFn PolicyEngine::quant_score_fn(unsigned frac_bits) const {
-  if (!model_) throw std::logic_error("PolicyEngine: not trained");
-  // Same capture discipline as score_fn: the quantized kernel snapshot
-  // travels by value, so clones get independent timestamp caches.
-  return [kernel = gmm::QuantScorerKernel(*model_, {.frac_bits = frac_bits},
-                                          /*timestamp_cache=*/true)](
-             PageIndex page, Timestamp ts) {
-    return kernel.score_one(page, ts);
-  };
-}
-
 std::unique_ptr<cache::GmmPolicy> PolicyEngine::make_policy(
     cache::GmmStrategy strategy, double threshold, bool refresh_on_hit) const {
   return std::make_unique<cache::GmmPolicy>(
@@ -86,12 +74,6 @@ std::unique_ptr<cache::GmmPolicy> PolicyEngine::make_policy(
 
 std::unique_ptr<cache::GmmPolicy> PolicyEngine::make_policy(
     cache::GmmPolicyConfig cfg) const {
-  if (cfg.scorer == cache::ScorerBackend::kQuantized) {
-    cfg.threshold = gmm::QuantScorerKernel::quantize_threshold(
-        cfg.threshold, cfg.quant_frac_bits);
-    return std::make_unique<cache::GmmPolicy>(
-        quant_score_fn(cfg.quant_frac_bits), cfg);
-  }
   return std::make_unique<cache::GmmPolicy>(score_fn(), cfg);
 }
 

@@ -43,19 +43,12 @@ class PolicyEngine {
   /// Log-domain scorer bound to the trained model.
   cache::ScoreFn score_fn() const;
 
-  /// Fixed-point scorer bound to the trained model: every score is an
-  /// exact multiple of 2^-frac_bits (see gmm::QuantScorerKernel). Pair
-  /// with a threshold snapped by gmm::QuantScorerKernel::quantize_threshold
-  /// so admission compares on the same grid.
-  cache::ScoreFn quant_score_fn(unsigned frac_bits = 16) const;
-
   /// Builds a cache policy for one of the Fig. 6 strategies.
   std::unique_ptr<cache::GmmPolicy> make_policy(
       cache::GmmStrategy strategy, double threshold,
       bool refresh_on_hit = false) const;
 
-  /// Full-config overload: honors cfg.scorer — the quantized backend gets
-  /// the fixed-point scorer and cfg.threshold snapped onto its grid.
+  /// Full-config overload (rescore and ablation knobs included).
   std::unique_ptr<cache::GmmPolicy> make_policy(
       cache::GmmPolicyConfig cfg) const;
 

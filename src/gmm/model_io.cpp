@@ -80,26 +80,6 @@ GaussianMixture load_model_file(const std::string& path) {
   return load_model(is);
 }
 
-void save_quant_config(std::ostream& os, const QuantScorerConfig& cfg) {
-  os << "ICGMM-QUANT v1\n";
-  os << "frac_bits " << cfg.frac_bits << '\n';
-  if (!os) fail("write failure");
-}
-
-QuantScorerConfig load_quant_config(std::istream& is) {
-  std::string header;
-  std::getline(is, header);
-  if (header != "ICGMM-QUANT v1") fail("bad quant header: '" + header + "'");
-  std::string tag;
-  unsigned frac_bits = 0;
-  if (!(is >> tag >> frac_bits) || tag != "frac_bits") fail("bad frac_bits line");
-  if (frac_bits < QuantScorerKernel::kMinFracBits ||
-      frac_bits > QuantScorerKernel::kMaxFracBits) {
-    fail("frac_bits out of range: " + std::to_string(frac_bits));
-  }
-  return QuantScorerConfig{.frac_bits = frac_bits};
-}
-
 std::size_t weight_buffer_bytes(const GaussianMixture& model) {
   constexpr std::size_t kWordsPerComponent = 7;  // pi, mu(2), inv cov(3), norm
   constexpr std::size_t kWordBytes = 4;

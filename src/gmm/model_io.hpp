@@ -7,7 +7,6 @@
 #include <string>
 
 #include "gmm/mixture.hpp"
-#include "gmm/quant_kernel.hpp"
 
 namespace icgmm::gmm {
 
@@ -17,15 +16,6 @@ void save_model_file(const std::string& path, const GaussianMixture& model);
 /// Throws std::runtime_error on malformed input.
 GaussianMixture load_model(std::istream& is);
 GaussianMixture load_model_file(const std::string& path);
-
-/// Quantization-parameter persistence ("ICGMM-QUANT v1"): the Q-format
-/// the fixed-point serving path was tuned with travels next to the model
-/// file, so a reload rebuilds a bit-identical QuantScorerKernel. The
-/// model text format is unchanged — doubles round-trip exactly at
-/// precision 17, so quantized coefficients re-derive identically.
-void save_quant_config(std::ostream& os, const QuantScorerConfig& cfg);
-/// Throws std::runtime_error on malformed input.
-QuantScorerConfig load_quant_config(std::istream& is);
 
 /// On-FPGA weight-buffer footprint of a model: per component the kernel
 /// stores {pi, mu_p, mu_t, inv_pp, inv_pt, inv_tt, log_norm} in 32-bit

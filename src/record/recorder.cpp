@@ -18,12 +18,16 @@ TraceRecorder::TraceRecorder(RecorderConfig config)
   if (config_.sample_every == 0 || config_.sample_window == 0) {
     throw std::runtime_error("record: sampling parameters must be >= 1");
   }
-  write_file_header(file_, FileHeader{.version = kFormatVersion,
-                                      .sample_every = config_.sample_every,
-                                      .sample_window = config_.sample_window,
-                                      .provenance = config_.provenance});
-  bytes_written_.store(kFileHeaderBytes + config_.provenance.size(),
-                       std::memory_order_relaxed);
+  if (commit([this] {
+        write_file_header(file_,
+                          FileHeader{.version = kFormatVersion,
+                                     .sample_every = config_.sample_every,
+                                     .sample_window = config_.sample_window,
+                                     .provenance = config_.provenance});
+      })) {
+    bytes_written_.store(kFileHeaderBytes + config_.provenance.size(),
+                         std::memory_order_relaxed);
+  }
   pending_.reserve(config_.chunk_records);
   if (config_.writer_thread) {
     writer_ = std::thread([this] { writer_loop(); });
@@ -80,9 +84,10 @@ void TraceRecorder::consume(std::span<const RingEntry> entries) {
       // Close out the in-progress chunk first so the marker lands at its
       // exact position in the record stream.
       write_pending_chunk();
-      append_flush_marker(file_);
-      flush_markers_.fetch_add(1, std::memory_order_relaxed);
-      bytes_written_.fetch_add(kChunkHeaderBytes, std::memory_order_relaxed);
+      if (commit([this] { append_flush_marker(file_); })) {
+        flush_markers_.fetch_add(1, std::memory_order_relaxed);
+        bytes_written_.fetch_add(kChunkHeaderBytes, std::memory_order_relaxed);
+      }
       continue;
     }
     pending_.push_back({.page = e.page,
@@ -93,14 +98,34 @@ void TraceRecorder::consume(std::span<const RingEntry> entries) {
   }
 }
 
+template <typename Write>
+bool TraceRecorder::commit(Write&& write) {
+  // Flushing each append charges a failure to the append that caused it,
+  // not to whichever later one happens to fill the stream buffer. The
+  // format layer throws on a bad stream; that must not escape the writer
+  // thread (std::terminate) and take serving down with it.
+  if (write_failed_) return false;
+  try {
+    write();
+    file_.flush();
+  } catch (const std::runtime_error&) {
+    if (file_) throw;  // a malformed append (bad config), not a failed write
+  }
+  write_failed_ = !file_;
+  return !write_failed_;
+}
+
 void TraceRecorder::write_pending_chunk() {
   if (pending_.empty()) return;
-  append_chunk(file_, pending_);
-  chunks_written_.fetch_add(1, std::memory_order_relaxed);
-  records_written_.fetch_add(pending_.size(), std::memory_order_relaxed);
-  bytes_written_.fetch_add(
-      kChunkHeaderBytes + pending_.size() * kRecordWireBytes,
-      std::memory_order_relaxed);
+  if (commit([this] { append_chunk(file_, pending_); })) {
+    chunks_written_.fetch_add(1, std::memory_order_relaxed);
+    records_written_.fetch_add(pending_.size(), std::memory_order_relaxed);
+    bytes_written_.fetch_add(
+        kChunkHeaderBytes + pending_.size() * kRecordWireBytes,
+        std::memory_order_relaxed);
+  } else {
+    write_errors_.fetch_add(pending_.size(), std::memory_order_relaxed);
+  }
   pending_.clear();
 }
 
@@ -133,14 +158,14 @@ void TraceRecorder::stop() {
   stopping_.store(true, std::memory_order_release);
   if (writer_.joinable()) writer_.join();
   drain(/*blocking=*/false);  // manual mode, or a race-free final check
-  write_pending_chunk();
-  file_.flush();
+  write_pending_chunk();  // commit() flushes every append
 }
 
 RecorderStats TraceRecorder::stats() const noexcept {
   return RecorderStats{
       .records_written = records_written_.load(std::memory_order_relaxed),
       .records_dropped = records_dropped_.load(std::memory_order_relaxed),
+      .write_errors = write_errors_.load(std::memory_order_relaxed),
       .chunks_written = chunks_written_.load(std::memory_order_relaxed),
       .flush_markers = flush_markers_.load(std::memory_order_relaxed),
       .bytes_written = bytes_written_.load(std::memory_order_relaxed),

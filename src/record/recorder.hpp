@@ -10,6 +10,12 @@
 // ring as flagged entries so their position in the record stream is
 // exact.
 //
+// A failed write (a full disk, say) never reaches the serving path: the
+// chunk it hit is charged to write_errors, and from then on the writer
+// keeps draining the ring but counts every record there instead of
+// writing it, so written + write_errors still accounts for every
+// accepted record.
+//
 // Optional 1-in-N sampling thins the capture by whole windows of
 // consecutive requests (window w is kept iff (w % sample_every) == 0),
 // decided from one global atomic sequence counter so the decision is
@@ -50,10 +56,12 @@ struct RecorderConfig {
   bool writer_thread = true;
 };
 
-/// Monitoring counters; all monotonic, readable from any thread.
+/// Monitoring counters; all monotonic, readable from any thread. After
+/// stop(), records_written + write_errors == the records record() accepted.
 struct RecorderStats {
   std::uint64_t records_written = 0;  ///< serialized into a chunk on disk
   std::uint64_t records_dropped = 0;  ///< lost to a full ring (never waited)
+  std::uint64_t write_errors = 0;     ///< accepted, but never reached the file
   std::uint64_t chunks_written = 0;   ///< record chunks (markers excluded)
   std::uint64_t flush_markers = 0;
   std::uint64_t bytes_written = 0;    ///< file size including the header
@@ -62,7 +70,8 @@ struct RecorderStats {
 class TraceRecorder {
  public:
   /// Opens the capture file and writes the header. Throws
-  /// std::runtime_error when the file cannot be created.
+  /// std::runtime_error when the file cannot be created or the config is
+  /// invalid; a header that cannot be written only fails the capture.
   explicit TraceRecorder(RecorderConfig config);
   ~TraceRecorder();
 
@@ -104,6 +113,8 @@ class TraceRecorder {
   std::uint64_t now_arrival_ns() const noexcept;
   void drain(bool blocking);
   void consume(std::span<const RingEntry> entries);
+  template <typename Write>
+  bool commit(Write&& write);
   void write_pending_chunk();
   void writer_loop();
 
@@ -115,12 +126,15 @@ class TraceRecorder {
   std::atomic<std::uint64_t> seq_{0};  ///< sampling sequence, all producers
   std::atomic<std::uint64_t> records_written_{0};
   std::atomic<std::uint64_t> records_dropped_{0};
+  std::atomic<std::uint64_t> write_errors_{0};
   std::atomic<std::uint64_t> chunks_written_{0};
   std::atomic<std::uint64_t> flush_markers_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
 
   /// Writer-thread-private staging for the chunk being assembled.
   std::vector<RecordedEntry> pending_;
+  /// Consumer-private: set by the first failed write, never cleared.
+  bool write_failed_ = false;
 
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;

@@ -1,27 +1,12 @@
 #include "runtime/inference_batcher.hpp"
 
-#include <cassert>
-
 namespace icgmm::runtime {
 
-void batched_log_score(const gmm::GaussianMixture& model,
-                       std::span<const PageIndex> pages, Timestamp t,
-                       std::span<double> out) noexcept {
-  assert(out.size() >= pages.size());
-  // One flat SoA sweep through the mixture's shared (stateless) kernel —
-  // bit-identical per page to model.log_score.
-  model.kernel().score_batch(pages, t, out);
-}
-
-void InferenceBatcher::refresh_kernels() {
+void InferenceBatcher::refresh_kernel() {
   const std::uint64_t published = slot_->version();
   if (published != version_) {
     model_ = slot_->load();
     kernel_ = model_->make_kernel();
-    if (qkernel_) {
-      qkernel_.emplace(*model_, gmm::QuantScorerConfig{quant_frac_bits_},
-                       /*timestamp_cache=*/true);
-    }
     version_ = published;
   }
 }
@@ -29,20 +14,16 @@ void InferenceBatcher::refresh_kernels() {
 void InferenceBatcher::score_span(std::span<const PageIndex> pages,
                                   Timestamp t, std::span<double> out) {
   // One snapshot pin (and one timestamp-coefficient fold) per span.
-  refresh_kernels();
-  if (qkernel_) {
-    qkernel_->score_batch(pages, t, out);
-  } else {
-    kernel_.score_batch(pages, t, out);
-  }
+  refresh_kernel();
+  kernel_.score_batch(pages, t, out);
   batches_.fetch_add(1, std::memory_order_relaxed);
   scored_.fetch_add(pages.size(), std::memory_order_relaxed);
 }
 
 double InferenceBatcher::score_one(PageIndex page, Timestamp t) {
   scored_.fetch_add(1, std::memory_order_relaxed);
-  refresh_kernels();
-  return qkernel_ ? qkernel_->score_one(page, t) : kernel_.score_one(page, t);
+  refresh_kernel();
+  return kernel_.score_one(page, t);
 }
 
 }  // namespace icgmm::runtime

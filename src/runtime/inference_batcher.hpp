@@ -19,12 +19,8 @@
 #include <memory>
 #include <span>
 
-#include <optional>
-
-#include "cache/policies/gmm_policy.hpp"
 #include "common/types.hpp"
 #include "gmm/kernel.hpp"
-#include "gmm/quant_kernel.hpp"
 #include "runtime/model_slot.hpp"
 
 namespace icgmm::runtime {
@@ -38,24 +34,11 @@ class InferenceBatcher {
   // Version is read *before* the model (declaration order below), the
   // same order current_kernel() uses: a publish landing in between makes
   // the next call reload (over-fresh), never serve a stale model forever.
-  /// `backend` selects the pinned kernel: the float ScorerKernel or the
-  /// fixed-point QuantScorerKernel at `quant_frac_bits` — both rebuilt
-  /// from each newly published model snapshot the same way, so a model
-  /// refresh changes the coefficients, never the arithmetic.
-  explicit InferenceBatcher(
-      const ModelSlot& slot,
-      cache::ScorerBackend backend = cache::ScorerBackend::kFloat,
-      unsigned quant_frac_bits = 16)
+  explicit InferenceBatcher(const ModelSlot& slot)
       : slot_(&slot),
-        quant_frac_bits_(quant_frac_bits),
         version_(slot.version()),
         model_(slot.load()),
-        kernel_(model_->make_kernel()) {
-    if (backend == cache::ScorerBackend::kQuantized) {
-      qkernel_.emplace(*model_, gmm::QuantScorerConfig{quant_frac_bits_},
-                       /*timestamp_cache=*/true);
-    }
-  }
+        kernel_(model_->make_kernel()) {}
 
   /// Log-scores pages[i] at `t` into out[i]. out.size() >= pages.size().
   /// Loads the model snapshot once for the whole span.
@@ -74,33 +57,20 @@ class InferenceBatcher {
     return scored_.load(std::memory_order_relaxed);
   }
 
-  /// True when this batcher scores through the fixed-point kernel.
-  bool quantized() const noexcept { return qkernel_.has_value(); }
-
  private:
-  /// Refreshes the pinned kernel(s) iff the slot published a newer model;
+  /// Rebuilds the pinned kernel iff the slot published a newer model;
   /// the common case is one relaxed integer compare.
-  void refresh_kernels();
+  void refresh_kernel();
 
   const ModelSlot* slot_;
-  unsigned quant_frac_bits_ = 16;
   // Per-shard snapshot cache, accessed under the owning shard's lock. The
   // shared_ptr pins the snapshot; kernel_ is this shard's private scoring
   // state (flat SoA + timestamp-coefficient cache).
   std::uint64_t version_;
   std::shared_ptr<const gmm::GaussianMixture> model_;
   gmm::ScorerKernel kernel_;
-  /// Engaged iff constructed with the quantized backend; then all scoring
-  /// goes through it and kernel_ is only the refresh template.
-  std::optional<gmm::QuantScorerKernel> qkernel_;
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> scored_{0};
 };
-
-/// The span hot loop against an explicit model — exposed so tests can pin
-/// a model and assert exact agreement with per-page log_score.
-void batched_log_score(const gmm::GaussianMixture& model,
-                       std::span<const PageIndex> pages, Timestamp t,
-                       std::span<double> out) noexcept;
 
 }  // namespace icgmm::runtime

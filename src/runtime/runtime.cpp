@@ -28,13 +28,6 @@ Runtime::Runtime(RuntimeConfig cfg, const cache::ReplacementPolicy& prototype)
 Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
                  cache::GmmPolicyConfig policy_cfg)
     : cfg_(cfg), policy_name_(cache::to_string(policy_cfg.strategy)) {
-  // The quantized backend scores on a 2^-frac_bits grid; snapping the
-  // admission threshold onto that grid here — the single wiring site —
-  // makes every score-vs-threshold comparison exact integer math.
-  if (policy_cfg.scorer == cache::ScorerBackend::kQuantized) {
-    policy_cfg.threshold = gmm::QuantScorerKernel::quantize_threshold(
-        policy_cfg.threshold, policy_cfg.quant_frac_bits);
-  }
   slot_ = std::make_unique<ModelSlot>(
       std::make_shared<const gmm::GaussianMixture>(std::move(model)));
   slot_->set_event_ring(cfg_.events);  // before the refresher can publish
@@ -46,8 +39,7 @@ Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
                                                      : 0,
                          .events = cfg_.events},
       [this, &policy_cfg](std::uint32_t) {
-        auto batcher = std::make_unique<InferenceBatcher>(
-            *slot_, policy_cfg.scorer, policy_cfg.quant_frac_bits);
+        auto batcher = std::make_unique<InferenceBatcher>(*slot_);
         InferenceBatcher* b = batcher.get();  // owned below; shard-lifetime
         auto policy = std::make_unique<cache::GmmPolicy>(
             [b](PageIndex page, Timestamp ts) { return b->score_one(page, ts); },
@@ -95,6 +87,7 @@ void Runtime::register_metrics() {
         out.push_back({"icgmm_record_written", s.records_written});
         out.push_back({"icgmm_record_dropped", s.records_dropped});
         out.push_back({"icgmm_record_chunks", s.record_chunks});
+        out.push_back({"icgmm_record_write_errors", s.record_write_errors});
         out.push_back({"icgmm_shadow_accesses", s.shadow_accesses});
         out.push_back({"icgmm_shadow_hits", s.shadow_hits});
         out.push_back({"icgmm_shadow_misses", s.shadow_misses});
@@ -232,6 +225,7 @@ RuntimeSnapshot Runtime::snapshot() const {
     snap.records_written = rs.records_written;
     snap.records_dropped = rs.records_dropped;
     snap.record_chunks = rs.chunks_written;
+    snap.record_write_errors = rs.write_errors;
   }
   if (shadow_) {
     const ShadowStats ss = shadow_->stats();

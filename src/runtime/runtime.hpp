@@ -130,10 +130,14 @@ struct RuntimeSnapshot {
   std::uint64_t samples_dropped = 0;
   // Traffic recorder (all 0 when recording is off). records_written
   // trails the serving path by the writer thread's lag; records_dropped
-  // counts accesses lost to a full recorder ring (the never-stall cost).
+  // counts accesses lost to a full recorder ring (the never-stall cost);
+  // record_write_errors counts accepted records that never reached the
+  // file (a failed write, e.g. a full disk). Not in the pinned STATS
+  // reply: METRICS and /metrics carry it.
   std::uint64_t records_written = 0;
   std::uint64_t records_dropped = 0;
   std::uint64_t record_chunks = 0;
+  std::uint64_t record_write_errors = 0;
   // Shadow policy evaluation (all 0 when shadow is off). After a
   // drain_deferred(): shadow_accesses + shadow_dropped == merged.accesses
   // counted since the shadow started, and shadow_hits + shadow_misses ==

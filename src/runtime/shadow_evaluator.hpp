@@ -1,7 +1,7 @@
 // Shadow policy evaluation: a second ReplacementPolicy runs against the
 // live production stream without ever touching serving state — the
 // online what-if experiment behind safe policy rollouts ("would ARC (or
-// the quantized GMM) have done better on *this* traffic?").
+// a GMM at another threshold) have done better on *this* traffic?").
 //
 // The serving path pushes every access (hit or miss, with the serving
 // verdict attached) into a per-shard bounded ShadowRing under the shard

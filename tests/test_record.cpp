@@ -1,11 +1,13 @@
 // The traffic recorder subsystem: on-disk format invariants (CRC, header
 // validation, torn-tail recovery), the MPSC ring's FIFO/full-ring
 // contract, the TraceRecorder in deterministic manual-pump mode (drop
-// accounting, chunking, sampling windows, FLUSH placement), and the
-// Runtime wiring (snapshot counters, clear_stats markers). Suite names
-// start with Record/Recorder for the CI TSan job.
+// accounting, chunking, sampling windows, FLUSH placement, failed
+// writes), and the Runtime wiring (snapshot counters, clear_stats
+// markers). Suite names start with Record/Recorder for the CI TSan job.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "cache/policies/classic.hpp"
+#include "obs/registry.hpp"
 #include "record/format.hpp"
 #include "record/mpsc_ring.hpp"
 #include "record/recorder.hpp"
@@ -40,6 +43,12 @@ std::vector<RecordedEntry> sample_entries(std::size_t n,
 
 std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Every write to /dev/full fails with ENOSPC: a disk that is already
+/// full. The failed-write tests skip on a host without the device.
+bool dev_full_available() {
+  return static_cast<bool>(std::ofstream("/dev/full", std::ios::binary));
 }
 
 // --- format ----------------------------------------------------------------
@@ -421,6 +430,99 @@ TEST(Recorder, RejectsUnwritablePathAndBadConfig) {
   EXPECT_THROW(TraceRecorder{bad2}, std::runtime_error);
 }
 
+TEST(Recorder, FullDiskCountsWriteErrorsInsteadOfAborting) {
+  // A failed write used to throw out of the writer thread and end the
+  // process in std::terminate. Now every accepted record is counted in
+  // write_errors, in both consumer modes, and stop() returns normally.
+  if (!dev_full_available()) GTEST_SKIP() << "/dev/full cannot be opened";
+  for (const bool writer_thread : {false, true}) {
+    SCOPED_TRACE(writer_thread ? "writer thread" : "manual pump");
+    RecorderConfig cfg;
+    cfg.path = "/dev/full";
+    cfg.writer_thread = writer_thread;
+    cfg.chunk_records = 16;
+    cfg.ring_capacity = 2048;  // holds the whole burst: nothing dropped
+    TraceRecorder rec(cfg);
+    // 62 full chunks and a partial one: far more than a stream buffer
+    // holds, so writes fail while records are still being drained.
+    constexpr std::uint64_t kRecords = 1000;
+    for (std::uint64_t i = 0; i < 600; ++i) {
+      ASSERT_TRUE(rec.record(i, i, false));
+    }
+    rec.mark_flush();
+    for (std::uint64_t i = 600; i < kRecords; ++i) {
+      ASSERT_TRUE(rec.record(i, i, i % 2 == 0));
+    }
+    if (!writer_thread) rec.pump();
+    EXPECT_NO_THROW(rec.stop());
+    const RecorderStats s = rec.stats();
+    EXPECT_EQ(s.records_written, 0u);
+    EXPECT_EQ(s.write_errors, kRecords);
+    EXPECT_EQ(s.records_dropped, 0u);
+    EXPECT_EQ(s.chunks_written, 0u);
+    EXPECT_EQ(s.flush_markers, 0u);
+    EXPECT_EQ(s.bytes_written, 0u);
+  }
+}
+
+/// Lowers this process's file-size limit for one scope. Past the limit a
+/// write fails with EFBIG (SIGXFSZ is ignored meanwhile): a disk that
+/// fills partway through a capture.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes)
+      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    getrlimit(RLIMIT_FSIZE, &old_);
+    rlimit lowered = old_;
+    lowered.rlim_cur = bytes;
+    ok_ = setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+  bool ok() const noexcept { return ok_; }
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int);
+  bool ok_ = false;
+};
+
+TEST(Recorder, FailedWriteIsChargedToItsOwnChunk) {
+  // The disk fills halfway through the third chunk. The two chunks
+  // before it are on disk and counted as written; the torn one and every
+  // record after it are write errors, never attempted.
+  RecorderConfig cfg = manual_config("fills_up.icgr");
+  cfg.chunk_records = 16;
+  cfg.ring_capacity = 1024;
+  constexpr std::size_t kChunkBytes = kChunkHeaderBytes + 16 * kRecordWireBytes;
+  constexpr std::uint64_t kRecords = 100;
+  RecorderStats s;
+  {
+    FileSizeLimit limit(kFileHeaderBytes + 2 * kChunkBytes + kChunkBytes / 2);
+    if (!limit.ok()) GTEST_SKIP() << "cannot lower RLIMIT_FSIZE";
+    TraceRecorder rec(cfg);
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE(rec.record(i, i, false));
+    }
+    rec.pump();
+    EXPECT_NO_THROW(rec.stop());
+    s = rec.stats();
+  }
+  EXPECT_EQ(s.records_written, 32u);
+  EXPECT_EQ(s.chunks_written, 2u);
+  EXPECT_EQ(s.write_errors, kRecords - 32);
+  EXPECT_EQ(s.bytes_written, kFileHeaderBytes + 2 * kChunkBytes);
+
+  const RecordedTrace back = read_recorded_file(cfg.path);
+  EXPECT_TRUE(back.tail_truncated);
+  ASSERT_EQ(back.trace.size(), 32u);
+  for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(back.trace[i].page(), i);
+}
+
 TEST(Recorder, WriterThreadDrainsWithoutPumping) {
   // Default mode: the background writer persists everything by stop().
   RecorderConfig cfg;
@@ -505,6 +607,49 @@ TEST(RecorderRuntime, RecordingOffMeansNoRecorderAndZeroCounters) {
   EXPECT_EQ(snap.records_written, 0u);
   EXPECT_EQ(snap.records_dropped, 0u);
   EXPECT_EQ(snap.record_chunks, 0u);
+}
+
+TEST(RecorderRuntime, FullDiskKeepsServingAndCountsWriteErrors) {
+  // Recording to a full disk changes nothing the runtime serves, and
+  // every accepted record surfaces as a write error on METRICS.
+  if (!::icgmm::record::dev_full_available()) {
+    GTEST_SKIP() << "/dev/full cannot be opened";
+  }
+  constexpr std::uint64_t kN = 2000;
+  obs::MetricsRegistry metrics;
+  const RuntimeConfig plain_cfg{.cache = test_util::tiny_cache(16, 4),
+                                .shards = 2};
+  RuntimeConfig rcfg = plain_cfg;
+  rcfg.record.path = "/dev/full";
+  rcfg.record.chunk_records = 64;
+  rcfg.record.ring_capacity = 4096;  // holds the whole burst
+  rcfg.metrics = &metrics;
+  Runtime recorded(rcfg, cache::LruPolicy());
+  Runtime plain(plain_cfg, cache::LruPolicy());
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    recorded.access((i * 7) % 96, i, i % 5 == 0);
+    plain.access((i * 7) % 96, i, i % 5 == 0);
+  }
+  recorded.stop();
+
+  const cache::CacheStats got = recorded.cache().merged_stats();
+  const cache::CacheStats want = plain.cache().merged_stats();
+  EXPECT_EQ(got.accesses, kN);
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.read_misses, want.read_misses);
+  EXPECT_EQ(got.write_misses, want.write_misses);
+  EXPECT_EQ(got.fills, want.fills);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.dirty_evictions, want.dirty_evictions);
+  EXPECT_GT(want.evictions, 0u);
+
+  const RuntimeSnapshot snap = recorded.snapshot();
+  EXPECT_EQ(snap.records_written, 0u);
+  EXPECT_EQ(snap.records_dropped, 0u);
+  EXPECT_EQ(snap.record_write_errors, kN);
+  EXPECT_EQ(obs::MetricsRegistry::value_of(metrics.collect(),
+                                           "icgmm_record_write_errors"),
+            kN);
 }
 
 TEST(RecorderRuntime, RecordedCaptureReplaysToIdenticalCounts) {

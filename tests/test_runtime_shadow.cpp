@@ -18,7 +18,6 @@
 
 #include "cache/policies/classic.hpp"
 #include "core/icgmm.hpp"
-#include "gmm/quant_kernel.hpp"
 #include "runtime/replay.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/sharded_cache.hpp"
@@ -202,10 +201,10 @@ TEST(Shadow, EvaluatorRejectsMisconfiguration) {
                std::invalid_argument);
 }
 
-TEST(Shadow, QuantizedGmmShadowOverQuantizedServingIsExact) {
-  // The promotion path end to end: quantized-GMM serving with a
-  // same-config quantized-GMM shadow. The QuantScorerKernel is bit-exact
-  // deterministic, so the identity holds just like the LRU case.
+TEST(Shadow, SameConfigGmmShadowHasZeroDivergence) {
+  // The promotion path end to end: GMM serving with a same-config GMM
+  // shadow. Both score through the one deterministic ScorerKernel core,
+  // so the identity holds just like the LRU case.
   const trace::Trace t = test_util::zipf_trace(20000, 2048, 0.9, 0x5E);
   core::IcgmmConfig cfg = test_util::small_system_config(8, 8);
   cfg.engine.cache = test_util::tiny_cache(64, 8);
@@ -215,19 +214,16 @@ TEST(Shadow, QuantizedGmmShadowOverQuantizedServingIsExact) {
   const double threshold = system.pick_threshold(t, strategy);
 
   runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 1};
-  const cache::GmmPolicyConfig shadow_cfg{
-      .strategy = strategy,
-      .threshold = threshold,
-      .scorer = cache::ScorerBackend::kQuantized};
+  const cache::GmmPolicyConfig shadow_cfg{.strategy = strategy,
+                                          .threshold = threshold};
   rcfg.shadow = {.enabled = true,
                  .policy_factory =
                      [&system, shadow_cfg](std::uint32_t) {
                        return system.engine().make_policy(shadow_cfg);
                      },
-                 .policy_name = "gmm-quantized",
+                 .policy_name = "gmm-both",
                  .ring_capacity = 1u << 15};
-  const auto rt = system.make_runtime(rcfg, strategy, threshold,
-                                      cache::ScorerBackend::kQuantized);
+  const auto rt = system.make_runtime(rcfg, strategy, threshold);
 
   runtime::ReplayConfig replay_cfg;
   replay_cfg.threads = 1;
@@ -241,6 +237,9 @@ TEST(Shadow, QuantizedGmmShadowOverQuantizedServingIsExact) {
   EXPECT_EQ(snap.shadow_accesses, merged.accesses);
   EXPECT_EQ(snap.shadow_divergence, 0u);
   EXPECT_EQ(snap.shadow_hits, merged.hits);
+  // Not vacuous: the stream drives both GMM decisions.
+  EXPECT_GT(merged.evictions, 0u);
+  EXPECT_GT(merged.bypasses, 0u);
 }
 
 TEST(Shadow, ClearStatsDrainsButKeepsCumulativeCounters) {

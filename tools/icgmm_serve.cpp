@@ -8,7 +8,6 @@
 //               [--cache-mb MB] [--assoc WAYS]
 //               [--train-requests N] [--train-benchmark NAME] [--seed S]
 //               [--adapt] [--sample-every N]
-//               [--scorer float|quantized]
 //               [--shadow-policy NAME] [--shadow-ring CAP]
 //               [--record PATH] [--record-sample N] [--record-window W]
 //               [--record-ring CAP] [--record-chunk N]
@@ -24,11 +23,6 @@
 // thread, the fully deterministic mode). SIGINT/SIGTERM shut down
 // cleanly: stop accepting, drain, print a final stats line, exit 0.
 // --stats-every prints a one-line serving report periodically.
-//
-// --scorer quantized (GMM policies only) serves through the int-SIMD
-// fixed-point QuantScorerKernel instead of the float ScorerKernel; the
-// admission threshold is snapped onto the quantized score grid, so
-// score-vs-threshold comparisons are exact integer math.
 //
 // --shadow-policy NAME runs a second policy (any classic name, or a
 // gmm-* strategy when the serving policy is also GMM) against the live
@@ -94,7 +88,6 @@ struct Args {
   std::uint64_t seed = 7;
   bool adapt = false;
   std::uint32_t sample_every = 64;
-  std::string scorer = "float";
   std::string shadow_policy;  // empty = shadow evaluation off
   std::uint32_t shadow_ring = 8192;
   record::RecorderConfig record;  // off unless --record PATH is given
@@ -123,7 +116,6 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--seed")) args.seed = std::stoull(next());
     else if (!std::strcmp(argv[i], "--adapt")) args.adapt = true;
     else if (!std::strcmp(argv[i], "--sample-every")) args.sample_every = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--scorer")) args.scorer = next();
     else if (!std::strcmp(argv[i], "--shadow-policy")) args.shadow_policy = next();
     else if (!std::strcmp(argv[i], "--shadow-ring")) args.shadow_ring = static_cast<std::uint32_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--record")) args.record.path = next();
@@ -191,16 +183,6 @@ int main(int argc, char** argv) {
     rcfg.record.provenance += run_env_json_fields();
     rcfg.record.provenance += "}";
   }
-  if (args.scorer != "float" && args.scorer != "quantized") {
-    std::cerr << "error: --scorer must be float or quantized\n";
-    return 1;
-  }
-  const bool quantized = args.scorer == "quantized";
-  if (quantized && args.policy.rfind("gmm", 0) != 0) {
-    std::cerr << "error: --scorer quantized requires a GMM policy (the "
-                 "classic policies never score)\n";
-    return 1;
-  }
   if (args.shadow_policy.rfind("gmm", 0) == 0 &&
       args.policy.rfind("gmm", 0) != 0) {
     std::cerr << "error: a gmm-* shadow policy requires a GMM serving "
@@ -219,9 +201,6 @@ int main(int argc, char** argv) {
   // as long as the daemon).
   std::shared_ptr<core::PolicyEngine> engine;
   try {
-    const cache::ScorerBackend backend = quantized
-                                             ? cache::ScorerBackend::kQuantized
-                                             : cache::ScorerBackend::kFloat;
     if (rcfg.shadow.enabled && args.shadow_policy.rfind("gmm", 0) != 0) {
       rcfg.shadow.policy_factory = [name = args.shadow_policy](std::uint32_t) {
         return make_classic(name);
@@ -242,12 +221,10 @@ int main(int argc, char** argv) {
           core::threshold_at_percentile(engine->training_scores(), 0.05);
       if (rcfg.shadow.enabled && args.shadow_policy.rfind("gmm", 0) == 0) {
         // The shadow reuses the trained engine: same model, same
-        // threshold recipe, strategy (and scorer backend) from the
-        // shadow flags. make_policy snaps the threshold when quantized.
+        // threshold recipe, strategy from the shadow flag.
         const cache::GmmPolicyConfig shadow_cfg{
             .strategy = strategy_from(args.shadow_policy),
-            .threshold = threshold,
-            .scorer = backend};
+            .threshold = threshold};
         rcfg.shadow.policy_factory = [engine, shadow_cfg](std::uint32_t) {
           return engine->make_policy(shadow_cfg);
         };
@@ -255,8 +232,7 @@ int main(int argc, char** argv) {
       rt = std::make_unique<runtime::Runtime>(
           rcfg, engine->model(),
           cache::GmmPolicyConfig{.strategy = strategy_from(args.policy),
-                                 .threshold = threshold,
-                                 .scorer = backend});
+                                 .threshold = threshold});
     } else {
       rt = std::make_unique<runtime::Runtime>(rcfg, *make_classic(args.policy));
     }
@@ -305,7 +281,6 @@ int main(int argc, char** argv) {
             << " (protocols v1+v2, policy " << rt->policy_name()
             << ", shards " << args.shards << ", workers " << args.workers
             << (args.adapt ? ", adaptive" : "")
-            << (quantized ? ", scorer quantized" : "")
             << (rcfg.shadow.enabled ? ", shadow " + rcfg.shadow.policy_name
                                     : "")
             << (rcfg.record.path.empty() ? ""
