@@ -431,9 +431,9 @@ TEST(Recorder, RejectsUnwritablePathAndBadConfig) {
 }
 
 TEST(Recorder, FullDiskCountsWriteErrorsInsteadOfAborting) {
-  // A failed write used to throw out of the writer thread and end the
-  // process in std::terminate. Now every accepted record is counted in
-  // write_errors, in both consumer modes, and stop() returns normally.
+  // A failed write must not escape the writer thread (std::terminate):
+  // in both consumer modes every accepted record is counted in
+  // write_errors, and stop() returns normally.
   if (!dev_full_available()) GTEST_SKIP() << "/dev/full cannot be opened";
   for (const bool writer_thread : {false, true}) {
     SCOPED_TRACE(writer_thread ? "writer thread" : "manual pump");
