@@ -443,8 +443,8 @@ TEST(Recorder, FullDiskCountsWriteErrorsInsteadOfAborting) {
     cfg.chunk_records = 16;
     cfg.ring_capacity = 2048;  // holds the whole burst: nothing dropped
     TraceRecorder rec(cfg);
-    // 62 full chunks and a partial one: far more than a stream buffer
-    // holds, so writes fail while records are still being drained.
+    // 62 full chunks and a partial one, far more than a stream buffer
+    // absorbs: a failed write cannot hide in the buffer until stop().
     constexpr std::uint64_t kRecords = 1000;
     for (std::uint64_t i = 0; i < 600; ++i) {
       ASSERT_TRUE(rec.record(i, i, false));
