@@ -3,8 +3,17 @@
 // buffer, per-call log-weight adds) vs the flat SoA gmm::ScorerKernel, on
 // the two miss-path shapes — single-page admission scoring and the 8-way
 // set rescore — across K in {2, 4, 8, 16} (the fixed-K cores) and the
-// paper's K = 256 (the generic core the serving daemon runs; its rows
+// paper's K = 256 (the runtime-K core with its pruning grid; its rows
 // score an eighth as many pages per rep).
+//
+// Two kinds of model: synthetic mixtures over uniform pages, and the
+// model the serving daemon trains (hashmap generator, 200 k requests,
+// seed 7; --quick trains on 50 k) scored on its own stream shape (the
+// hashmap generator's seed-1 stream). Its components are several times
+// narrower than the synthetic ones, which is what the grid prunes. Each
+// row also reports the grid's terms kept per score, the full-K
+// fallbacks per score and, for K = 256, the same coefficients scored
+// without a grid.
 //
 // Self-timed (steady_clock, interleaved best-of reps); deliberately does
 // NOT use google-benchmark so it builds everywhere the library builds.
@@ -14,6 +23,7 @@
 //
 // Usage: micro_scoring_kernel [-n SCORES] [--quick] [--json FILE]
 #include <algorithm>
+#include <span>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -27,8 +37,10 @@
 #include "common/rng.hpp"
 #include "common/run_env.hpp"
 #include "common/table.hpp"
+#include "core/policy_engine.hpp"
 #include "gmm/kernel.hpp"
 #include "gmm/mixture.hpp"
+#include "trace/generator.hpp"
 #include "trace/timestamp_transform.hpp"
 
 namespace {
@@ -105,12 +117,43 @@ Measurement best_of(std::size_t scores, int reps, Fn&& fn) {
 
 struct Row {
   std::size_t k = 0;
-  const char* mode = "";  // "single" | "batch8"
+  const char* model = "";  // "synthetic" | "daemon"
+  const char* mode = "";   // "single" | "batch8"
   std::size_t scores = 0;  // per rep
   double seed_ns = 0.0;
   double kernel_ns = 0.0;
+  double full_ns = 0.0;  // no pruning grid; 0 when K has none
+  double terms = 0.0;      // terms kept per score
+  double fallbacks = 0.0;  // full-K fallbacks per score
   double speedup() const noexcept { return seed_ns / kernel_ns; }
 };
+
+/// The model the serving daemon trains at start-up, with the grid's size
+/// and build time (best of a few rebuilds of the same coefficients).
+struct DaemonModel {
+  gmm::GaussianMixture model;
+  double grid_build_ms = 0.0;
+};
+
+DaemonModel train_daemon_model(std::size_t train_requests) {
+  core::PolicyEngine engine;
+  engine.train(trace::generate(trace::Benchmark::kHashmap, train_requests, 7));
+  const gmm::GaussianMixture& m = engine.model();
+  const std::vector<double> weights(m.weights().begin(), m.weights().end());
+  const std::vector<gmm::Gaussian2D> comps(m.components().begin(),
+                                           m.components().end());
+  double best_ms = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 5; ++rep) {
+    gmm::GaussianMixture rebuilt(weights, comps, m.normalizer(),
+                                 gmm::PruningGrid::kDefer);
+    const auto t0 = std::chrono::steady_clock::now();
+    rebuilt.build_pruning_grid();
+    const auto t1 = std::chrono::steady_clock::now();
+    best_ms = std::min(
+        best_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  return {m, best_ms};
+}
 
 /// The target_clones variant of the float kernel the loader resolved on
 /// this host: the first of ICGMM_KERNEL_HOT's list the CPU supports.
@@ -140,43 +183,86 @@ int main(int argc, char** argv) {
   // the same time budget (ns/score is per score either way).
   const std::size_t large_k_scores = scores / 8 / kWays * kWays;
 
-  // Shared workload: uniform pages over 1 Mi, Algorithm-1 timestamps. The
-  // extra tail pages let each rep start at a shifted offset.
+  // Synthetic workload: uniform pages over 1 Mi, Algorithm-1 timestamps.
+  // The extra tail lets each rep start at a shifted offset.
+  const std::size_t tail = 16 * static_cast<std::size_t>(reps);
   Rng rng(0x5c04e3ull);
-  std::vector<PageIndex> pages(scores + 16 * 16);
+  std::vector<PageIndex> pages(scores + tail);
   for (auto& p : pages) p = rng.below(1u << 20);
-  std::vector<Timestamp> stamps(scores);
-  trace::TimestampTransform transform;  // len_window = 32, bound 10000
-  for (auto& t : stamps) t = transform.next();
+  std::vector<Timestamp> stamps(scores + tail);
+  {
+    trace::TimestampTransform transform;  // len_window = 32, bound 10000
+    for (auto& t : stamps) t = transform.next();
+  }
+  // The daemon's model on its own stream shape.
+  const DaemonModel daemon = train_daemon_model(opt.quick ? 50000 : 200000);
+  std::vector<PageIndex> daemon_pages;
+  std::vector<Timestamp> daemon_stamps;
+  {
+    trace::TimestampTransform transform;
+    for (const trace::Record& r : trace::generate(
+             trace::Benchmark::kHashmap, large_k_scores + tail, 1)) {
+      daemon_pages.push_back(r.page());
+      daemon_stamps.push_back(transform.next());
+    }
+  }
 
   std::vector<Row> rows;
-  Table table({"K", "mode", "seed ns", "kernel ns", "speedup"});
-  for (const std::size_t k : {2u, 4u, 8u, 16u, 256u}) {
-    const std::size_t n = k > 16 ? large_k_scores : scores;
+  Table table({"K", "model", "mode", "seed ns", "kernel ns", "speedup",
+               "no-grid ns", "terms", "fallbacks"});
+  // Scores `n` (page, timestamp) pairs through the seed path, the kernel
+  // and, above the fixed-K limit, the kernel without its grid; appends a
+  // single and a batch8 row. Returns false on a checksum mismatch.
+  const auto measure = [&](const gmm::GaussianMixture& model,
+                           const char* model_name,
+                           std::span<const PageIndex> ps,
+                           std::span<const Timestamp> ts, std::size_t n) {
+    const std::size_t k = model.size();
     const std::size_t batches = n / kWays;
-    Rng model_rng(0xfeed + k);
-    const gmm::GaussianMixture model = make_model(k, model_rng);
     std::vector<double> log_w;
     for (double w : model.weights()) log_w.push_back(std::log(w));
     const gmm::ScorerKernel kernel = model.make_kernel();
+    const bool pruned = kernel.pruned();
+    // The same mixture without a grid: what the core would sum unpruned.
+    const gmm::GaussianMixture unpruned(
+        std::vector<double>(model.weights().begin(), model.weights().end()),
+        std::vector<gmm::Gaussian2D>(model.components().begin(),
+                                     model.components().end()),
+        model.normalizer(), gmm::PruningGrid::kDefer);
+    const gmm::ScorerKernel full = unpruned.make_kernel();
+
+    const auto single = [&](const gmm::ScorerKernel& kern) {
+      return best_of(n, reps, [&](std::size_t off) {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          acc += kern.score_one(ps[off + i], ts[off + i]);
+        }
+        return acc;
+      });
+    };
+    const auto batch8 = [&](const gmm::ScorerKernel& kern) {
+      return best_of(n, reps, [&](std::size_t off) {
+        double acc = 0.0;
+        double out[kWays];
+        for (std::size_t b = 0; b < batches; ++b) {
+          kern.score_batch(ps.subspan(off + b * kWays, kWays),
+                           ts[off + b * kWays], {out, kWays});
+          acc += out[0] + out[kWays - 1];
+        }
+        return acc;
+      });
+    };
 
     // --- single-page path (admission scoring: one page per call) ---
     const Measurement seed_single = best_of(n, reps, [&](std::size_t off) {
       double acc = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
-        acc += seed_log_score(model, log_w,
-                              static_cast<double>(pages[off + i]),
-                              static_cast<double>(stamps[i]));
+        acc += seed_log_score(model, log_w, static_cast<double>(ps[off + i]),
+                              static_cast<double>(ts[off + i]));
       }
       return acc;
     });
-    const Measurement kern_single = best_of(n, reps, [&](std::size_t off) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc += kernel.score_one(pages[off + i], stamps[i]);
-      }
-      return acc;
-    });
+    const Measurement kern_single = single(kernel);
 
     // --- 8-way set rescore (batch path) ---
     const Measurement seed_batch = best_of(n, reps, [&](std::size_t off) {
@@ -186,47 +272,79 @@ int main(int argc, char** argv) {
         // The seed's set rescore: one log_score call per way.
         for (std::size_t j = 0; j < kWays; ++j) {
           out[j] = seed_log_score(model, log_w,
-                                  static_cast<double>(pages[off + b * kWays + j]),
-                                  static_cast<double>(stamps[b * kWays]));
+                                  static_cast<double>(ps[off + b * kWays + j]),
+                                  static_cast<double>(ts[off + b * kWays]));
         }
         acc += out[0] + out[kWays - 1];
       }
       return acc;
     });
-    const Measurement kern_batch = best_of(n, reps, [&](std::size_t off) {
-      double acc = 0.0;
-      double out[kWays];
-      for (std::size_t b = 0; b < batches; ++b) {
-        kernel.score_batch({&pages[off + b * kWays], kWays},
-                           stamps[b * kWays], {out, kWays});
-        acc += out[0] + out[kWays - 1];
-      }
-      return acc;
-    });
+    const Measurement kern_batch = batch8(kernel);
+    const double full_single = pruned ? single(full).ns_per_score : 0.0;
+    const double full_batch = pruned ? batch8(full).ns_per_score : 0.0;
 
-    rows.push_back({k, "single", n, seed_single.ns_per_score,
-                    kern_single.ns_per_score});
-    rows.push_back({k, "batch8", n, seed_batch.ns_per_score,
-                    kern_batch.ns_per_score});
+    // Terms kept and fallbacks, counted outside the timed loops.
+    double terms_single = 0.0, terms_batch = 0.0;
+    std::size_t fb_single = 0, fb_batch = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double out;
+      fb_single += kernel.score_batch(ps.subspan(i, 1), ts[i], {&out, 1});
+      terms_single += static_cast<double>(kernel.terms_kept(ps[i], ts[i]));
+    }
+    for (std::size_t b = 0; b < batches; ++b) {
+      double out[kWays];
+      const Timestamp t = ts[b * kWays];
+      const auto set = ps.subspan(b * kWays, kWays);
+      fb_batch += kernel.score_batch(set, t, {out, kWays});
+      for (const PageIndex page : set) {
+        terms_batch += static_cast<double>(kernel.terms_kept(page, t));
+      }
+    }
+    const double dn = static_cast<double>(n);
+    const double db = static_cast<double>(batches * kWays);
+    rows.push_back({k, model_name, "single", n, seed_single.ns_per_score,
+                    kern_single.ns_per_score, full_single, terms_single / dn,
+                    static_cast<double>(fb_single) / dn});
+    rows.push_back({k, model_name, "batch8", n, seed_batch.ns_per_score,
+                    kern_batch.ns_per_score, full_batch, terms_batch / db,
+                    static_cast<double>(fb_batch) / db});
     for (const Row* r : {&rows[rows.size() - 2], &rows[rows.size() - 1]}) {
-      table.add_row({std::to_string(r->k), r->mode, Table::fmt(r->seed_ns),
-                     Table::fmt(r->kernel_ns),
-                     Table::fmt(r->speedup()) + "x"});
+      table.add_row({std::to_string(r->k), r->model, r->mode,
+                     Table::fmt(r->seed_ns), Table::fmt(r->kernel_ns),
+                     Table::fmt(r->speedup()) + "x",
+                     r->full_ns > 0.0 ? Table::fmt(r->full_ns) : "-",
+                     Table::fmt(r->terms), Table::fmt(r->fallbacks)});
     }
     // Checksums double as a sanity check that both paths scored the same
     // workload (they agree to ~1e-12 relative; exact equality is the unit
     // tests' job).
-    if (std::abs(seed_single.checksum - kern_single.checksum) >
-        1e-6 * std::abs(seed_single.checksum)) {
+    return std::abs(seed_single.checksum - kern_single.checksum) <=
+           1e-6 * std::abs(seed_single.checksum);
+  };
+
+  for (const std::size_t k : {2u, 4u, 8u, 16u, 256u}) {
+    const std::size_t n = k > 16 ? large_k_scores : scores;
+    Rng model_rng(0xfeed + k);
+    if (!measure(make_model(k, model_rng), "synthetic", pages, stamps, n)) {
       std::cerr << "checksum mismatch at K=" << k << "\n";
       return 1;
     }
   }
+  if (!measure(daemon.model, "daemon", daemon_pages, daemon_stamps,
+               large_k_scores)) {
+    std::cerr << "checksum mismatch on the daemon model\n";
+    return 1;
+  }
+  const double grid_kib =
+      static_cast<double>(daemon.model.kernel().grid_bytes()) / 1024.0;
 
   std::cout << "scoring kernel microbenchmark, " << scores
             << " scores/rep (" << large_k_scores << " at K = 256), best of "
             << reps
-            << " reps, kernel dispatch: " << kernel_dispatch_arch() << "\n\n"
+            << " reps, kernel dispatch: " << kernel_dispatch_arch() << "\n"
+            << "daemon model pruning grid: " << Table::fmt(grid_kib)
+            << " KiB, built in " << Table::fmt(daemon.grid_build_ms)
+            << " ms\n\n"
             << table.render();
 
   if (!json_path.empty()) {
@@ -235,14 +353,20 @@ int main(int argc, char** argv) {
         << "  \"bench\": \"scoring_kernel\",\n"
         << "  \"reps\": " << reps
         << ",\n  \"ways\": " << kWays << ",\n  \"kernel_dispatch\": \""
-        << kernel_dispatch_arch() << "\",\n  \"rows\": [\n";
+        << kernel_dispatch_arch() << "\",\n  \"daemon_grid_kib\": " << grid_kib
+        << ",\n  \"daemon_grid_build_ms\": " << daemon.grid_build_ms
+        << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
-      out << "    {\"k\": " << r.k << ", \"mode\": \"" << r.mode
+      out << "    {\"k\": " << r.k << ", \"model\": \"" << r.model
+          << "\", \"mode\": \"" << r.mode
           << "\", \"scores_per_rep\": " << r.scores
           << ", \"seed_ns_per_score\": " << r.seed_ns
           << ", \"kernel_ns_per_score\": " << r.kernel_ns
-          << ", \"speedup\": " << r.speedup() << "}"
+          << ", \"speedup\": " << r.speedup();
+      if (r.full_ns > 0.0) out << ", \"no_grid_ns_per_score\": " << r.full_ns;
+      out << ", \"terms_per_score\": " << r.terms
+          << ", \"fallbacks_per_score\": " << r.fallbacks << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -56,9 +56,10 @@ const gmm::GaussianMixture& PolicyEngine::model() const {
 cache::ScoreFn PolicyEngine::score_fn() const {
   if (!model_) throw std::logic_error("PolicyEngine: not trained");
   // Capture the flat SoA kernel snapshot, not the mixture: scorers outlive
-  // the engine freely, the kernel is a few KB (K * 6 doubles), and copies
-  // (e.g. policy clones) get independent timestamp caches, so every clone
-  // stays safe to drive from its own thread.
+  // the engine freely, the kernel is a few KB (K * 6 doubles and a pointer
+  // to the model's immutable pruning grid), and copies (e.g. policy
+  // clones) get independent timestamp caches, so every clone stays safe to
+  // drive from its own thread.
   return [kernel = model_->make_kernel()](PageIndex page, Timestamp ts) {
     return kernel.score_one(page, ts);
   };

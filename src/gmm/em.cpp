@@ -92,18 +92,20 @@ GaussianMixture EmTrainer::fit(std::span<const trace::GmmSample> samples) {
     }
   }
 
-  auto build = [&]() {
+  // Iterations only read component terms, so only the returned model
+  // pays for a pruning grid.
+  auto build = [&](PruningGrid grid) {
     std::vector<Gaussian2D> comps;
     comps.reserve(k);
     for (std::size_t c = 0; c < k; ++c) comps.emplace_back(means[c], covs[c]);
-    return GaussianMixture(weights, std::move(comps), norm);
+    return GaussianMixture(weights, std::move(comps), norm, grid);
   };
 
   // --- EM iterations (streaming sufficient statistics). ---
   double prev_ll = -std::numeric_limits<double>::infinity();
   std::vector<double> terms(k);
   for (std::uint32_t iter = 0; iter < cfg_.max_iters; ++iter) {
-    GaussianMixture model = build();
+    GaussianMixture model = build(PruningGrid::kDefer);
     // The per-component log terms come from the mixture's folded SoA
     // kernel — same flat coefficients the serving miss path scores with.
     const ScorerKernel& kern = model.kernel();
@@ -168,13 +170,13 @@ GaussianMixture EmTrainer::fit(std::span<const trace::GmmSample> samples) {
       if (delta / scale < cfg_.tol) {
         report_.converged = true;
         report_.final_mean_log_likelihood = ll;
-        return build();
+        return build(PruningGrid::kBuild);
       }
     }
     prev_ll = ll;
   }
   report_.final_mean_log_likelihood = prev_ll;
-  return build();
+  return build(PruningGrid::kBuild);
 }
 
 }  // namespace icgmm::gmm

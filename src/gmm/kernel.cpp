@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 // This translation unit is compiled with -fno-trapping-math (see
 // src/CMakeLists.txt): the flag lets the vectorizer if-convert the
@@ -20,13 +21,23 @@ namespace {
 /// a time so scratch buffers have a fixed stack footprint.
 constexpr std::size_t kBatchChunk = 64;
 
-/// Timestamp-coefficient scratch for *stateless* kernels above the fixed-K
-/// limit (e.g. the mixture-embedded kernel at the paper's K = 256, which
-/// PolicyEngine::train drives once per training sample). Reused per thread
-/// so that path stays allocation-free after warm-up, like the seed's
-/// thread_local terms buffer; the hot policy/batcher kernels never touch
-/// this — they carry their own single-owner cache.
-thread_local std::vector<double> stateless_generic_scratch;
+/// Accumulator lanes of the runtime-K core (one zmm register under
+/// x86-64-v4). Its SoA blocks are padded to whole lanes.
+constexpr std::size_t kLanes = 8;
+
+constexpr std::size_t round_up_lanes(std::size_t n) noexcept {
+  return (n + kLanes - 1) / kLanes * kLanes;
+}
+
+/// Normalized extents of the pruning grid's finite bands.
+constexpr double kGridPageLo = 0.0;
+constexpr double kGridPageHi = 1.0;
+constexpr double kGridTimeLo = -1.0;
+constexpr double kGridTimeHi = 2.0;
+/// Each finite cell edge is widened by this much (normalized units) when
+/// its bounds are computed, so an input whose band index rounded across an
+/// edge still lies inside the box its cell was bounded on.
+constexpr double kGridEdgePad = 1e-9;
 
 // Function multi-versioning: the hot entry points are cloned for
 // x86-64-v4 (AVX-512) and x86-64-v3 (AVX2+FMA) with a portable baseline
@@ -125,7 +136,129 @@ double lse_max_subtracted(const double* terms, std::size_t k) noexcept {
   return max_term + std::log(acc);
 }
 
+/// Band of x on an axis cut into `bands` equal bands over [lo, hi]: 0
+/// below lo (and for NaN), bands + 1 at or above hi, else 1 + floor. The
+/// range tests run before the conversion, so no input converts out of
+/// range.
+inline std::size_t band_of(double x, double lo, double hi,
+                           std::size_t bands) noexcept {
+  const double u = (x - lo) * (static_cast<double>(bands) / (hi - lo));
+  if (!(u >= 0.0)) return 0;
+  if (!(u < static_cast<double>(bands))) return bands + 1;
+  return 1 + static_cast<std::size_t>(u);
+}
+
+/// Sum of exp(c[i] - q_i(xp, xt)) over the `count` components of a
+/// 6-array SoA block (mu_p | mu_t | a | b | g | c), each array padded to
+/// round_up_lanes(count) doubles; dt is folded per term. Lane u
+/// accumulates entries u, u + kLanes, ...; pad entries add exact zeros,
+/// and the lanes reduce through a fixed pairwise tree, so the order is
+/// fixed by (block, count) alone.
+inline double sum_block(const double* __restrict soa, std::size_t count,
+                        double xp, double xt) noexcept {
+  const std::size_t stride = round_up_lanes(count);
+  const double* __restrict mp = soa;
+  const double* __restrict mt = soa + stride;
+  const double* __restrict a = soa + 2 * stride;
+  const double* __restrict b = soa + 3 * stride;
+  const double* __restrict g = soa + 4 * stride;
+  const double* __restrict c = soa + 5 * stride;
+  alignas(64) double lanes[kLanes] = {};
+  for (std::size_t i = 0; i < stride; i += kLanes) {
+    for (std::size_t u = 0; u < kLanes; ++u) {
+      const double dp = xp - mp[i + u];
+      const double dt = xt - mt[i + u];
+      const double q =
+          dp * dp * a[i + u] + dp * (dt * b[i + u]) + (dt * dt) * g[i + u];
+      const double e = exp_core(c[i + u] - q);
+      lanes[u] += i + u < count ? e : 0.0;
+    }
+  }
+  for (std::size_t w = kLanes; w > 1; w /= 2) {
+    for (std::size_t u = 0; u < w / 2; ++u) {
+      lanes[u] = lanes[u] + lanes[u + w / 2];
+    }
+  }
+  return lanes[0];
+}
+
+/// Minimum of the positive-definite q(dp, dt) = a dp^2 + b dp dt + g dt^2
+/// over the box [p0, p1] x [t0, t1] (bounds may be infinite): 0 when the
+/// box holds the origin, else the least of its finite edges, each a 1-D
+/// quadratic minimized and clamped to the edge.
+double box_min_quad(double a, double b, double g, double p0, double p1,
+                    double t0, double t1) noexcept {
+  if (p0 <= 0.0 && 0.0 <= p1 && t0 <= 0.0 && 0.0 <= t1) return 0.0;
+  const auto q = [&](double dp, double dt) {
+    return dp * dp * a + dp * (dt * b) + (dt * dt) * g;
+  };
+  double best = std::numeric_limits<double>::infinity();
+  for (const double p : {p0, p1}) {
+    if (!std::isfinite(p)) continue;
+    best = std::min(best, q(p, std::clamp(-b * p / (2.0 * g), t0, t1)));
+  }
+  for (const double t : {t0, t1}) {
+    if (!std::isfinite(t)) continue;
+    best = std::min(best, q(std::clamp(-b * t / (2.0 * a), p0, p1), t));
+  }
+  return best;
+}
+
+/// Maximum of the same form over a bounded box: a corner (q is convex).
+double box_max_quad(double a, double b, double g, double p0, double p1,
+                    double t0, double t1) noexcept {
+  double best = 0.0;
+  for (const double p : {p0, p1}) {
+    for (const double t : {t0, t1}) {
+      best = std::max(best, p * p * a + p * (t * b) + (t * t) * g);
+    }
+  }
+  return best;
+}
+
+/// Closed extent of band `i` of band_of's axis, widened by kGridEdgePad.
+/// The edge bands reach to infinity outward; with `near` they stop one
+/// band width past the axis range instead.
+std::pair<double, double> band_extent(std::size_t i, double lo, double hi,
+                                      std::size_t bands, bool near) noexcept {
+  const double w = (hi - lo) / static_cast<double>(bands);
+  const double reach = near ? w : std::numeric_limits<double>::infinity();
+  if (i == 0) return {lo - reach, lo + kGridEdgePad};
+  if (i == bands + 1) return {hi - kGridEdgePad, hi + reach};
+  return {lo + static_cast<double>(i - 1) * w - kGridEdgePad,
+          lo + static_cast<double>(i) * w + kGridEdgePad};
+}
+
 }  // namespace
+
+/// The pruning grid: kTimeCells rows of kPageCells cells, each a compacted
+/// SoA block of the components it keeps.
+struct ScorerKernel::Grid {
+  static constexpr std::size_t kPageCells = kGridPageBands + 2;
+  static constexpr std::size_t kTimeCells = kGridTimeBands + 2;
+
+  struct Cell {
+    std::uint32_t offset = 0;  ///< first coefficient in `coef`
+    std::uint32_t count = 0;   ///< kept components
+    /// Smallest kept sum accepted without the full-K fallback: e^(max
+    /// dropped bound + ln K + kGridMarginNats), and at least kAccFloor.
+    double accept_min = 0.0;
+  };
+
+  std::vector<Cell> cells;
+  /// Per cell: mu_p | mu_t | a | b | g | c, each round_up_lanes(count)
+  /// doubles, pad entries zero.
+  std::vector<double> coef;
+
+  /// The cells of the time band holding normalized timestamp xt.
+  const Cell* row(double xt) const noexcept {
+    return cells.data() +
+           band_of(xt, kGridTimeLo, kGridTimeHi, kGridTimeBands) * kPageCells;
+  }
+  static std::size_t column(double xp) noexcept {
+    return band_of(xp, kGridPageLo, kGridPageHi, kGridPageBands);
+  }
+};
 
 /// The scoring core, templated on K so trip counts are compile-time
 /// constants (fully unrolled + SLP-vectorized inside each clone). All
@@ -183,8 +316,8 @@ struct KernelBatchEntry {
   }
 
   ICGMM_KERNEL_HOT
-  static void run(const ScorerKernel& kern, const double* xs, std::size_t n,
-                  double xt, double* out) noexcept {
+  static std::size_t run(const ScorerKernel& kern, const double* xs,
+                         std::size_t n, double xt, double* out) noexcept {
     const double* __restrict soa = kern.soa_.data();
     const double* __restrict mp = soa;
     const double* __restrict mt = soa + KLanes;
@@ -222,7 +355,7 @@ struct KernelBatchEntry {
       const double acc = accumulate(mp, a, c, cross, ttc, xs[0]);
       out[0] = acc < ScorerKernel::kAccFloor ? guarded(kern, cross, ttc, xs[0])
                                              : log_core(acc);
-      return;
+      return 0;
     }
 
     alignas(64) double accs[kBatchChunk];
@@ -235,97 +368,62 @@ struct KernelBatchEntry {
         out[j] = guarded(kern, cross, ttc, xs[j]);
       }
     }
+    return 0;
   }
 };
 
 /// Runtime-K core for mixtures outside the fixed dispatch set (e.g. the
-/// paper's K = 256). Same structure with runtime trip counts; the
-/// timestamp coefficients live in the kernel's heap scratch when the cache
-/// is on, or in a per-call heap buffer on stateless kernels.
+/// paper's K = 256). A kernel with a pruning grid sums the kept terms of
+/// each page's cell and falls back to all K unless the cell's acceptance
+/// bound holds; without a grid it sums all K. dt is folded per term, so
+/// the core keeps no timestamp cache and no scratch.
 struct KernelBatchGeneric {
-  static __attribute__((noinline)) double guarded(
-      const ScorerKernel& kern, const double* cross, const double* ttc,
-      double xp) noexcept {
+  using Grid = ScorerKernel::Grid;
+
+  static __attribute__((noinline)) double guarded(const ScorerKernel& kern,
+                                                  double xp,
+                                                  double xt) noexcept {
     const std::size_t k = kern.k_;
-    const double* soa = kern.soa_.data();
-    const double* mp = soa;
-    const double* a = soa + 2 * k;
-    const double* c = soa + 5 * k;
+    const std::size_t s = kern.stride_;
+    const double* mp = kern.soa_.data();
+    const double* mt = mp + s;
+    const double* a = mp + 2 * s;
+    const double* b = mp + 3 * s;
+    const double* g = mp + 4 * s;
+    const double* c = mp + 5 * s;
     std::vector<double> terms(k);
     for (std::size_t i = 0; i < k; ++i) {
       const double dp = xp - mp[i];
-      terms[i] = c[i] - (dp * dp * a[i] + dp * cross[i] + ttc[i]);
+      const double dt = xt - mt[i];
+      terms[i] = c[i] - (dp * dp * a[i] + dp * (dt * b[i]) + (dt * dt) * g[i]);
     }
     return lse_max_subtracted(terms.data(), k);
   }
 
   ICGMM_KERNEL_HOT
-  static void run(const ScorerKernel& kern, const double* xs, std::size_t n,
-                  double xt, double* out) noexcept {
-    const std::size_t k = kern.k_;
-    const double* __restrict soa = kern.soa_.data();
-    const double* __restrict mp = soa;
-    const double* __restrict mt = soa + k;
-    const double* __restrict a = soa + 2 * k;
-    const double* __restrict b = soa + 3 * k;
-    const double* __restrict g = soa + 4 * k;
-    const double* __restrict c = soa + 5 * k;
-
-    double* cross;
-    double* ttc;
-    bool fresh = true;
-    if (kern.cache_enabled_) {
-      cross = kern.spill_.data();
-      ttc = kern.spill_.data() + k;
-      fresh = !kern.cache_valid_ || kern.cache_xt_ != xt;
-      kern.cache_xt_ = xt;
-      kern.cache_valid_ = true;
-    } else {
-      if (stateless_generic_scratch.size() < 2 * k) {
-        stateless_generic_scratch.resize(2 * k);
-      }
-      cross = stateless_generic_scratch.data();
-      ttc = stateless_generic_scratch.data() + k;
-    }
-    if (fresh) {
-      double* __restrict cr = cross;
-      double* __restrict tc = ttc;
-      for (std::size_t i = 0; i < k; ++i) {
-        const double dt = xt - mt[i];
-        cr[i] = dt * b[i];
-        tc[i] = (dt * dt) * g[i];
-      }
-    }
-
+  static std::size_t run(const ScorerKernel& kern, const double* xs,
+                         std::size_t n, double xt, double* out) noexcept {
+    const double* soa = kern.soa_.data();
+    const Grid* grid = kern.grid_.get();
+    const Grid::Cell* row = grid != nullptr ? grid->row(xt) : nullptr;
+    std::size_t fallbacks = 0;
     for (std::size_t j = 0; j < n; ++j) {
       const double xp = xs[j];
-      const double* __restrict cr = cross;
-      const double* __restrict tc = ttc;
-      // Chunked pairwise accumulation: sum each block of kMaxFixedComponents
-      // with the tree, chain blocks in order — deterministic for any K.
-      double acc = 0.0;
-      std::size_t i = 0;
-      alignas(64) double ex[ScorerKernel::kMaxFixedComponents];
-      for (; i + ScorerKernel::kMaxFixedComponents <= k;
-           i += ScorerKernel::kMaxFixedComponents) {
-        for (std::size_t u = 0; u < ScorerKernel::kMaxFixedComponents; ++u) {
-          const double dp = xp - mp[i + u];
-          const double q = dp * dp * a[i + u] + dp * cr[i + u] + tc[i + u];
-          ex[u] = exp_core(c[i + u] - q);
+      double acc;
+      if (row != nullptr) {
+        const Grid::Cell& cell = row[Grid::column(xp)];
+        acc = sum_block(grid->coef.data() + cell.offset, cell.count, xp, xt);
+        if (!(acc >= cell.accept_min)) {
+          ++fallbacks;
+          acc = sum_block(soa, kern.k_, xp, xt);
         }
-        for (std::size_t w = ScorerKernel::kMaxFixedComponents; w > 1; w /= 2) {
-          for (std::size_t u = 0; u < w / 2; ++u) ex[u] = ex[u] + ex[u + w / 2];
-        }
-        acc += ex[0];
+      } else {
+        acc = sum_block(soa, kern.k_, xp, xt);
       }
-      for (; i < k; ++i) {  // remainder, sequential
-        const double dp = xp - mp[i];
-        const double q = dp * dp * a[i] + dp * cr[i] + tc[i];
-        acc += exp_core(c[i] - q);
-      }
-      out[j] = acc < ScorerKernel::kAccFloor ? guarded(kern, cross, ttc, xp)
+      out[j] = acc < ScorerKernel::kAccFloor ? guarded(kern, xp, xt)
                                              : log_core(acc);
     }
+    return fallbacks;
   }
 };
 
@@ -343,15 +441,17 @@ ScorerKernel::BatchFn ScorerKernel::pick_batch_fn(std::size_t k) noexcept {
   }
 }
 
-ScorerKernel::ScorerKernel(const GaussianMixture& model, bool timestamp_cache)
+ScorerKernel::ScorerKernel(const GaussianMixture& model)
     : k_(model.size()),
-      // K = 4 is laid out at stride 8 for the padded 8-lane core; the pad
-      // entries stay at the zero-fill below (mu = a = b = g = c = 0), so a
-      // pad lane computes exp_core(0) = 1 and is zeroed out of the tree.
-      stride_(model.size() == 4 ? 8 : model.size()),
       norm_(model.normalizer()),
-      cache_enabled_(timestamp_cache),
       batch_fn_(pick_batch_fn(model.size())) {
+  // K = 4 is laid out at stride 8 for the padded 8-lane core, and the
+  // runtime-K core rounds K up to whole lanes. The pad entries stay at the
+  // zero-fill below (mu = a = b = g = c = 0), so a pad lane computes
+  // exp_core(0) = 1 and both cores replace it by an exact zero.
+  stride_ = batch_fn_ == &KernelBatchGeneric::run ? round_up_lanes(k_)
+            : k_ == 4                             ? 8
+                                                  : k_;
   soa_.resize(6 * stride_);
   double* mu_p = soa_.data();
   double* mu_t = soa_.data() + stride_;
@@ -375,12 +475,95 @@ ScorerKernel::ScorerKernel(const GaussianMixture& model, bool timestamp_cache)
     c[i] = (w > 0.0 ? std::log(w) : -std::numeric_limits<double>::infinity()) +
            comp.log_norm();
   }
-  // The generic core keeps its timestamp coefficients in spill_ whenever
-  // the cache is on (it is also picked for small K outside the fixed
-  // dispatch set, e.g. K = 3).
-  if (cache_enabled_ && batch_fn_ == &KernelBatchGeneric::run) {
-    spill_.resize(2 * k_);
+}
+
+void ScorerKernel::build_grid() {
+  if (grid_ != nullptr || k_ <= kMaxFixedComponents) return;
+  using Cell = Grid::Cell;
+  auto grid = std::make_shared<Grid>();
+  grid->cells.resize(Grid::kTimeCells * Grid::kPageCells);
+  const double* mu_p = soa_.data();
+  const double* mu_t = soa_.data() + stride_;
+  const double* a = soa_.data() + 2 * stride_;
+  const double* b = soa_.data() + 3 * stride_;
+  const double* g = soa_.data() + 4 * stride_;
+  const double* c = soa_.data() + 5 * stride_;
+  const double ln_k = std::log(static_cast<double>(k_));
+  std::vector<double> upper(k_);
+  // Pass 1 picks every cell's components; pass 2 copies them into one
+  // exactly sized block, so a build never holds two copies of the grid.
+  std::vector<std::uint32_t> kept;  // cell by cell
+  std::size_t coef_size = 0;
+  for (std::size_t ti = 0; ti < Grid::kTimeCells; ++ti) {
+    const auto [t0, t1] =
+        band_extent(ti, kGridTimeLo, kGridTimeHi, kGridTimeBands, false);
+    const auto [nt0, nt1] =
+        band_extent(ti, kGridTimeLo, kGridTimeHi, kGridTimeBands, true);
+    for (std::size_t pi = 0; pi < Grid::kPageCells; ++pi) {
+      const auto [p0, p1] =
+          band_extent(pi, kGridPageLo, kGridPageHi, kGridPageBands, false);
+      const auto [np0, np1] =
+          band_extent(pi, kGridPageLo, kGridPageHi, kGridPageBands, true);
+      // Upper bounds of each term c - q hold on the whole cell, so the
+      // acceptance test is sound everywhere. The best lower bound is taken
+      // on the cell's near part (all of a finite cell; an edge cell's first
+      // band width), where the keep window then guarantees acceptance:
+      // kGridKeepNats - ln K >= kGridMarginNats for K up to e^8.
+      double best_lower = -std::numeric_limits<double>::infinity();
+      for (std::size_t k = 0; k < k_; ++k) {
+        upper[k] = c[k] - box_min_quad(a[k], b[k], g[k], p0 - mu_p[k],
+                                       p1 - mu_p[k], t0 - mu_t[k],
+                                       t1 - mu_t[k]);
+        best_lower = std::max(
+            best_lower, c[k] - box_max_quad(a[k], b[k], g[k], np0 - mu_p[k],
+                                            np1 - mu_p[k], nt0 - mu_t[k],
+                                            nt1 - mu_t[k]));
+      }
+      const double keep_from = best_lower - kGridKeepNats;
+      const std::size_t first = kept.size();
+      double dropped = -std::numeric_limits<double>::infinity();
+      for (std::size_t k = 0; k < k_; ++k) {
+        if (upper[k] < keep_from) {
+          dropped = std::max(dropped, upper[k]);
+        } else {
+          kept.push_back(static_cast<std::uint32_t>(k));  // NaN bounds too
+        }
+      }
+      Cell& cell = grid->cells[ti * Grid::kPageCells + pi];
+      cell.offset = static_cast<std::uint32_t>(coef_size);
+      cell.count = static_cast<std::uint32_t>(kept.size() - first);
+      cell.accept_min =
+          std::max(kAccFloor, std::exp(dropped + ln_k + kGridMarginNats));
+      coef_size += 6 * round_up_lanes(cell.count);
+    }
   }
+  grid->coef.assign(coef_size, 0.0);
+  const std::uint32_t* next = kept.data();
+  for (const Cell& cell : grid->cells) {
+    const std::size_t stride = round_up_lanes(cell.count);
+    double* block = grid->coef.data() + cell.offset;
+    for (std::size_t arr = 0; arr < 6; ++arr) {
+      for (std::size_t i = 0; i < cell.count; ++i) {
+        block[arr * stride + i] = soa_[arr * stride_ + next[i]];
+      }
+    }
+    next += cell.count;
+  }
+  grid_ = std::move(grid);
+}
+
+std::size_t ScorerKernel::grid_bytes() const noexcept {
+  if (grid_ == nullptr) return 0;
+  return grid_->cells.size() * sizeof(Grid::Cell) +
+         grid_->coef.size() * sizeof(double);
+}
+
+std::size_t ScorerKernel::terms_kept(PageIndex page,
+                                     Timestamp t) const noexcept {
+  if (grid_ == nullptr) return k_;
+  const Vec2 x =
+      norm_.apply(static_cast<double>(page), static_cast<double>(t));
+  return grid_->row(x.t)[Grid::column(x.p)].count;
 }
 
 double ScorerKernel::score_one(PageIndex page, Timestamp t) const noexcept {
@@ -395,20 +578,23 @@ double ScorerKernel::score_raw(double raw_page, double raw_time) const noexcept 
   return out;
 }
 
-void ScorerKernel::score_batch(std::span<const PageIndex> pages, Timestamp t,
-                               std::span<double> out) const noexcept {
+std::size_t ScorerKernel::score_batch(std::span<const PageIndex> pages,
+                                      Timestamp t,
+                                      std::span<double> out) const noexcept {
   assert(out.size() >= pages.size());
   const double xt =
       (static_cast<double>(t) - norm_.t_offset) * norm_.t_scale;
   alignas(64) double xs[kBatchChunk];
+  std::size_t fallbacks = 0;
   for (std::size_t base = 0; base < pages.size(); base += kBatchChunk) {
     const std::size_t n = std::min(kBatchChunk, pages.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
       xs[j] = (static_cast<double>(pages[base + j]) - norm_.p_offset) *
               norm_.p_scale;
     }
-    run_batch(xs, n, xt, out.data() + base);
+    fallbacks += run_batch(xs, n, xt, out.data() + base);
   }
+  return fallbacks;
 }
 
 double ScorerKernel::log_score_normalized(Vec2 x) const noexcept {

@@ -12,32 +12,51 @@
 //
 // so a log-score is  log sum_k exp(c[k] - q_k(x))  with
 // q_k = dp*dp*a[k] + dp*(dt*b[k]) + (dt*dt)*g[k], evaluated over flat
-// arrays with no allocation and no thread_local state on the hot path
-// (K <= kMaxFixedComponents uses fixed stack/member buffers; larger K
-// spills to a heap scratch buffer).
+// arrays with no allocation and no thread_local state on the hot path.
+//
+// Pruning grid (K > kMaxFixedComponents)
+// --------------------------------------
+// The FPGA streams all K components through its pipeline at no extra
+// cost; in software the full K = 256 sum is most of a score, yet the
+// trained components are narrow and only a few dozen matter anywhere.
+// A kernel built with a grid cuts normalized (page, time) space into
+// cells (kGridPageBands x kGridTimeBands over [0, 1] x [-1, 2], plus
+// unbounded edge bands) and keeps, per cell, the components whose upper
+// bound on the cell (c[k] minus the quadratic form's minimum over the
+// box) lies within kGridKeepNats of the cell's best lower bound, copied
+// into a compacted per-cell SoA. A score sums its cell's kept terms and
+// falls back to the full sum unless that sum exceeds every dropped
+// bound by ln K + kGridMarginNats, so the dropped mass is below
+// e^-37 (< 2^-53) of the score. The grid is built once per model
+// snapshot (GaussianMixture's constructor, or build_pruning_grid()) and
+// shared, immutable, by every copy of the kernel.
 //
 // Numerical contract
 // ------------------
-// The kernel keeps the seed's log-sum-exp *shape* (terms evaluated in
-// component order; a max-subtracted, libm-evaluated fallback guards far
-// outliers and -inf log-weights) but owns its arithmetic: the fused
-// constant, the pre-halved quadratic form, a pairwise accumulation tree,
-// and inlined polynomial exp/log (faithful to ~2 ulp) replace one
-// out-of-line libm call per component. Every consumer in the system
-// (mixture, cache policy, runtime batcher, EM trainers) scores through
-// this one kernel, so all cross-path comparisons — admission threshold vs
-// runtime score, single-page vs batched set-rescore, simulator vs serving
-// runtime — remain bit-for-bit consistent: all public scoring entry
-// points funnel into the single compiled core selected at construction.
+// The kernel keeps the seed's log-sum-exp *shape* (a max-subtracted,
+// libm-evaluated fallback guards far outliers and -inf log-weights) but
+// owns its arithmetic: the fused constant, the pre-halved quadratic form,
+// a fixed-shape accumulation tree, and inlined polynomial exp/log
+// (faithful to ~2 ulp) replace one out-of-line libm call per component.
+// Every consumer in the system (mixture, cache policy, runtime batcher,
+// EM trainers) scores through this one kernel, so all cross-path
+// comparisons — admission threshold vs runtime score, single-page vs
+// batched set-rescore, simulator vs serving runtime — remain bit-for-bit
+// consistent: all public scoring entry points funnel into the single
+// compiled core selected at construction, and every copy of a kernel
+// prunes with the same grid. The EM E-step (component_log_terms) always
+// evaluates all K components.
 //
-// Threading: a kernel constructed with the timestamp cache enabled
+// Threading: a kernel with the timestamp cache enabled
 // (GaussianMixture::make_kernel) memoizes the timestamp-dependent
-// coefficients of the last batch and is single-owner — share nothing, copy
-// freely (copies are independent). The cache-disabled kernel embedded in
+// coefficients of the last batch (fixed-K cores only) and is single-owner
+// — share nothing, copy freely (copies are independent; the grid they
+// share is immutable). The cache-disabled kernel embedded in
 // GaussianMixture is stateless and safe to share across threads.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,25 +67,43 @@ namespace icgmm::gmm {
 
 class ScorerKernel {
  public:
-  /// Largest K served by the fixed-size (stack/member buffer, fully
-  /// unrolled dispatch) path; larger mixtures use the heap-scratch path.
+  /// Largest K served by the fixed-size (member buffer, fully unrolled
+  /// dispatch) path; larger mixtures use the runtime-K core, which scores
+  /// from a pruning grid when the kernel has one.
   static constexpr std::size_t kMaxFixedComponents = 32;
+
+  /// Pruning-grid shape: page bands over normalized [0, 1] and time bands
+  /// over normalized [-1, 2] (Algorithm-1 timestamps run past the trimmed
+  /// training range), each axis with an unbounded band on either side.
+  static constexpr std::size_t kGridPageBands = 8;
+  static constexpr std::size_t kGridTimeBands = 96;
+  /// A cell keeps every component whose upper bound on the cell is within
+  /// this many nats of the cell's best lower bound.
+  static constexpr double kGridKeepNats = 45.0;
+  /// A pruned score is accepted only if its kept sum exceeds every
+  /// dropped component's bound by ln K + this many nats.
+  static constexpr double kGridMarginNats = 37.0;
 
   /// Below this direct-sum magnitude the kernel re-scores through the
   /// exact max-subtracted log-sum-exp (outlier inputs, -inf log-weights).
   static constexpr double kAccFloor = 1e-250;
 
-  /// Snapshots `model` into flat coefficient arrays. With
-  /// `timestamp_cache` on, consecutive scores at the same timestamp skip
-  /// recomputing the timestamp-dependent coefficients (Algorithm-1
-  /// windows repeat each logical timestamp ~len_window times); such a
-  /// kernel must stay single-owner.
-  explicit ScorerKernel(const GaussianMixture& model,
-                        bool timestamp_cache = false);
+  /// Snapshots `model` into flat coefficient arrays: a stateless kernel
+  /// without a pruning grid. GaussianMixture builds the grid and hands
+  /// out the cached copies (make_kernel).
+  explicit ScorerKernel(const GaussianMixture& model);
 
   std::size_t size() const noexcept { return k_; }
   const Normalizer& normalizer() const noexcept { return norm_; }
   bool timestamp_cache_enabled() const noexcept { return cache_enabled_; }
+
+  /// Whether this kernel scores from a pruning grid.
+  bool pruned() const noexcept { return grid_ != nullptr; }
+  /// Heap bytes of the shared grid (0 without one).
+  std::size_t grid_bytes() const noexcept;
+  /// Terms the core sums for this input before any full-K fallback: the
+  /// kept count of the input's grid cell, or K without a grid.
+  std::size_t terms_kept(PageIndex page, Timestamp t) const noexcept;
 
   /// Log-score of one page at one timestamp (raw units, the miss path).
   double score_one(PageIndex page, Timestamp t) const noexcept;
@@ -75,11 +112,12 @@ class ScorerKernel {
   double score_raw(double raw_page, double raw_time) const noexcept;
 
   /// Log-scores pages[i] at the shared timestamp `t` into out[i]; the
-  /// timestamp is normalized (and its coefficients folded) once for the
-  /// whole batch. Requires out.size() >= pages.size(). Bit-identical to
-  /// score_one per page.
-  void score_batch(std::span<const PageIndex> pages, Timestamp t,
-                   std::span<double> out) const noexcept;
+  /// timestamp is normalized once for the whole batch. Requires
+  /// out.size() >= pages.size(). Bit-identical to score_one per page.
+  /// Returns how many pages fell back from their grid cell to the full
+  /// K-term sum (always 0 without a grid).
+  std::size_t score_batch(std::span<const PageIndex> pages, Timestamp t,
+                          std::span<double> out) const noexcept;
 
   /// Log-score of an already-normalized input (EM / tests).
   double log_score_normalized(Vec2 x) const noexcept;
@@ -94,42 +132,60 @@ class ScorerKernel {
   double component_log_terms(Vec2 x, std::span<double> terms) const noexcept;
 
  private:
-  using BatchFn = void (*)(const ScorerKernel&, const double*, std::size_t,
-                           double, double*);
+  /// Returns the number of full-K fallbacks (see score_batch).
+  using BatchFn = std::size_t (*)(const ScorerKernel&, const double*,
+                                  std::size_t, double, double*);
 
   template <std::size_t K, std::size_t KLanes> friend struct KernelBatchEntry;
   friend struct KernelBatchGeneric;
+  friend class GaussianMixture;
+
+  /// Compacted per-cell coefficients; defined in kernel.cpp.
+  struct Grid;
 
   /// Normalized-domain core dispatch: xs are normalized page coordinates,
   /// xt the normalized timestamp, n <= kBatchChunk.
-  void run_batch(const double* xs, std::size_t n, double xt,
-                 double* out) const noexcept {
-    batch_fn_(*this, xs, n, xt, out);
+  std::size_t run_batch(const double* xs, std::size_t n, double xt,
+                        double* out) const noexcept {
+    return batch_fn_(*this, xs, n, xt, out);
   }
 
   static BatchFn pick_batch_fn(std::size_t k) noexcept;
 
+  /// Builds the pruning grid from this kernel's coefficients (no-op for
+  /// K <= kMaxFixedComponents or when one is already attached). Only
+  /// GaussianMixture calls it, before the kernel is shared.
+  void build_grid();
+  /// Turns on the single-owner timestamp cache (make_kernel copies): the
+  /// fixed-K cores then skip recomputing the timestamp-dependent
+  /// coefficients across consecutive scores at the same timestamp
+  /// (Algorithm-1 windows repeat each logical timestamp ~len_window
+  /// times).
+  void enable_timestamp_cache() noexcept { cache_enabled_ = true; }
+
   std::size_t k_ = 0;
-  /// SoA array stride. Equal to k_ except K = 4, which is padded to an
-  /// 8-lane trip count (4-lane loops are single-vector trips under AVX2,
-  /// with no instruction-level parallelism across vector iterations);
-  /// the pad lanes carry zero coefficients and are zeroed out of the
-  /// accumulation tree, so results stay bit-identical to the narrow path.
+  /// SoA array stride. Equal to k_ for the fixed-K cores except K = 4,
+  /// which is padded to an 8-lane trip count (4-lane loops are
+  /// single-vector trips under AVX2, with no instruction-level parallelism
+  /// across vector iterations); the runtime-K core rounds it up to a
+  /// multiple of 8 lanes. Pad lanes carry zero coefficients and contribute
+  /// exactly 0 to every sum.
   std::size_t stride_ = 0;
   Normalizer norm_;
   bool cache_enabled_ = false;
   BatchFn batch_fn_ = nullptr;
   /// 6 contiguous arrays of stride_ doubles: mu_p | mu_t | a | b | g | c.
   std::vector<double> soa_;
+  /// Pruning grid shared by every copy of this kernel (null = full sums).
+  std::shared_ptr<const Grid> grid_;
 
-  /// Timestamp-coefficient cache (single-owner kernels only): cross[i] =
-  /// dt*b[i], ttc[i] = (dt*dt)*g[i] for the last xt seen. The fixed
-  /// arrays serve K <= kMaxFixedComponents; spill_ serves larger K.
+  /// Timestamp-coefficient cache of the fixed-K cores (single-owner
+  /// kernels only): cross[i] = dt*b[i], ttc[i] = (dt*dt)*g[i] for the last
+  /// xt seen. The runtime-K core folds dt per term and keeps no cache.
   mutable double cache_xt_ = 0.0;
   mutable bool cache_valid_ = false;
-  alignas(64) mutable double cache_cross_[kMaxFixedComponents];
-  alignas(64) mutable double cache_ttc_[kMaxFixedComponents];
-  mutable std::vector<double> spill_;  ///< 2*k_ doubles when K > fixed
+  alignas(64) mutable double cache_cross_[kMaxFixedComponents] = {};
+  alignas(64) mutable double cache_ttc_[kMaxFixedComponents] = {};
 };
 
 }  // namespace icgmm::gmm

@@ -10,7 +10,7 @@ namespace icgmm::gmm {
 
 GaussianMixture::GaussianMixture(std::vector<double> weights,
                                  std::vector<Gaussian2D> components,
-                                 Normalizer normalizer)
+                                 Normalizer normalizer, PruningGrid grid)
     : weights_(std::move(weights)),
       components_(std::move(components)),
       normalizer_(normalizer) {
@@ -31,11 +31,22 @@ GaussianMixture::GaussianMixture(std::vector<double> weights,
   }
   // All members are in their final state here; snapshot the scoring kernel
   // (stateless variant — copies of this mixture share it across threads).
-  kernel_ = std::make_shared<const ScorerKernel>(*this);
+  auto kernel = std::make_shared<ScorerKernel>(*this);
+  if (grid == PruningGrid::kBuild) kernel->build_grid();
+  kernel_ = std::move(kernel);
 }
 
 ScorerKernel GaussianMixture::make_kernel() const {
-  return ScorerKernel(*this, /*timestamp_cache=*/true);
+  ScorerKernel kernel = *kernel_;
+  kernel.enable_timestamp_cache();
+  return kernel;
+}
+
+void GaussianMixture::build_pruning_grid() {
+  if (kernel_->pruned() || size() <= ScorerKernel::kMaxFixedComponents) return;
+  auto kernel = std::make_shared<ScorerKernel>(*kernel_);
+  kernel->build_grid();
+  kernel_ = std::move(kernel);
 }
 
 double GaussianMixture::log_score_normalized(Vec2 x) const noexcept {

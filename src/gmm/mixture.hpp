@@ -31,6 +31,11 @@ struct Normalizer {
   friend constexpr bool operator==(const Normalizer&, const Normalizer&) = default;
 };
 
+/// Whether a mixture above ScorerKernel::kMaxFixedComponents builds its
+/// scoring kernel's pruning grid at construction. Training loops that
+/// build a mixture per iteration only to read component terms defer it.
+enum class PruningGrid : bool { kDefer, kBuild };
+
 /// Value-semantic trained mixture.
 /// Invariants: components non-empty; weights non-negative and sum to 1
 /// (within 1e-9, re-normalized on construction).
@@ -38,7 +43,8 @@ class GaussianMixture {
  public:
   GaussianMixture(std::vector<double> weights,
                   std::vector<Gaussian2D> components,
-                  Normalizer normalizer = {});
+                  Normalizer normalizer = {},
+                  PruningGrid grid = PruningGrid::kBuild);
 
   std::size_t size() const noexcept { return components_.size(); }
   std::span<const double> weights() const noexcept { return weights_; }
@@ -65,16 +71,23 @@ class GaussianMixture {
   /// from any thread.
   const ScorerKernel& kernel() const noexcept { return *kernel_; }
 
-  /// A fresh kernel snapshot with the single-owner timestamp cache
-  /// enabled — what scoring closures and per-shard batchers should hold.
+  /// A copy of kernel() with the single-owner timestamp cache enabled —
+  /// what scoring closures and per-shard batchers should hold. It shares
+  /// kernel()'s pruning grid, so it scores bit-identically.
   ScorerKernel make_kernel() const;
+
+  /// Builds the pruning grid a PruningGrid::kDefer construction skipped;
+  /// a no-op when there is one or K <= ScorerKernel::kMaxFixedComponents.
+  /// Copies made before the call keep scoring with full sums.
+  void build_pruning_grid();
 
  private:
   std::vector<double> weights_;
   std::vector<double> log_weights_;
   std::vector<Gaussian2D> components_;
   Normalizer normalizer_;
-  /// Immutable, so copies of the mixture share one snapshot.
+  /// Immutable, so copies of the mixture share one snapshot (and its
+  /// pruning grid).
   std::shared_ptr<const ScorerKernel> kernel_;
 };
 

@@ -90,8 +90,11 @@ void OnlineEm::m_step() {
   }
   for (double& w : weights) w /= weight_sum;
 
+  // The working model only feeds the E-step; a publisher builds the
+  // pruning grid of the snapshot it publishes (GaussianMixture::
+  // build_pruning_grid).
   model_ = GaussianMixture(std::move(weights), std::move(comps),
-                           model_.normalizer());
+                           model_.normalizer(), PruningGrid::kDefer);
   for (Suff& s : batch_stats_) s = Suff{};
   batch_count_ = 0;
 }

@@ -36,6 +36,8 @@ class OnlineEm {
   std::uint32_t observe(std::span<const trace::GmmSample> samples);
 
   /// Current model snapshot (rebuilds Gaussians from running statistics).
+  /// After the first update it carries no pruning grid; copy it and call
+  /// build_pruning_grid() before serving from it.
   const GaussianMixture& model() const noexcept { return model_; }
 
   std::uint64_t steps() const noexcept { return steps_; }

@@ -13,9 +13,9 @@ void InferenceBatcher::refresh_kernel() {
 
 void InferenceBatcher::score_span(std::span<const PageIndex> pages,
                                   Timestamp t, std::span<double> out) {
-  // One snapshot pin (and one timestamp-coefficient fold) per span.
+  // One snapshot pin and one kernel call per span.
   refresh_kernel();
-  kernel_.score_batch(pages, t, out);
+  count_fallbacks(kernel_.score_batch(pages, t, out));
   batches_.fetch_add(1, std::memory_order_relaxed);
   scored_.fetch_add(pages.size(), std::memory_order_relaxed);
 }
@@ -23,7 +23,11 @@ void InferenceBatcher::score_span(std::span<const PageIndex> pages,
 double InferenceBatcher::score_one(PageIndex page, Timestamp t) {
   scored_.fetch_add(1, std::memory_order_relaxed);
   refresh_kernel();
-  return kernel_.score_one(page, t);
+  // A one-page span: bit-identical to ScorerKernel::score_one, and it
+  // reports the fallback.
+  double out;
+  count_fallbacks(kernel_.score_batch({&page, 1}, t, {&out, 1}));
+  return out;
 }
 
 }  // namespace icgmm::runtime

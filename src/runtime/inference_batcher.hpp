@@ -6,8 +6,8 @@
 // load the shared_ptr snapshot. The batcher amortizes both — one snapshot
 // load and one indirect call per *span* (a whole set's resident tags at
 // eviction time), and it pins one flat gmm::ScorerKernel per published
-// model snapshot, so a set-rescore is a single SoA sweep with the
-// timestamp-dependent coefficients folded once per span.
+// model snapshot (sharing that snapshot's pruning grid), so a set-rescore
+// is one kernel call for the whole span.
 //
 // Per-page math is byte-identical to GaussianMixture::log_score (both
 // funnel into the same ScorerKernel core), which is what keeps a
@@ -56,21 +56,32 @@ class InferenceBatcher {
   std::uint64_t scored() const noexcept {
     return scored_.load(std::memory_order_relaxed);
   }
+  /// Pages whose pruned score fell back to the full K-term sum.
+  std::uint64_t fallbacks() const noexcept {
+    return fallbacks_.load(std::memory_order_relaxed);
+  }
 
  private:
-  /// Rebuilds the pinned kernel iff the slot published a newer model;
-  /// the common case is one relaxed integer compare.
+  /// Re-pins the kernel iff the slot published a newer model (a copy of
+  /// its coefficients and a pointer to its pruning grid, which the
+  /// publisher built); the common case is one relaxed integer compare.
   void refresh_kernel();
+
+  void count_fallbacks(std::size_t n) noexcept {
+    if (n != 0) fallbacks_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   const ModelSlot* slot_;
   // Per-shard snapshot cache, accessed under the owning shard's lock. The
   // shared_ptr pins the snapshot; kernel_ is this shard's private scoring
-  // state (flat SoA + timestamp-coefficient cache).
+  // state (flat SoA, the fixed-K cores' timestamp cache, and a pointer to
+  // the snapshot's immutable pruning grid).
   std::uint64_t version_;
   std::shared_ptr<const gmm::GaussianMixture> model_;
   gmm::ScorerKernel kernel_;
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> scored_{0};
+  std::atomic<std::uint64_t> fallbacks_{0};
 };
 
 }  // namespace icgmm::runtime

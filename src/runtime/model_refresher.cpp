@@ -76,8 +76,11 @@ void ModelRefresher::run() {
     if (steps > 0) {
       updates_.fetch_add(steps, std::memory_order_relaxed);
       // Publish an immutable snapshot; shards pick it up on their next
-      // miss. Copy cost is K * 6 doubles — trivial at this cadence.
-      slot_.store(std::make_shared<const gmm::GaussianMixture>(em_->model()));
+      // miss. Its pruning grid is built here, on this thread, so a shard
+      // adopting it under its lock only copies pointers.
+      auto next = std::make_shared<gmm::GaussianMixture>(em_->model());
+      next->build_pruning_grid();
+      slot_.store(std::move(next));
       published_.fetch_add(1, std::memory_order_relaxed);
     }
   }

@@ -80,6 +80,8 @@ void Runtime::register_metrics() {
             {"icgmm_cache_dirty_evictions", s.merged.dirty_evictions});
         out.push_back({"icgmm_gmm_inferences", s.inferences});
         out.push_back({"icgmm_gmm_score_batches", s.score_batches});
+        out.push_back({"icgmm_gmm_pages_scored", s.pages_scored});
+        out.push_back({"icgmm_gmm_score_fallbacks", s.score_fallbacks});
         out.push_back({"icgmm_gmm_model_version", s.model_version});
         out.push_back({"icgmm_gmm_models_published", s.models_published});
         out.push_back({"icgmm_gmm_samples_observed", s.samples_observed});
@@ -213,6 +215,8 @@ RuntimeSnapshot Runtime::snapshot() const {
     // Batcher counters are written under the shard lock; reading here is a
     // monitoring-grade snapshot (exact at quiescence).
     snap.score_batches += batcher->batches();
+    snap.pages_scored += batcher->scored();
+    snap.score_fallbacks += batcher->fallbacks();
   }
   if (slot_) snap.model_version = slot_->version();
   if (refresher_) {

@@ -124,6 +124,12 @@ struct RuntimeSnapshot {
   std::vector<cache::CacheStats> per_shard;
   std::uint64_t inferences = 0;       ///< GMM scorings across shards
   std::uint64_t score_batches = 0;    ///< batched span scorings
+  // Pages the shards' batchers scored (admissions plus rescored ways:
+  // inferences + ways x score_batches), and those whose pruned score fell
+  // back to the full K-term sum. Not in the pinned STATS reply: METRICS
+  // and /metrics carry them.
+  std::uint64_t pages_scored = 0;
+  std::uint64_t score_fallbacks = 0;
   std::uint64_t model_version = 0;    ///< ModelSlot publishes (GMM mode)
   std::uint64_t models_published = 0; ///< refresher publishes
   std::uint64_t samples_observed = 0;

@@ -4,7 +4,10 @@
 // The load-bearing contracts verified here:
 //  * bit-identity across every public entry point: mixture delegation,
 //    score_one, score_raw, batched spans, with and without the timestamp
-//    cache, fixed-K and generic/heap-spill dispatch;
+//    cache, fixed-K and runtime-K dispatch, pruning grid included;
+//  * the pruning grid (K > 32): scores within a few ulps of the full sum
+//    inside cells, on cell edges, in the outer bands and far outside the
+//    grid, no fallback inside it, and one grid per model snapshot;
 //  * numerical faithfulness to an independent AoS libm reference
 //    (the seed implementation's shape);
 //  * degenerate inputs: zero-weight components (-inf log-weight),
@@ -21,15 +24,14 @@
 #include "common/rng.hpp"
 #include "gmm/kernel.hpp"
 #include "gmm/mixture.hpp"
+#include "gmm/online.hpp"
 
 namespace icgmm::gmm {
 namespace {
 
 /// Independent reference: the seed's exact evaluation shape (per-component
 /// log_pdf + log weight, max-subtracted libm log-sum-exp).
-double reference_log_score(const GaussianMixture& m, double raw_page,
-                           double raw_time) {
-  const Vec2 x = m.normalizer().apply(raw_page, raw_time);
+double reference_log_score_normalized(const GaussianMixture& m, Vec2 x) {
   double max_term = -std::numeric_limits<double>::infinity();
   std::vector<double> terms;
   for (std::size_t k = 0; k < m.size(); ++k) {
@@ -43,6 +45,12 @@ double reference_log_score(const GaussianMixture& m, double raw_page,
   double acc = 0.0;
   for (double t : terms) acc += std::exp(t - max_term);
   return max_term + std::log(acc);
+}
+
+double reference_log_score(const GaussianMixture& m, double raw_page,
+                           double raw_time) {
+  return reference_log_score_normalized(
+      m, m.normalizer().apply(raw_page, raw_time));
 }
 
 GaussianMixture random_model(std::size_t k, Rng& rng,
@@ -64,6 +72,35 @@ GaussianMixture random_model(std::size_t k, Rng& rng,
   return GaussianMixture(std::move(weights), std::move(comps), norm);
 }
 
+/// A trained-like mixture: narrow components (sigma 0.005-0.05 on each
+/// normalized axis; the daemon's K = 256 model has a median sigma of about
+/// 0.02) over the unit square.
+GaussianMixture narrow_model(std::size_t k, Rng& rng) {
+  std::vector<double> weights;
+  std::vector<Gaussian2D> comps;
+  for (std::size_t i = 0; i < k; ++i) {
+    weights.push_back(0.1 + rng.uniform());
+    const Vec2 mean{rng.uniform(), rng.uniform()};
+    const double sp = rng.uniform(0.005, 0.05);
+    const double st = rng.uniform(0.005, 0.05);
+    const double rho = rng.uniform(-0.5, 0.5);
+    comps.emplace_back(mean, Cov2{sp * sp, rho * sp * st, st * st});
+  }
+  Normalizer norm;
+  norm.p_scale = 1.0 / 65536.0;
+  norm.t_scale = 1.0 / 1000.0;
+  return GaussianMixture(std::move(weights), std::move(comps), norm);
+}
+
+/// `m`'s inputs rebuilt with or without a pruning grid. Both twins
+/// re-normalize the same weights, so their coefficients are identical.
+GaussianMixture twin(const GaussianMixture& m, PruningGrid grid) {
+  return GaussianMixture(
+      std::vector<double>(m.weights().begin(), m.weights().end()),
+      std::vector<Gaussian2D>(m.components().begin(), m.components().end()),
+      m.normalizer(), grid);
+}
+
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // Every public scoring entry point must produce identical bits for the
@@ -72,7 +109,8 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 // consistent.
 TEST(ScorerKernel, AllEntryPointsBitIdentical) {
   Rng rng(0xabc1);
-  for (const std::size_t k : {1u, 2u, 3u, 4u, 7u, 8u, 16u, 32u, 33u, 64u}) {
+  for (const std::size_t k :
+       {1u, 2u, 3u, 4u, 7u, 8u, 16u, 32u, 33u, 64u, 256u}) {
     const GaussianMixture m = random_model(k, rng);
     const ScorerKernel cached = m.make_kernel();
     ASSERT_TRUE(cached.timestamp_cache_enabled());
@@ -297,6 +335,140 @@ TEST(ScorerKernel, MixtureDelegationIsSelfConsistent) {
             bits((m.log_score_normalized(xs[0]) +
                   m.log_score_normalized(xs[1])) /
                  2.0));
+}
+
+// The pruned score of every input equals the full K-term sum of the same
+// coefficients to a few ulps (the dropped mass is below e^-37 of the
+// score), and the libm reference to a tighter tolerance than the full-sum
+// tests above use: inside cells, exactly on cell edges, in the outer time
+// bands and far outside the grid, for a broad and a trained-like model.
+TEST(ScorerKernel, PrunedScoresMatchFullSumAcrossTheGrid) {
+  Rng rng(0x9121d);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const bool narrow : {false, true}) {
+    for (const std::size_t k : {33u, 64u, 256u}) {
+      SCOPED_TRACE(testing::Message() << "narrow=" << narrow << " k=" << k);
+      const GaussianMixture source =
+          narrow ? narrow_model(k, rng) : random_model(k, rng);
+      const GaussianMixture pruned = twin(source, PruningGrid::kBuild);
+      const GaussianMixture full = twin(source, PruningGrid::kDefer);
+      ASSERT_TRUE(pruned.kernel().pruned());
+      ASSERT_FALSE(full.kernel().pruned());
+
+      const auto check = [&](Vec2 x) {
+        const double got = pruned.log_score_normalized(x);
+        const double want = full.log_score_normalized(x);
+        const double ref = reference_log_score_normalized(pruned, x);
+        SCOPED_TRACE(testing::Message() << "p=" << x.p << " t=" << x.t);
+        EXPECT_NEAR(got, want, 1e-13 * std::max(1.0, std::abs(want)));
+        EXPECT_NEAR(got, ref, 1e-12 * std::max(1.0, std::abs(ref)));
+      };
+      for (int i = 0; i < 300; ++i) {  // inside cells, outer bands included
+        check({rng.uniform(), rng.uniform(-1.0, 2.0)});
+      }
+      for (int j = 0; j <= 8; ++j) {  // every cell corner and edge crossing
+        for (int i = 0; i <= 96; ++i) check({j / 8.0, -1.0 + i / 32.0});
+      }
+      for (int i = 0; i < 100; ++i) {  // far outside the grid
+        check({rng.uniform(), rng.uniform(-10.0, 10.0)});
+        check({rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)});
+      }
+
+      // Extreme page indices go through the raw entry points, and
+      // non-finite raw doubles land in an edge cell and score like the
+      // full sum (NaN where it is NaN).
+      const ScorerKernel kp = pruned.make_kernel();
+      const ScorerKernel kf = full.make_kernel();
+      for (const PageIndex page : {PageIndex{0}, ~PageIndex{0}}) {
+        for (const Timestamp t :
+             {Timestamp{0}, Timestamp{500}, ~Timestamp{0}}) {
+          const double want = kf.score_one(page, t);
+          EXPECT_NEAR(kp.score_one(page, t), want,
+                      1e-13 * std::max(1.0, std::abs(want)))
+              << "page=" << page << " t=" << t;
+        }
+      }
+      for (const double raw : {kInf, -kInf, kNaN, 1e300, -1e300}) {
+        for (const auto& [p, t] : {std::pair{raw, 500.0},
+                                   std::pair{30000.0, raw},
+                                   std::pair{raw, raw}}) {
+          const double got = kp.score_raw(p, t);
+          const double want = kf.score_raw(p, t);
+          EXPECT_EQ(std::isnan(got), std::isnan(want)) << p << " " << t;
+          if (!std::isnan(want)) {
+            EXPECT_EQ(bits(got), bits(want)) << p << " " << t;
+          }
+        }
+      }
+
+      // Inside the grid no page falls back; far outside, pages do, and
+      // then score exactly as the full sum.
+      std::vector<PageIndex> pages;
+      for (int i = 0; i < 64; ++i) pages.push_back(rng.below(1u << 16));
+      std::vector<double> out(pages.size());
+      std::vector<double> want(pages.size());
+      std::size_t kept = 0;
+      for (const Timestamp t : {Timestamp{0}, Timestamp{700}, Timestamp{1500},
+                                Timestamp{1999}}) {
+        EXPECT_EQ(kp.score_batch(pages, t, out), 0u) << "t=" << t;
+        for (const PageIndex page : pages) kept += kp.terms_kept(page, t);
+      }
+      const Timestamp far = 10000;  // normalized t = 10
+      EXPECT_GT(kp.score_batch(pages, far, out), 0u);
+      EXPECT_EQ(kf.score_batch(pages, far, want), 0u);
+      for (std::size_t i = 0; i < pages.size(); ++i) {
+        EXPECT_NEAR(out[i], want[i], 1e-13 * std::abs(want[i]));
+      }
+      if (narrow && k == 256) {
+        // The grid actually prunes a trained-like model.
+        EXPECT_LT(kept, 4 * pages.size() * k / 2);
+      }
+    }
+  }
+}
+
+// The grid belongs to the model snapshot: every copy of a mixture and
+// every make_kernel() kernel shares it, training loops defer it, and a
+// deferred mixture that builds it later scores exactly like one built
+// with it.
+TEST(ScorerKernel, GridIsPartOfTheModelSnapshot) {
+  Rng rng(0x6e1d);
+  const GaussianMixture source = narrow_model(256, rng);
+  const GaussianMixture built = twin(source, PruningGrid::kBuild);
+  GaussianMixture deferred = twin(source, PruningGrid::kDefer);
+  const GaussianMixture before = deferred;
+  EXPECT_FALSE(deferred.make_kernel().pruned());
+  deferred.build_pruning_grid();
+  EXPECT_TRUE(deferred.kernel().pruned());
+  EXPECT_TRUE(deferred.make_kernel().pruned());
+  EXPECT_FALSE(before.kernel().pruned());  // earlier copies keep full sums
+  EXPECT_GT(built.kernel().grid_bytes(), 0u);
+  EXPECT_EQ(deferred.kernel().grid_bytes(), built.kernel().grid_bytes());
+  const GaussianMixture copy = built;
+  for (int i = 0; i < 200; ++i) {
+    const double p = rng.uniform(0.0, 65536.0);
+    const double t = rng.uniform(-1000.0, 2000.0);
+    EXPECT_EQ(bits(deferred.log_score(p, t)), bits(built.log_score(p, t)));
+    EXPECT_EQ(bits(copy.make_kernel().score_raw(p, t)),
+              bits(built.log_score(p, t)));
+  }
+
+  // Online EM's per-step models defer the grid.
+  OnlineEm online(built, {.batch = 16});
+  std::vector<trace::GmmSample> samples;
+  for (int i = 0; i < 32; ++i) {
+    samples.push_back({.page = rng.uniform(0.0, 65536.0),
+                       .time = rng.uniform(0.0, 1000.0)});
+  }
+  ASSERT_EQ(online.observe(samples), 2u);
+  EXPECT_FALSE(online.model().kernel().pruned());
+
+  // At or below the fixed-K limit there is no grid to build.
+  GaussianMixture small = random_model(ScorerKernel::kMaxFixedComponents, rng);
+  small.build_pruning_grid();
+  EXPECT_FALSE(small.kernel().pruned());
+  EXPECT_EQ(small.kernel().grid_bytes(), 0u);
 }
 
 }  // namespace

@@ -317,6 +317,62 @@ TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
             snap.shard_lock_waits);
 }
 
+TEST(RuntimeApplyBatch, CountsPagesScoredAndPrunedScoreFallbacks) {
+  // Above the fixed-K limit the batchers score from the model's pruning
+  // grid. Every page they score is counted (admissions plus the 8 ways of
+  // each eviction-time rescore), and so is every page whose pruned score
+  // falls back to the full K-term sum: none on a trace inside the grid,
+  // one for an admission at a timestamp far outside it.
+  const trace::Trace t = test_util::zipf_trace(20000, 2048, 0.9, 0xC0);
+  core::IcgmmConfig cfg = test_util::small_system_config(64);
+  cfg.engine.cache = test_util::tiny_cache(64, 8);
+  core::IcgmmSystem system(cfg);
+  system.train(t);
+  const gmm::GaussianMixture& model = system.engine().model();
+  ASSERT_TRUE(model.kernel().pruned());
+  const auto strategy = cache::GmmStrategy::kCachingEviction;
+  obs::MetricsRegistry reg;
+  runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
+  rcfg.metrics = &reg;
+  const auto rt =
+      system.make_runtime(rcfg, strategy, system.pick_threshold(t, strategy));
+
+  // The requests whose normalized (page, time) lie in the grid's finite
+  // range, [0, 1] x [-1, 2].
+  std::vector<runtime::Access> in_range;
+  for (const runtime::Access& a : make_stream(t)) {
+    const gmm::Vec2 x = model.normalizer().apply(
+        static_cast<double>(a.page), static_cast<double>(a.timestamp));
+    if (x.p >= 0.0 && x.p <= 1.0 && x.t >= -1.0 && x.t <= 2.0) {
+      in_range.push_back(a);
+    }
+  }
+  ASSERT_GT(in_range.size(), t.size() * 9 / 10);
+  rt->apply_batch(in_range);
+  const runtime::RuntimeSnapshot snap = rt->snapshot();
+  EXPECT_GT(snap.score_batches, 0u);
+  EXPECT_EQ(snap.pages_scored, snap.inferences + 8 * snap.score_batches);
+  EXPECT_EQ(snap.score_fallbacks, 0u);
+
+  // A cold page at normalized time ~1000 scores far below the threshold:
+  // one admission score, a fallback, a bypass and no rescore.
+  PageIndex cold = 0;
+  while (rt->cache().contains(cold)) ++cold;
+  const auto far = static_cast<Timestamp>(model.normalizer().t_offset +
+                                          1000.0 / model.normalizer().t_scale);
+  EXPECT_FALSE(rt->access(cold, far).admitted);
+  const runtime::RuntimeSnapshot after = rt->snapshot();
+  EXPECT_EQ(after.pages_scored, snap.pages_scored + 1);
+  EXPECT_EQ(after.score_batches, snap.score_batches);
+  EXPECT_EQ(after.score_fallbacks, 1u);
+  const auto samples = reg.collect();
+  EXPECT_EQ(obs::MetricsRegistry::value_of(samples, "icgmm_gmm_pages_scored"),
+            after.pages_scored);
+  EXPECT_EQ(
+      obs::MetricsRegistry::value_of(samples, "icgmm_gmm_score_fallbacks"),
+      1u);
+}
+
 TEST(RuntimeApplyBatch, EmptyBatchAndNoResultsSpanAreNoOps) {
   runtime::Runtime rt(
       runtime::RuntimeConfig{.cache = test_util::tiny_cache(32, 4),
