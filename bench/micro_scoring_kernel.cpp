@@ -8,8 +8,9 @@
 //
 // Two kinds of model: synthetic mixtures over uniform pages, and the
 // model the serving daemon trains (hashmap generator, 200 k requests,
-// seed 7; --quick trains on 50 k) scored on its own stream shape (the
-// hashmap generator's seed-1 stream). Its components are several times
+// seed 7) scored on its own stream shape (one
+// Algorithm-1 period of the hashmap generator's seed-1 stream, sampled
+// evenly). Its components are several times
 // narrower than the synthetic ones, which is what the grid prunes. Each
 // row also reports the grid's terms kept per score, the full-K
 // fallbacks per score and, for K = 256, the same coefficients scored
@@ -194,16 +195,26 @@ int main(int argc, char** argv) {
     trace::TimestampTransform transform;  // len_window = 32, bound 10000
     for (auto& t : stamps) t = transform.next();
   }
-  // The daemon's model on its own stream shape.
-  const DaemonModel daemon = train_daemon_model(opt.quick ? 50000 : 200000);
+  // The daemon's model on its own stream shape: one Algorithm-1 period
+  // of the stream (every timestamp, len_window requests each), sampled
+  // evenly, so the rows cover the whole time axis and not only its start.
+  const DaemonModel daemon = train_daemon_model(200000);
   std::vector<PageIndex> daemon_pages;
   std::vector<Timestamp> daemon_stamps;
   {
     trace::TimestampTransform transform;
-    for (const trace::Record& r : trace::generate(
-             trace::Benchmark::kHashmap, large_k_scores + tail, 1)) {
-      daemon_pages.push_back(r.page());
-      daemon_stamps.push_back(transform.next());
+    const std::size_t wanted = large_k_scores + tail;
+    const std::size_t length = std::max<std::size_t>(
+        wanted, transform.config().len_window * transform.timestamp_bound());
+    const std::size_t stride = length / wanted;
+    std::size_t i = 0;
+    for (const trace::Record& r :
+         trace::generate(trace::Benchmark::kHashmap, length, 1)) {
+      const Timestamp t = transform.next();
+      if (i++ % stride == 0 && daemon_pages.size() < wanted) {
+        daemon_pages.push_back(r.page());
+        daemon_stamps.push_back(t);
+      }
     }
   }
 
