@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "gmm/kernel.hpp"
 #include "runtime/model_refresher.hpp"
 #include "runtime/model_slot.hpp"
 
@@ -67,6 +68,34 @@ TEST(RuntimeRefresher, PublishesAfterEnoughSamples) {
   EXPECT_GE(refresher.updates(), batch.size() / cfg.online.batch);
   EXPECT_GE(refresher.published(), 1u);
   EXPECT_EQ(slot.version(), refresher.published());
+}
+
+TEST(RuntimeRefresher, PublishesModelsWithTheirPruningGrid) {
+  // Above the fixed-K limit, online-EM steps build their models without a
+  // pruning grid; the refresher builds it on its own thread before it
+  // publishes, so a shard adopting the model only copies pointers.
+  const gmm::Normalizer norm{
+      .p_offset = 0.0, .p_scale = 1e-3, .t_offset = 0.0, .t_scale = 1e-3};
+  std::vector<double> weights;
+  std::vector<gmm::Gaussian2D> comps;
+  for (int i = 0; i < 64; ++i) {
+    weights.push_back(1.0);
+    comps.emplace_back(gmm::Vec2{(i % 8 + 0.5) / 8.0, (i / 8 + 0.5) / 8.0},
+                       gmm::Cov2{4e-4, 0.0, 4e-4});
+  }
+  ModelSlot slot(std::make_shared<const gmm::GaussianMixture>(
+      std::move(weights), std::move(comps), norm));
+  ASSERT_TRUE(slot.load()->kernel().pruned());
+  ModelRefresherConfig cfg;
+  cfg.online.batch = 64;
+  ModelRefresher refresher(slot, cfg);
+  refresher.submit(samples_at(250.0, 250.0, 256));
+  refresher.start();
+  refresher.stop();
+  ASSERT_GE(refresher.published(), 1u);
+  const auto published = slot.load();
+  EXPECT_TRUE(published->kernel().pruned());
+  EXPECT_TRUE(published->make_kernel().pruned());
 }
 
 TEST(RuntimeRefresher, BoundedQueueDropsOverflowAndStopRejectsLate) {
