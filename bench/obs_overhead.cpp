@@ -1,12 +1,12 @@
-// Observability tax: loopback serving throughput with the metrics
-// registry and per-stage tracing off, fully on (trace sample 1), and
-// sampled down (trace sample 16) — batch-64 LRU, the serving regime the
-// acceptance bound is written against. The registry's sharded relaxed
-// counters and the one steady_clock pair per traced stage are designed
-// to be invisible next to the syscall cost of a served frame; this bench
-// is the proof, and CI smoke-runs it so a regression that makes
-// observability expensive fails loudly rather than silently taxing every
-// deployment.
+// Observability tax: loopback serving throughput with per-stage tracing
+// off, fully on (trace sample 1), and sampled down (trace sample 16) —
+// batch-64 LRU, the serving regime the acceptance bound is written
+// against. Every runtime carries its metrics registry, so the counters
+// are on in every variant; the one steady_clock pair per traced stage is
+// what the variants switch, and it is designed to be invisible next to
+// the syscall cost of a served frame. This bench is the proof, and CI
+// smoke-runs it so a regression that makes observability expensive fails
+// loudly rather than silently taxing every deployment.
 //
 // On the 1-core bimodal container a single rep is noise; each variant
 // reports the best of kReps interleaved reps (round-robin, so a
@@ -28,7 +28,6 @@
 #include "common/table.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "obs/registry.hpp"
 #include "trace/timestamp_transform.hpp"
 #include "trace/zipf.hpp"
 
@@ -40,19 +39,18 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint32_t kWorkers = 2;
 constexpr std::uint32_t kShards = 4;
 constexpr std::uint32_t kBatch = 64;
-constexpr std::uint32_t kPipeline = 8;  // v2 multiplexed window
+constexpr std::uint32_t kPipeline = 8;
 constexpr int kReps = 5;
 
 struct Variant {
   std::string name;
-  bool metrics = false;
   std::uint32_t trace_sample = 0;
 };
 
 struct Cell {
   std::string variant;
   double best_mreq_per_s = 0.0;
-  double overhead_pct = 0.0;  // vs the metrics-off variant, best-of-reps
+  double overhead_pct = 0.0;  // vs the trace-off variant, best-of-reps
   std::vector<double> reps;
 };
 
@@ -75,22 +73,15 @@ std::vector<net::WireAccess> make_stream(std::size_t n,
 
 double run_once(const Variant& v, std::span<const net::WireAccess> stream,
                 const cache::CacheConfig& cache_cfg) {
-  obs::MetricsRegistry registry;
   runtime::RuntimeConfig rcfg;
   rcfg.cache = cache_cfg;
   rcfg.shards = kShards;
-  if (v.metrics) rcfg.metrics = &registry;
   runtime::Runtime rt(rcfg, cache::LruPolicy());
-  net::Server server(rt, {.port = 0,
-                          .workers = kWorkers,
-                          .metrics = v.metrics ? &registry : nullptr,
-                          .trace_sample = v.trace_sample});
+  net::Server server(
+      rt, {.port = 0, .workers = kWorkers, .trace_sample = v.trace_sample});
   server.start();
 
   net::Client client = net::Client::connect("127.0.0.1", server.port());
-  if (client.negotiate() != net::kProtocolV2) {
-    throw std::runtime_error("server refused protocol v2");
-  }
   const auto t0 = Clock::now();
   net::replay_stream(client, stream, {.batch = kBatch, .pipeline = kPipeline});
   const double elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -116,9 +107,9 @@ int main(int argc, char** argv) {
       make_stream(opt.requests, cache_cfg);
 
   const std::vector<Variant> variants = {
-      {"metrics-off", false, 0},
-      {"metrics+trace-1", true, 1},
-      {"metrics+trace-16", true, 16},
+      {"trace-off", 0},
+      {"trace-1", 1},
+      {"trace-16", 16},
   };
   std::vector<Cell> cells;
   for (const Variant& v : variants) cells.push_back({.variant = v.name});
@@ -140,7 +131,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "observability overhead (loopback, LRU, batch " << kBatch
-            << ", v2 pipeline " << kPipeline << "), " << stream.size()
+            << ", pipeline " << kPipeline << "), " << stream.size()
             << " requests/rep, best of " << kReps
             << " reps, hardware threads: "
             << std::thread::hardware_concurrency() << "\n\n";
@@ -150,7 +141,7 @@ int main(int argc, char** argv) {
                    Table::fmt(c.overhead_pct, 1) + "%"});
   }
   std::cout << table.render();
-  std::cout << "\nacceptance: metrics+trace-1 within 3% of metrics-off\n";
+  std::cout << "\nacceptance: trace-1 within 3% of trace-off\n";
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);

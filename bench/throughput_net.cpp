@@ -6,10 +6,11 @@
 // runtime without the network; the delta between the two is the serving
 // tax (syscalls, framing, scheduling).
 //
-// Closed-loop: each connection keeps 2 batches in flight. On a 1-core
-// container client and server share the core, so absolute numbers are a
-// floor; the JSON records hardware_concurrency (shared schema) so
-// captures are interpretable.
+// Closed-loop: each connection keeps 8 batches in flight (the
+// id-correlated window feeds the server's writev coalescing). Client and
+// server share the host's cores, so absolute numbers are a floor; the
+// JSON records hardware_concurrency (shared schema) so captures are
+// interpretable.
 //
 // Usage: throughput_net [-n REQUESTS] [--quick] [--json FILE]
 #include <chrono>
@@ -17,7 +18,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,7 +58,6 @@ std::vector<net::WireAccess> make_stream(std::size_t n,
 
 struct Cell {
   std::string policy;
-  std::uint8_t protocol = 0;
   std::uint32_t connections = 0;
   std::uint32_t batch = 0;
   double mreq_per_s = 0.0;
@@ -67,27 +66,16 @@ struct Cell {
   double hit_rate = 0.0;
 };
 
-constexpr std::uint32_t kPipeline = 2;
-// v1 correlates replies by order, so a deep window only adds head-of-line
-// latency; v2 correlates by id, so the multiplexed window can run deeper
-// and feed the server's writev coalescing. Each protocol gets the depth
-// its correlation model is built for.
-constexpr std::uint32_t kPipelineV2 = 8;
+constexpr std::uint32_t kPipeline = 8;
 constexpr std::uint32_t kWorkers = 2;
 constexpr std::uint32_t kShards = 4;
 
-void drive_connection(std::uint16_t port, std::uint8_t protocol,
+void drive_connection(std::uint16_t port,
                       std::span<const net::WireAccess> chunk,
                       std::uint32_t batch, obs::LatencyHistogram& latency) {
   net::Client client = net::Client::connect("127.0.0.1", port);
-  if (protocol == net::kProtocolV2 &&
-      client.negotiate() != net::kProtocolV2) {
-    throw std::runtime_error("server refused protocol v2");
-  }
-  const std::uint32_t pipeline =
-      protocol == net::kProtocolV2 ? kPipelineV2 : kPipeline;
   net::replay_stream(
-      client, chunk, {.batch = batch, .pipeline = pipeline},
+      client, chunk, {.batch = batch, .pipeline = kPipeline},
       [&latency](const net::AccessReply&, Clock::time_point ref,
                  std::uint32_t count) {
         latency.record(static_cast<std::uint64_t>(
@@ -133,12 +121,9 @@ int main(int argc, char** argv) {
 
   const std::uint32_t conn_sweep[] = {1, 2, 4};
   const std::uint32_t batch_sweep[] = {16, 64};
-  const std::uint8_t protocol_sweep[] = {net::kProtocolVersion,
-                                         net::kProtocolV2};
   std::vector<Cell> cells;
 
   for (const char* policy : {"LRU", "GMM-caching-eviction"}) {
-    for (const std::uint8_t protocol : protocol_sweep) {
     for (const std::uint32_t conns : conn_sweep) {
       for (const std::uint32_t batch : batch_sweep) {
         runtime::RuntimeConfig rcfg;
@@ -161,7 +146,7 @@ int main(int argc, char** argv) {
         std::vector<std::thread> threads;
         const auto t0 = Clock::now();
         for (std::uint32_t c = 0; c < conns; ++c) {
-          threads.emplace_back(drive_connection, server.port(), protocol,
+          threads.emplace_back(drive_connection, server.port(),
                                net::stream_chunk(stream, c, conns), batch,
                                std::ref(lat[c]));
         }
@@ -174,7 +159,7 @@ int main(int argc, char** argv) {
         for (const obs::LatencyHistogram& l : lat) merged.merge(l);
         const runtime::RuntimeSnapshot snap = rt->snapshot();
         cells.push_back(
-            {policy, protocol, conns, batch,
+            {policy, conns, batch,
              elapsed > 0.0
                  ? static_cast<double>(stream.size()) / elapsed / 1e6
                  : 0.0,
@@ -183,20 +168,18 @@ int main(int argc, char** argv) {
              snap.merged.hit_rate()});
       }
     }
-    }
   }
 
   std::cout << "network serving throughput (loopback), " << stream.size()
             << " requests/cell, shards " << kShards << ", workers "
             << kWorkers << ", pipeline " << kPipeline
-            << " (v1) / " << kPipelineV2 << " (v2 multiplexed)"
             << ", hardware threads: " << std::thread::hardware_concurrency()
             << "\n\n";
-  Table table({"policy", "proto", "conns", "batch", "M req/s", "p50 us",
-               "p99 us", "hit rate"});
+  Table table({"policy", "conns", "batch", "M req/s", "p50 us", "p99 us",
+               "hit rate"});
   for (const Cell& c : cells) {
-    table.add_row({c.policy, "v" + std::to_string(c.protocol),
-                   std::to_string(c.connections), std::to_string(c.batch),
+    table.add_row({c.policy, std::to_string(c.connections),
+                   std::to_string(c.batch),
                    Table::fmt(c.mreq_per_s, 2), Table::fmt(c.p50_us, 1),
                    Table::fmt(c.p99_us, 1), Table::fmt_percent(c.hit_rate)});
   }
@@ -208,12 +191,10 @@ int main(int argc, char** argv) {
         << "  \"bench\": \"net_throughput\",\n"
         << "  \"requests\": " << stream.size() << ",\n"
         << "  \"shards\": " << kShards << ",\n  \"workers\": " << kWorkers
-        << ",\n  \"pipeline\": " << kPipeline
-        << ",\n  \"pipeline_v2\": " << kPipelineV2 << ",\n  \"cells\": [\n";
+        << ",\n  \"pipeline\": " << kPipeline << ",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
-      out << "    {\"policy\": \"" << c.policy << "\", \"protocol\": "
-          << static_cast<unsigned>(c.protocol) << ", \"connections\": "
+      out << "    {\"policy\": \"" << c.policy << "\", \"connections\": "
           << c.connections << ", \"batch\": " << c.batch
           << ", \"mreq_per_s\": " << c.mreq_per_s << ", \"p50_us\": "
           << c.p50_us << ", \"p99_us\": " << c.p99_us << ", \"hit_rate\": "

@@ -1,6 +1,6 @@
 // Minimal RPC serving example: stand up a sharded LRU runtime behind the
 // binary protocol on a loopback ephemeral port, drive it with the Client
-// library (ping, pipelined access batches, stats, model info, flush), and
+// library (ping, pipelined access batches, metrics, model info, flush), and
 // shut down cleanly. This is the whole icgmm_serve/icgmm_loadgen story in
 // ~60 lines of library calls — start here before reading the tools.
 #include <iostream>
@@ -49,19 +49,23 @@ int main() {
   }
   while (client.outstanding() > 0) hits += client.await_access_reply().hits;
 
-  const net::StatsReply stats = client.stats();
+  // The server's counters, read by name from the METRICS verb.
+  const net::MetricsReply metrics = client.metrics();
+  const std::uint64_t accesses = metrics.value("icgmm_cache_accesses");
   const net::ModelInfoReply info = client.model_info();
-  std::cout << "served " << stats.accesses << " requests, hit rate "
-            << (stats.accesses
-                    ? static_cast<double>(stats.hits) /
-                          static_cast<double>(stats.accesses)
-                    : 0.0)
+  std::cout << "served " << accesses << " requests, hit rate "
+            << (accesses ? static_cast<double>(
+                               metrics.value("icgmm_cache_hits")) /
+                               static_cast<double>(accesses)
+                         : 0.0)
             << " (client counted " << hits << " hits)\n"
             << "policy " << info.policy_name << ", " << info.shards
             << " shards\n";
 
   client.flush();  // admin: zero the counters
-  std::cout << "after flush: " << client.stats().accesses << " accesses\n";
+  std::cout << "after flush: "
+            << client.metrics().value("icgmm_cache_accesses")
+            << " accesses\n";
 
   server.stop();
   std::cout << "clean shutdown\n";

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -10,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -38,33 +38,14 @@ namespace {
 
 Client::~Client() { close(); }
 
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      host_(std::move(other.host_)),
-      port_(other.port_),
-      version_(other.version_),
-      recv_timeout_(other.recv_timeout_),
-      next_seq_(other.next_seq_),
-      next_reply_seq_(other.next_reply_seq_),
-      outstanding_(other.outstanding_),
-      send_order_(std::move(other.send_order_)),
-      pending_access_(std::move(other.pending_access_)),
-      pending_pings_(std::move(other.pending_pings_)),
-      parked_(std::move(other.parked_)),
-      rx_(std::move(other.rx_)),
-      tx_(std::move(other.tx_)) {}
+Client::Client(Client&& other) noexcept { *this = std::move(other); }
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    host_ = std::move(other.host_);
-    port_ = other.port_;
-    version_ = other.version_;
     recv_timeout_ = other.recv_timeout_;
     next_seq_ = other.next_seq_;
-    next_reply_seq_ = other.next_reply_seq_;
-    outstanding_ = other.outstanding_;
     send_order_ = std::move(other.send_order_);
     pending_access_ = std::move(other.pending_access_);
     pending_pings_ = std::move(other.pending_pings_);
@@ -81,15 +62,10 @@ void Client::close() noexcept {
     fd_ = -1;
   }
   rx_.clear();
-  outstanding_ = 0;
-  next_seq_ = next_reply_seq_ = 1;
-  version_ = kProtocolVersion;
   send_order_.clear();
   pending_access_.clear();
   pending_pings_.clear();
   parked_.clear();
-  // host_/port_/recv_timeout_ survive: they are endpoint configuration,
-  // not stream state, and negotiate()'s reconnect needs them.
 }
 
 Client Client::connect(const std::string& host, std::uint16_t port) {
@@ -115,8 +91,6 @@ Client Client::connect(const std::string& host, std::uint16_t port) {
 
   Client c;
   c.fd_ = fd;
-  c.host_ = host;
-  c.port_ = port;
   return c;
 }
 
@@ -139,44 +113,11 @@ void Client::apply_recv_timeout() {
   }
 }
 
-std::uint8_t Client::negotiate() {
-  if (version_ == kProtocolV2) return version_;
-  drain_outstanding();
-  const std::uint64_t id = next_seq_++;
-  tx_.clear();
-  encode_ping(tx_, id, kProtocolV2);
-  try {
-    send_all(tx_);
-    std::vector<std::uint8_t> bytes = recv_frame();
-    Frame frame;
-    std::size_t consumed = 0;
-    if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk ||
-        frame.header.version != kProtocolV2 ||
-        frame.header.type != MsgType::kPong || frame.header.seq != id) {
-      // The server answered the probe with something other than a v2
-      // PONG echo — treat it like a v1-only server (fall through to the
-      // reconnect below via the catch).
-      close();
-      throw std::runtime_error("Client: unexpected negotiate reply");
-    }
-    version_ = kProtocolV2;
-  } catch (const std::exception&) {
-    // v1-only server: the v2 frame is stream poison there, so the server
-    // counted a protocol error and dropped the connection. Reconnect to
-    // the same endpoint and stay on v1 — the caller never sees the probe.
-    const std::chrono::milliseconds timeout = recv_timeout_;
-    *this = Client::connect(host_, port_);
-    if (timeout.count() > 0) set_recv_timeout(timeout);
-  }
-  return version_;
-}
-
 // Transport-level failures (socket errors, EOF, receive deadline expiry,
-// undecodable or out-of-sequence reply streams) leave the connection
-// unusable: close it before throwing so connected() turns false and
-// ClientPool's lazy reconnect can heal the slot. Server ERROR replies are
-// NOT transport failures — the stream stays in sync and the connection
-// stays open.
+// undecodable or uncorrelated reply streams) leave the connection
+// unusable: close it before throwing so connected() turns false and a
+// caller can reconnect. Server ERROR replies are NOT transport failures —
+// the stream stays in sync and the connection stays open.
 
 void Client::send_all(const std::vector<std::uint8_t>& bytes) {
   std::size_t off = 0;
@@ -194,40 +135,44 @@ void Client::send_all(const std::vector<std::uint8_t>& bytes) {
   }
 }
 
-std::vector<std::uint8_t> Client::recv_frame() {
+bool Client::take_frame(std::vector<std::uint8_t>& bytes) {
+  Frame frame;
+  std::size_t consumed = 0;
+  const DecodeStatus st = decode_frame(rx_, frame, consumed);
+  if (st == DecodeStatus::kNeedMore) return false;
+  if (st != DecodeStatus::kOk) {
+    close();
+    throw std::runtime_error(std::string("Client: malformed reply frame: ") +
+                             to_string(st));
+  }
+  bytes.assign(rx_.begin(), rx_.begin() + consumed);
+  rx_.erase(rx_.begin(), rx_.begin() + consumed);
+  return true;
+}
+
+bool Client::read_some(bool block) {
+  char buf[16 * 1024];
   while (true) {
-    Frame frame;
-    std::size_t consumed = 0;
-    const DecodeStatus st = decode_frame(rx_, frame, consumed);
-    if (st == DecodeStatus::kOk) {
-      std::vector<std::uint8_t> bytes(rx_.begin(), rx_.begin() + consumed);
-      rx_.erase(rx_.begin(), rx_.begin() + consumed);
-      return bytes;
-    }
-    if (st != DecodeStatus::kNeedMore) {
-      close();
-      throw std::runtime_error(std::string("Client: malformed reply frame: ") +
-                               to_string(st));
-    }
-    char buf[16 * 1024];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), block ? 0 : MSG_DONTWAIT);
     if (n > 0) {
       rx_.insert(rx_.end(), buf, buf + n);
-      continue;
+      return true;
     }
     if (n == 0) {
       close();
       throw std::runtime_error("Client: connection closed by server");
     }
     if (errno == EINTR) continue;
-    if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-        recv_timeout_.count() > 0) {
-      // The receive deadline expired mid-wait. The abandoned reply leaves
-      // the stream unusable (its frame would desynchronize the next
-      // correlation), so the connection closes with the throw.
-      close();
-      throw std::system_error(ETIMEDOUT, std::generic_category(),
-                              "Client: receive deadline expired");
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (!block) return false;
+      if (recv_timeout_.count() > 0) {
+        // The receive deadline expired mid-wait. The abandoned reply
+        // leaves the stream unusable (its frame would desynchronize the
+        // next correlation), so the connection closes with the throw.
+        close();
+        throw std::system_error(ETIMEDOUT, std::generic_category(),
+                                "Client: receive deadline expired");
+      }
     }
     const int err = errno;
     close();
@@ -235,32 +180,22 @@ std::vector<std::uint8_t> Client::recv_frame() {
   }
 }
 
-std::vector<std::uint8_t> Client::expect(MsgType type, std::uint64_t seq,
-                                         Frame& frame) {
-  std::vector<std::uint8_t> bytes = recv_frame();
-  std::size_t consumed = 0;
-  if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk) {
-    throw std::runtime_error("Client: reply re-decode failed");
-  }
-  if (frame.header.type == MsgType::kError) {
-    throw_server_error(frame);
-  }
-  if (frame.header.type != type) {
-    close();  // reply stream is desynchronized; unusable
-    throw std::runtime_error(std::string("Client: expected ") +
-                             to_string(type) + ", got " +
-                             to_string(frame.header.type));
-  }
-  if (frame.header.seq != seq) {
-    close();
-    throw std::runtime_error("Client: out-of-sequence reply (expected " +
-                             std::to_string(seq) + ", got " +
-                             std::to_string(frame.header.seq) + ")");
-  }
+std::vector<std::uint8_t> Client::recv_frame() {
+  std::vector<std::uint8_t> bytes;
+  while (!take_frame(bytes)) read_some(/*block=*/true);
   return bytes;
 }
 
-// --- v2 correlation machinery -----------------------------------------------
+void Client::decode_received(const std::vector<std::uint8_t>& bytes,
+                             Frame& frame) {
+  std::size_t consumed = 0;
+  if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk) {
+    close();
+    throw std::runtime_error("Client: reply re-decode failed");
+  }
+}
+
+// --- id correlation ----------------------------------------------------------
 
 void Client::forget_pending(std::uint64_t id) {
   pending_access_.erase(id);
@@ -268,11 +203,7 @@ void Client::forget_pending(std::uint64_t id) {
   std::erase(send_order_, id);
 }
 
-Completion Client::classify_v2(const Frame& frame) {
-  if (frame.header.version != kProtocolV2) {
-    close();
-    throw std::runtime_error("Client: v1-framed reply on a v2 connection");
-  }
+Completion Client::classify(const Frame& frame) {
   const std::uint64_t id = frame.header.seq;
   switch (frame.header.type) {
     case MsgType::kError:
@@ -314,23 +245,18 @@ Completion Client::classify_v2(const Frame& frame) {
   }
 }
 
-std::vector<std::uint8_t> Client::await_frame_v2(std::uint64_t want_id,
-                                                 MsgType want_type,
-                                                 Frame& frame) {
+std::vector<std::uint8_t> Client::await_frame(std::uint64_t want_id,
+                                              MsgType want_type,
+                                              Frame& frame) {
   while (true) {
     std::vector<std::uint8_t> bytes = recv_frame();
-    std::size_t consumed = 0;
-    if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk) {
-      close();
-      throw std::runtime_error("Client: reply re-decode failed");
-    }
+    decode_received(bytes, frame);
     if (frame.header.seq == want_id) {
       if (frame.header.type == MsgType::kError) {
         forget_pending(want_id);
         throw_server_error(frame);
       }
-      if (frame.header.version != kProtocolV2 ||
-          frame.header.type != want_type) {
+      if (frame.header.type != want_type) {
         close();
         throw std::runtime_error(std::string("Client: expected ") +
                                  to_string(want_type) + ", got " +
@@ -340,28 +266,22 @@ std::vector<std::uint8_t> Client::await_frame_v2(std::uint64_t want_id,
     }
     // Another request's completion arrived first — park it by id for its
     // own awaiter. This is what makes await(id) out-of-order safe.
-    Completion parked = classify_v2(frame);
+    Completion parked = classify(frame);
     const std::uint64_t id = parked.id;
     parked_.insert_or_assign(id, std::move(parked));
   }
 }
 
 std::uint64_t Client::send_ping() {
-  if (version_ != kProtocolV2) {
-    throw std::logic_error("Client: send_ping requires protocol v2");
-  }
   const std::uint64_t id = next_seq_++;
   tx_.clear();
-  encode_ping(tx_, id, kProtocolV2);
+  encode_ping(tx_, id);
   send_all(tx_);
   pending_pings_.insert(id);
   return id;
 }
 
 AccessReply Client::await_access(std::uint64_t id) {
-  if (version_ != kProtocolV2) {
-    throw std::logic_error("Client: await_access requires protocol v2");
-  }
   if (const auto it = parked_.find(id); it != parked_.end()) {
     const AccessReply reply = it->second.access;
     if (it->second.type != MsgType::kAccessReply) {
@@ -375,11 +295,10 @@ AccessReply Client::await_access(std::uint64_t id) {
     throw std::logic_error("Client: await_access on unknown id " +
                            std::to_string(id));
   }
-  // Claim the slot up front (mirrors v1's --outstanding_ before expect):
-  // a server ERROR for this id still consumed it.
+  // Claim the slot up front: a server ERROR for this id still consumed it.
   std::erase(send_order_, id);
   Frame frame;
-  const auto bytes = await_frame_v2(id, MsgType::kAccessReply, frame);
+  const auto bytes = await_frame(id, MsgType::kAccessReply, frame);
   pending_access_.erase(id);
   AccessReply reply;
   if (decode_access_reply(frame, reply) != DecodeStatus::kOk) {
@@ -389,107 +308,105 @@ AccessReply Client::await_access(std::uint64_t id) {
   return reply;
 }
 
-Completion Client::poll_any() {
-  if (version_ != kProtocolV2) {
-    throw std::logic_error("Client: poll_any requires protocol v2");
-  }
-  if (!parked_.empty()) {
-    const auto it = parked_.begin();
-    Completion c = std::move(it->second);
-    parked_.erase(it);
-    std::erase(send_order_, c.id);
-    return c;
-  }
-  if (pending_access_.empty() && pending_pings_.empty()) {
-    throw std::logic_error("Client: poll_any with nothing outstanding");
-  }
-  std::vector<std::uint8_t> bytes = recv_frame();
-  Frame frame;
-  std::size_t consumed = 0;
-  if (decode_frame(bytes, frame, consumed) != DecodeStatus::kOk) {
-    close();
-    throw std::runtime_error("Client: reply re-decode failed");
-  }
-  Completion c = classify_v2(frame);
+Completion Client::take_parked() {
+  const auto it = parked_.begin();
+  Completion c = std::move(it->second);
+  parked_.erase(it);
   std::erase(send_order_, c.id);
   return c;
 }
 
-std::uint32_t Client::drain_outstanding() {
-  if (version_ == kProtocolV2) {
-    std::uint32_t drained = 0;
-    while (!parked_.empty() || !pending_access_.empty() ||
-           !pending_pings_.empty()) {
-      if (poll_any().type == MsgType::kAccessReply) ++drained;
+Completion Client::completion_of(const std::vector<std::uint8_t>& bytes) {
+  Frame frame;
+  decode_received(bytes, frame);
+  Completion c = classify(frame);
+  std::erase(send_order_, c.id);
+  return c;
+}
+
+Completion Client::poll_any() {
+  if (!parked_.empty()) return take_parked();
+  if (pending_access_.empty() && pending_pings_.empty()) {
+    throw std::logic_error("Client: poll_any with nothing outstanding");
+  }
+  return completion_of(recv_frame());
+}
+
+std::optional<Completion> Client::poll_any_until(
+    std::chrono::steady_clock::time_point deadline) {
+  using Clock = std::chrono::steady_clock;
+  if (!parked_.empty()) return take_parked();
+  if (pending_access_.empty() && pending_pings_.empty()) {
+    throw std::logic_error("Client: poll_any_until with nothing outstanding");
+  }
+  // The kernel sleeps to within kSpinWindow of the deadline; the rest is
+  // spent polling the socket without blocking, the same split
+  // precise_sleep_until makes between sleep_until and its spin.
+  constexpr auto kSpinWindow = std::chrono::milliseconds(1);
+  std::vector<std::uint8_t> bytes;
+  while (!take_frame(bytes)) {
+    const auto left = deadline - Clock::now();
+    if (left > kSpinWindow) {
+      pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
+      const auto sleep_ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(left -
+                                                                kSpinWindow);
+      if (::poll(&pfd, 1, static_cast<int>(sleep_ms.count())) == 0) continue;
     }
-    send_order_.clear();
-    return drained;
+    // Past the deadline, what already arrived is still taken.
+    if (!read_some(/*block=*/false) && left <= Clock::duration::zero()) {
+      return std::nullopt;
+    }
   }
-  const std::uint32_t drained = outstanding_;
-  while (outstanding_ != 0) {
-    // await_access_reply keeps the reply stream in sync even when a
-    // drained request's reply is a server ERROR (the slot is consumed
-    // before expect() throws) — but the exception still propagates, so a
-    // sync RPC over a poisoned pipeline surfaces the server's complaint
-    // rather than silently eating it.
-    (void)await_access_reply();
+  return completion_of(bytes);
+}
+
+std::uint32_t Client::drain_outstanding() {
+  std::uint32_t drained = 0;
+  while (!parked_.empty() || !pending_access_.empty() ||
+         !pending_pings_.empty()) {
+    // A server ERROR for a drained request still propagates, so a sync
+    // RPC over a poisoned pipeline surfaces the server's complaint rather
+    // than silently eating it.
+    if (poll_any().type == MsgType::kAccessReply) ++drained;
   }
+  send_order_.clear();
   return drained;
 }
 
 // --- synchronous round trips ------------------------------------------------
 
-void Client::ping() {
+std::vector<std::uint8_t> Client::round_trip(RequestEncoder encode,
+                                             MsgType reply_type,
+                                             Frame& frame) {
   drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t id = next_seq_++;
   tx_.clear();
-  encode_ping(tx_, seq, version_);
+  encode(tx_, id);
   send_all(tx_);
+  return await_frame(id, reply_type, frame);
+}
+
+void Client::ping() {
   Frame frame;
-  if (version_ == kProtocolV2) {
-    await_frame_v2(seq, MsgType::kPong, frame);
-  } else {
-    expect(MsgType::kPong, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
+  round_trip(encode_ping, MsgType::kPong, frame);
 }
 
 std::uint64_t Client::send_access(std::span<const WireAccess> accesses) {
-  const std::uint64_t seq = next_seq_++;
+  const std::uint64_t id = next_seq_++;
   tx_.clear();
-  encode_access_batch(tx_, seq, accesses, version_);
+  encode_access_batch(tx_, id, accesses);
   send_all(tx_);
-  if (version_ == kProtocolV2) {
-    send_order_.push_back(seq);
-    pending_access_.insert(seq);
-  } else {
-    ++outstanding_;
-  }
-  return seq;
+  send_order_.push_back(id);
+  pending_access_.insert(id);
+  return id;
 }
 
 AccessReply Client::await_access_reply() {
-  if (version_ == kProtocolV2) {
-    if (send_order_.empty()) {
-      throw std::logic_error("Client: no outstanding ACCESS_BATCH");
-    }
-    return await_access(send_order_.front());
-  }
-  if (outstanding_ == 0) {
+  if (send_order_.empty()) {
     throw std::logic_error("Client: no outstanding ACCESS_BATCH");
   }
-  const std::uint64_t seq = next_reply_seq_++;
-  // Count the reply as consumed up front: a server ERROR frame for this
-  // request surfaces as an exception from expect(), but it still consumed
-  // this request's slot in the reply stream — the connection stays usable.
-  --outstanding_;
-  Frame frame;
-  const auto bytes = expect(MsgType::kAccessReply, seq, frame);
-  AccessReply reply;
-  if (decode_access_reply(frame, reply) != DecodeStatus::kOk) {
-    throw std::runtime_error("Client: malformed ACCESS_REPLY payload");
-  }
-  return reply;
+  return await_access(send_order_.front());
 }
 
 AccessReply Client::access(std::span<const WireAccess> accesses) {
@@ -497,82 +414,40 @@ AccessReply Client::access(std::span<const WireAccess> accesses) {
   return await_access_reply();
 }
 
-StatsReply Client::stats() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_stats_request(tx_, seq, version_);
-  send_all(tx_);
-  Frame frame;
-  std::vector<std::uint8_t> bytes;
-  if (version_ == kProtocolV2) {
-    bytes = await_frame_v2(seq, MsgType::kStatsReply, frame);
-  } else {
-    bytes = expect(MsgType::kStatsReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
-  StatsReply reply;
-  if (decode_stats_reply(frame, reply) != DecodeStatus::kOk) {
-    throw std::runtime_error("Client: malformed STATS_REPLY payload");
-  }
-  return reply;
-}
-
 MetricsReply Client::metrics() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_metrics_request(tx_, seq, version_);
-  send_all(tx_);
   Frame frame;
-  std::vector<std::uint8_t> bytes;
-  if (version_ == kProtocolV2) {
-    bytes = await_frame_v2(seq, MsgType::kMetricsReply, frame);
-  } else {
-    bytes = expect(MsgType::kMetricsReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
+  const auto bytes = round_trip(
+      [](std::vector<std::uint8_t>& out, std::uint64_t id) {
+        encode_metrics_request(out, id);
+      },
+      MsgType::kMetricsReply, frame);
   MetricsReply reply;
   if (decode_metrics_reply(frame, reply) != DecodeStatus::kOk) {
+    close();
     throw std::runtime_error("Client: malformed METRICS_REPLY payload");
   }
   return reply;
 }
 
 ModelInfoReply Client::model_info() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_model_info_request(tx_, seq, version_);
-  send_all(tx_);
   Frame frame;
-  std::vector<std::uint8_t> bytes;
-  if (version_ == kProtocolV2) {
-    bytes = await_frame_v2(seq, MsgType::kModelInfoReply, frame);
-  } else {
-    bytes = expect(MsgType::kModelInfoReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
+  const auto bytes =
+      round_trip(encode_model_info_request, MsgType::kModelInfoReply, frame);
   ModelInfoReply reply;
   if (decode_model_info_reply(frame, reply) != DecodeStatus::kOk) {
+    close();
     throw std::runtime_error("Client: malformed MODEL_INFO_REPLY payload");
   }
   return reply;
 }
 
 void Client::flush() {
-  drain_outstanding();
-  const std::uint64_t seq = next_seq_++;
-  tx_.clear();
-  encode_flush_request(tx_, seq, version_);
-  send_all(tx_);
   Frame frame;
-  if (version_ == kProtocolV2) {
-    await_frame_v2(seq, MsgType::kFlushReply, frame);
-  } else {
-    expect(MsgType::kFlushReply, seq, frame);
-    next_reply_seq_ = seq + 1;
-  }
+  round_trip(
+      [](std::vector<std::uint8_t>& out, std::uint64_t id) {
+        encode_flush_request(out, id);
+      },
+      MsgType::kFlushReply, frame);
 }
 
 // --- replay_stream ----------------------------------------------------------
@@ -605,7 +480,6 @@ std::uint64_t replay_stream(Client& client,
   const bool recorded_timing = !opts.send_offsets_ns.empty() &&
                                opts.send_offsets_ns.size() >= stream.size();
   const bool open_loop = recorded_timing || opts.batch_interval.count() > 0;
-  const bool v2 = client.version() == kProtocolV2;
 
   // Defensive sanitize of the clear points (documented as sorted
   // ascending; zeros and duplicates dropped) so a capture's raw marker
@@ -620,33 +494,22 @@ std::uint64_t replay_stream(Client& client,
 
   const auto start = Clock::now();
 
-  // v1 completes in send order (FIFO deque); v2 completes in arrival
-  // order (poll_any keyed by id), so a slow batch never head-of-line
-  // blocks the latency measurement of replies that already arrived.
-  std::deque<InFlight> window;
-  std::unordered_map<std::uint64_t, InFlight> window_v2;
+  // Batches complete in arrival order (keyed by id), so a slow batch
+  // never head-of-line blocks the latency measurement of replies that
+  // already arrived.
+  std::unordered_map<std::uint64_t, InFlight> window;
   std::uint64_t completed = 0;
-  auto in_flight = [&] { return v2 ? window_v2.size() : window.size(); };
-  auto await_one = [&] {
-    if (v2) {
-      const Completion c = client.poll_any();
-      // Only ACCESS ids are outstanding here, so every completion maps.
-      const auto it = window_v2.find(c.id);
-      if (c.type != MsgType::kAccessReply || it == window_v2.end()) {
-        throw std::runtime_error("replay_stream: unexpected completion id " +
-                                 std::to_string(c.id));
-      }
-      const InFlight oldest = it->second;
-      window_v2.erase(it);
-      completed += c.access.count;
-      if (on_reply) on_reply(c.access, oldest.ref, oldest.count);
-      return;
+  const auto complete = [&](const Completion& c) {
+    // Only ACCESS ids are outstanding here, so every completion maps.
+    const auto it = window.find(c.id);
+    if (c.type != MsgType::kAccessReply || it == window.end()) {
+      throw std::runtime_error("replay_stream: unexpected completion id " +
+                               std::to_string(c.id));
     }
-    const AccessReply reply = client.await_access_reply();
-    const InFlight oldest = window.front();
-    window.pop_front();
-    completed += reply.count;
-    if (on_reply) on_reply(reply, oldest.ref, oldest.count);
+    const InFlight batch_sent = it->second;
+    window.erase(it);
+    completed += c.access.count;
+    if (on_reply) on_reply(c.access, batch_sent.ref, batch_sent.count);
   };
 
   std::size_t sent = 0;
@@ -655,7 +518,7 @@ std::uint64_t replay_stream(Client& client,
     while (next_point < points.size() && points[next_point] == sent) {
       // Drain the window first so the FLUSH is a true barrier: every
       // request before the point completed, none after it sent.
-      while (in_flight() != 0) await_one();
+      while (!window.empty()) complete(client.poll_any());
       client.flush();
       ++next_point;
     }
@@ -669,26 +532,30 @@ std::uint64_t replay_stream(Client& client,
       // first arrival, so replay spacing mirrors recorded spacing.
       ref = start + std::chrono::nanoseconds(opts.send_offsets_ns[sent] -
                                              opts.send_offsets_ns[0]);
-      precise_sleep_until(ref);  // no-op when behind schedule
     } else if (open_loop) {
       // Scheduled by batches launched, not requests: a split batch (a
       // clear-point boundary, the stream tail) consumes a full interval
       // slot, shifting later launches by at most one interval per split.
       ref = start + batch_index * opts.batch_interval;
+    }
+    if (open_loop) {
+      // Take the replies that land while waiting for the send slot, so
+      // none waits behind later sends; then send on time.
+      while (!window.empty()) {
+        const std::optional<Completion> c = client.poll_any_until(ref);
+        if (!c) break;
+        complete(*c);
+      }
       precise_sleep_until(ref);  // no-op when behind schedule
     }
-    while (in_flight() >= pipeline) await_one();
+    while (window.size() >= pipeline) complete(client.poll_any());
     if (!open_loop) ref = Clock::now();
     const std::uint64_t id = client.send_access(stream.subspan(sent, n));
-    if (v2) {
-      window_v2.emplace(id, InFlight{ref, static_cast<std::uint32_t>(n)});
-    } else {
-      window.push_back({ref, static_cast<std::uint32_t>(n)});
-    }
+    window.emplace(id, InFlight{ref, static_cast<std::uint32_t>(n)});
     sent += n;
     ++batch_index;
   }
-  while (in_flight() != 0) await_one();
+  while (!window.empty()) complete(client.poll_any());
   // Points landing exactly at the end of the stream still fire (a capture
   // that ends on a FLUSH marker), mirroring runtime replay's semantics.
   while (next_point < points.size() && points[next_point] == sent) {
@@ -696,52 +563,6 @@ std::uint64_t replay_stream(Client& client,
     ++next_point;
   }
   return completed;
-}
-
-// --- ClientPool -------------------------------------------------------------
-
-ClientPool::ClientPool(std::string host, std::uint16_t port, std::size_t size)
-    : host_(std::move(host)),
-      port_(port),
-      clients_(size == 0 ? 1 : size),
-      leased_(size == 0 ? 1 : size, false) {}
-
-ClientPool::Lease ClientPool::acquire() {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::size_t slot = clients_.size();
-  cv_.wait(lock, [&] {
-    for (std::size_t i = 0; i < leased_.size(); ++i) {
-      if (!leased_[i]) {
-        slot = i;
-        return true;
-      }
-    }
-    return false;
-  });
-  leased_[slot] = true;
-  lock.unlock();
-  // Connect outside the pool lock; a failure releases the slot.
-  if (!clients_[slot].connected()) {
-    try {
-      clients_[slot] = Client::connect(host_, port_);
-    } catch (...) {
-      std::lock_guard<std::mutex> relock(mu_);
-      leased_[slot] = false;
-      cv_.notify_one();
-      throw;
-    }
-  }
-  return Lease(*this, slot);
-}
-
-void ClientPool::Lease::release() {
-  if (!pool_) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_->mu_);
-    pool_->leased_[slot_] = false;
-  }
-  pool_->cv_.notify_one();
-  pool_ = nullptr;
 }
 
 }  // namespace icgmm::net

@@ -1,29 +1,24 @@
 // Blocking client for the ICGMM wire protocol: one TCP connection per
 // Client, synchronous request/reply helpers, and explicit send/await
 // halves so callers can pipeline several ACCESS_BATCH frames before
-// collecting replies. ClientPool keeps N connections to one server for
-// multi-threaded drivers.
+// collecting replies.
 //
-// A fresh connection speaks protocol v1 (replies correlate by arrival
-// order; the server completes them in request order). negotiate()
-// probes for v2 with a v2 PING and, when the server answers, switches
-// the connection to the multiplexed mode: every request carries a u64
-// id, replies echo it and may arrive in ANY order, and the out-of-order
-// safe await(id)/poll_any() primitives correlate them. Against an old
-// v1-only server the probe is stream poison — the server drops the
-// connection — so negotiate() transparently reconnects and stays on v1.
+// Every request carries a u64 id and its reply echoes it. Replies may
+// arrive in ANY order — the server completes a connection's requests on
+// any worker as they finish — so the client correlates by id: replies to
+// ids nobody is waiting for yet are parked, and the out-of-order safe
+// await_access(id) / poll_any() primitives hand them out.
 //
 // All failures (connect/socket errors, unexpected EOF, malformed or
-// out-of-sequence replies, server ERROR frames, receive deadline
-// expiry) surface as std::runtime_error / std::system_error.
+// uncorrelated replies, server ERROR frames, receive deadline expiry)
+// surface as std::runtime_error / std::system_error.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -34,7 +29,7 @@
 
 namespace icgmm::net {
 
-/// One finished request, as surfaced by the v2 multiplexed primitives.
+/// One finished request, as surfaced by the multiplexed primitives.
 struct Completion {
   std::uint64_t id = 0;
   MsgType type = MsgType::kAccessReply;
@@ -59,78 +54,49 @@ class Client {
   bool connected() const noexcept { return fd_ >= 0; }
   void close() noexcept;
 
-  // --- protocol negotiation --------------------------------------------------
-
-  /// Probes the server with a v2 PING (nothing may be outstanding).
-  /// Returns the negotiated version: kProtocolV2 when the server ponged
-  /// in v2, else kProtocolVersion — a v1-only server treats the probe as
-  /// stream poison and drops the connection, in which case negotiate()
-  /// transparently reconnects to the same endpoint and stays on v1.
-  /// Idempotent once negotiated.
-  std::uint8_t negotiate();
-  /// Protocol this connection speaks: kProtocolVersion until negotiate()
-  /// lands on kProtocolV2.
-  std::uint8_t version() const noexcept { return version_; }
-
   /// Optional receive deadline for every subsequent blocking receive
   /// (default off): a hung or stalled server then surfaces as a clean
   /// std::system_error(ETIMEDOUT) — and the connection closes, since a
   /// reply abandoned mid-wait leaves the stream unusable — instead of
-  /// blocking forever. Zero or negative disables. Survives negotiate()'s
-  /// internal reconnect; throws std::system_error if setsockopt fails.
+  /// blocking forever. Zero or negative disables; throws
+  /// std::system_error if setsockopt fails.
   void set_recv_timeout(std::chrono::milliseconds timeout);
 
   // --- synchronous round trips ---------------------------------------------
-  // v1: replies are correlated purely by order, so a synchronous RPC
-  // issued with ACCESS replies still outstanding first drains the
-  // pipeline (drain_outstanding) — the RPC's reply is then the next
-  // frame on the wire. Earlier versions threw instead; draining makes
-  // mid-pipeline STATS/FLUSH safe (monitoring pollers, admin tools) at
-  // the cost of discarding the drained ACCESS replies' contents.
-  //
-  // v2: ids make the drain unnecessary for correlation, but the sync
-  // RPCs still drain first so their v1 barrier semantics hold — a v2
-  // server completes a connection's requests out of order, so FLUSH
-  // would otherwise race the ACCESS batches sent before it.
+  // Each sync RPC first drains the ACCESS batches still in flight
+  // (drain_outstanding): the server completes a connection's requests out
+  // of order, so a FLUSH or METRICS would otherwise race the batches sent
+  // before it. That makes a mid-pipeline METRICS or FLUSH a true barrier
+  // (monitoring pollers, admin tools), at the cost of discarding the
+  // drained replies' contents.
 
   /// PING/PONG round trip; throws if the server misbehaves.
   void ping();
   AccessReply access(std::span<const WireAccess> accesses);
-  StatsReply stats();
   ModelInfoReply model_info();
-  /// Scrape the server's metrics registry (name/value pairs). Servers
-  /// without a registry reply with an empty set. Match entries by name,
-  /// never by position.
+  /// Scrape the server's metrics registry (name/value pairs). Match
+  /// entries by name (MetricsReply::value), never by position.
   MetricsReply metrics();
   /// Admin: zero the server's statistics counters.
   void flush();
 
   // --- pipelining ------------------------------------------------------------
-  // send_access() writes one ACCESS_BATCH frame and returns immediately;
-  // await_access_reply() blocks for the oldest unawaited batch. On v1
-  // replies arrive in send order; on v2 they may arrive in any order —
-  // out-of-order arrivals are parked by id and handed out when awaited.
-  // Callers bound their own window (the bench and loadgen keep <= depth
-  // outstanding).
+  // send_access() writes one ACCESS_BATCH frame and returns its id;
+  // await_access_reply() blocks for the oldest unawaited batch, parking
+  // replies to later ids that arrive first. Callers bound their own
+  // window (the bench and loadgen keep <= depth outstanding).
 
-  /// Returns the request's id (the v1 u32 sequence, or the v2 u64 id).
   std::uint64_t send_access(std::span<const WireAccess> accesses);
   AccessReply await_access_reply();
   /// Unawaited ACCESS batches (sent, reply not yet claimed by a caller —
-  /// a v2 reply parked out of order still counts until awaited).
+  /// a reply parked out of order still counts until awaited).
   std::uint32_t outstanding() const noexcept {
-    return version_ == kProtocolV2
-               ? static_cast<std::uint32_t>(send_order_.size())
-               : outstanding_;
+    return static_cast<std::uint32_t>(send_order_.size());
   }
 
-  // --- v2 multiplexed mode ---------------------------------------------------
-  // Only valid after negotiate() returned kProtocolV2; the order-based
-  // v1 stream has no ids to correlate by, so these throw on v1.
-
-  /// Fire-and-await-later PING (v2 only): returns the id; the PONG
-  /// surfaces through poll_any(). Lets a driver prove liveness (or force
-  /// an out-of-order completion) without a pipeline barrier.
+  /// Fire-and-await-later PING: returns the id; the PONG surfaces through
+  /// poll_any(). Lets a driver prove liveness (or force an out-of-order
+  /// completion) without a pipeline barrier.
   std::uint64_t send_ping();
   /// Blocks for the reply to a specific outstanding ACCESS id, however
   /// late it arrives; replies to other ids received meanwhile are parked.
@@ -139,6 +105,14 @@ class Client {
   /// — the multiplexed drain primitive. Throws std::logic_error when
   /// nothing is outstanding.
   Completion poll_any();
+  /// poll_any() with a deadline: the next completion, or nullopt once
+  /// `deadline` passes with none. Sleeps in the kernel until about 1 ms
+  /// before the deadline, then polls the socket without blocking, so it
+  /// returns within microseconds of the deadline (the precision of
+  /// precise_sleep_until) — an open-loop driver waits for its next send
+  /// slot here and still sends on time.
+  std::optional<Completion> poll_any_until(
+      std::chrono::steady_clock::time_point deadline);
 
   /// Awaits (and discards) every outstanding ACCESS reply and pending
   /// PONG; returns how many ACCESS replies were drained. The sync RPCs
@@ -147,34 +121,44 @@ class Client {
   std::uint32_t drain_outstanding();
 
  private:
+  /// Moves the next complete frame out of rx_ into `bytes`, if rx_ holds
+  /// one; a malformed stream closes the connection and throws.
+  bool take_frame(std::vector<std::uint8_t>& bytes);
+  /// Reads what the socket has into rx_. Blocks (under the receive
+  /// deadline) when `block`; otherwise returns false when nothing is
+  /// waiting. Closes the connection and throws on EOF or a socket error.
+  bool read_some(bool block);
   /// Reads until one complete frame is buffered; returns owned bytes.
   std::vector<std::uint8_t> recv_frame();
   void send_all(const std::vector<std::uint8_t>& bytes);
-  /// Receives a frame, requiring `type` with sequence `seq`; decodes a
-  /// server ERROR frame into an exception. v1 only.
-  std::vector<std::uint8_t> expect(MsgType type, std::uint64_t seq,
-                                   Frame& frame);
-  /// v2: reads frames until `want_id` arrives (which must decode as
-  /// `want_type`), parking completions for other ids. Sync-RPC and
-  /// await(id) workhorse.
-  std::vector<std::uint8_t> await_frame_v2(std::uint64_t want_id,
-                                           MsgType want_type, Frame& frame);
-  /// v2: classifies one received frame into a Completion, consuming its
+  /// Sync RPC: drains the pipeline, sends the frame `encode` appends for a
+  /// fresh id, and returns the reply's bytes (`frame` views into them),
+  /// which must be of `reply_type`.
+  using RequestEncoder = void (*)(std::vector<std::uint8_t>&, std::uint64_t);
+  std::vector<std::uint8_t> round_trip(RequestEncoder encode,
+                                       MsgType reply_type, Frame& frame);
+  /// Reads frames until `want_id` arrives (which must decode as
+  /// `want_type`), parking completions for other ids.
+  std::vector<std::uint8_t> await_frame(std::uint64_t want_id,
+                                        MsgType want_type, Frame& frame);
+  /// Decodes received frame bytes into `frame`; a failure closes the
+  /// connection and throws.
+  void decode_received(const std::vector<std::uint8_t>& bytes, Frame& frame);
+  /// Classifies one received frame into a Completion, consuming its
   /// pending-set entry; throws on ERROR frames and unknown ids.
-  Completion classify_v2(const Frame& frame);
+  Completion classify(const Frame& frame);
+  /// The oldest parked completion, claimed.
+  Completion take_parked();
+  /// Classifies received frame bytes into a claimed Completion.
+  Completion completion_of(const std::vector<std::uint8_t>& bytes);
   void forget_pending(std::uint64_t id);
   void apply_recv_timeout();
 
   int fd_ = -1;
-  std::string host_;  ///< endpoint, kept for negotiate()'s v1 fallback
-  std::uint16_t port_ = 0;
-  std::uint8_t version_ = kProtocolVersion;
   std::chrono::milliseconds recv_timeout_{0};
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_reply_seq_ = 1;
-  std::uint32_t outstanding_ = 0;  ///< v1 unawaited ACCESS batches
-  // v2 correlation state: ids in send order that no caller has awaited
-  // yet; ids on the wire (reply not received); receipts nobody claimed.
+  // Correlation state: ids in send order that no caller has awaited yet;
+  // ids on the wire (reply not received); receipts nobody claimed.
   std::deque<std::uint64_t> send_order_;
   std::unordered_set<std::uint64_t> pending_access_;
   std::unordered_set<std::uint64_t> pending_pings_;
@@ -204,12 +188,15 @@ struct ReplayOptions {
   /// (zeros and duplicates are ignored; points past the stream never
   /// fire). At each point the batch is split so the boundary is exact
   /// and the in-flight window is drained first, so the FLUSH lands
-  /// between the last request before it and the first after — on v2,
-  /// where the server completes requests out of order, that drain is
-  /// what makes the clear point exact. The single-point case is the
-  /// classic warm-up discard.
+  /// between the last request before it and the first after — the server
+  /// completes requests out of order, so that drain is what makes the
+  /// clear point exact. The single-point case is the classic warm-up
+  /// discard.
   std::vector<std::size_t> clear_points;
   /// Open-loop pacing: time between batch launches (0 = closed loop).
+  /// While it waits for the next launch slot the driver takes the
+  /// replies that arrive, so a reply is timed when it lands, not when the
+  /// window next fills.
   std::chrono::nanoseconds batch_interval{0};
   /// Recorded-timing pacing: per-request send offsets in nanoseconds,
   /// parallel to the stream (a recorded capture's arrival_ns column).
@@ -259,49 +246,5 @@ inline std::span<const WireAccess> stream_chunk(
     std::size_t parts) {
   return stream_chunk<WireAccess>(stream, index, parts);
 }
-
-/// Fixed-size pool of connections to one server. acquire() hands out an
-/// exclusive lease (round-robin over idle connections, blocking when all
-/// are leased); the lease reconnects transparently if its connection died.
-class ClientPool {
- public:
-  ClientPool(std::string host, std::uint16_t port, std::size_t size);
-
-  class Lease {
-   public:
-    Lease(ClientPool& pool, std::size_t slot) : pool_(&pool), slot_(slot) {}
-    ~Lease() { release(); }
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), slot_(other.slot_) {
-      other.pool_ = nullptr;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-
-    Client& operator*() const { return pool_->clients_[slot_]; }
-    Client* operator->() const { return &pool_->clients_[slot_]; }
-
-   private:
-    void release();
-    ClientPool* pool_;
-    std::size_t slot_;
-  };
-
-  /// Blocks until a connection is free; connects lazily on first use.
-  Lease acquire();
-
-  std::size_t size() const noexcept { return clients_.size(); }
-
- private:
-  friend class Lease;
-
-  std::string host_;
-  std::uint16_t port_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Client> clients_;
-  std::vector<bool> leased_;
-};
 
 }  // namespace icgmm::net

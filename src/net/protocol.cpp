@@ -11,8 +11,6 @@ const char* to_string(MsgType t) noexcept {
     case MsgType::kPong: return "PONG";
     case MsgType::kAccessBatch: return "ACCESS_BATCH";
     case MsgType::kAccessReply: return "ACCESS_REPLY";
-    case MsgType::kStats: return "STATS";
-    case MsgType::kStatsReply: return "STATS_REPLY";
     case MsgType::kModelInfo: return "MODEL_INFO";
     case MsgType::kModelInfoReply: return "MODEL_INFO_REPLY";
     case MsgType::kFlush: return "FLUSH";
@@ -74,46 +72,50 @@ std::uint64_t get_u64(const std::uint8_t* p) noexcept {
   return v;
 }
 
+std::uint64_t MetricsReply::value(std::string_view name) const noexcept {
+  for (const MetricsEntry& e : entries) {
+    if (e.name == name) return e.value;
+  }
+  return 0;
+}
+
 namespace {
 
 void put_header(std::vector<std::uint8_t>& out, MsgType type, std::uint64_t seq,
-                std::uint32_t payload_len, std::uint8_t version) {
+                std::uint32_t payload_len) {
   put_u32(out, kMagic);
-  out.push_back(version);
+  out.push_back(kProtocolV2);
   out.push_back(static_cast<std::uint8_t>(type));
   put_u16(out, 0);  // flags, reserved
-  if (version == kProtocolV2) {
-    put_u64(out, seq);
-    put_u32(out, payload_len);
-    put_u32(out, 0);  // reserved, must be 0
-  } else {
-    put_u32(out, static_cast<std::uint32_t>(seq));
-    put_u32(out, payload_len);
-  }
+  put_u64(out, seq);
+  put_u32(out, payload_len);
+  put_u32(out, 0);  // reserved, must be 0
 }
 
-void put_empty_frame(std::vector<std::uint8_t>& out, MsgType type,
-                     std::uint64_t seq, std::uint8_t version) {
-  put_header(out, type, seq, 0, version);
+void require_v2(std::uint8_t version, const char* encoder) {
+  if (version != kProtocolV2) {
+    throw std::invalid_argument(std::string(encoder) + ": protocol version " +
+                                std::to_string(version) +
+                                " is not supported (only 2)");
+  }
 }
 
 }  // namespace
 
 // --- encoders --------------------------------------------------------------
 
-void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version) {
-  put_empty_frame(out, MsgType::kPing, seq, version);
+void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kPing, seq, 0);
 }
 
-void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version) {
-  put_empty_frame(out, MsgType::kPong, seq, version);
+void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kPong, seq, 0);
 }
 
 void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
                          std::span<const WireAccess> accesses,
                          std::uint8_t version) {
+  require_v2(version, "encode_access_batch");
   if (accesses.size() > kMaxBatch) {
     // Fail loudly at the sender: a frame over the protocol caps would be
     // silently treated as stream poison by the receiving server.
@@ -124,7 +126,7 @@ void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
   const std::uint32_t count = static_cast<std::uint32_t>(accesses.size());
   const std::uint32_t payload =
       4 + count * static_cast<std::uint32_t>(kAccessWireBytes);
-  put_header(out, MsgType::kAccessBatch, seq, payload, version);
+  put_header(out, MsgType::kAccessBatch, seq, payload);
   put_u32(out, count);
   for (const WireAccess& a : accesses) {
     put_u64(out, a.page);
@@ -134,8 +136,8 @@ void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
 }
 
 void encode_access_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                         const AccessReply& reply, std::uint8_t version) {
-  put_header(out, MsgType::kAccessReply, seq, 20, version);
+                         const AccessReply& reply) {
+  put_header(out, MsgType::kAccessReply, seq, 20);
   put_u32(out, reply.count);
   put_u32(out, reply.hits);
   put_u32(out, reply.admitted);
@@ -143,48 +145,16 @@ void encode_access_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
   put_u32(out, reply.dirty_evictions);
 }
 
-void encode_stats_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          std::uint8_t version) {
-  put_empty_frame(out, MsgType::kStats, seq, version);
-}
-
-void encode_stats_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        const StatsReply& reply, std::uint8_t version) {
-  put_header(out, MsgType::kStatsReply, seq, 20 * 8, version);
-  put_u64(out, reply.accesses);
-  put_u64(out, reply.hits);
-  put_u64(out, reply.read_misses);
-  put_u64(out, reply.write_misses);
-  put_u64(out, reply.fills);
-  put_u64(out, reply.bypasses);
-  put_u64(out, reply.evictions);
-  put_u64(out, reply.dirty_evictions);
-  put_u64(out, reply.inferences);
-  put_u64(out, reply.score_batches);
-  put_u64(out, reply.model_version);
-  put_u64(out, reply.models_published);
-  put_u64(out, reply.records_written);
-  put_u64(out, reply.records_dropped);
-  put_u64(out, reply.record_chunks);
-  put_u64(out, reply.shadow_accesses);
-  put_u64(out, reply.shadow_hits);
-  put_u64(out, reply.shadow_misses);
-  put_u64(out, reply.shadow_divergence);
-  put_u64(out, reply.shadow_dropped);
-}
-
 void encode_model_info_request(std::vector<std::uint8_t>& out,
-                               std::uint64_t seq, std::uint8_t version) {
-  put_empty_frame(out, MsgType::kModelInfo, seq, version);
+                               std::uint64_t seq) {
+  put_header(out, MsgType::kModelInfo, seq, 0);
 }
 
 void encode_model_info_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                             const ModelInfoReply& reply,
-                             std::uint8_t version) {
+                             const ModelInfoReply& reply) {
   const std::uint16_t name_len =
       static_cast<std::uint16_t>(reply.policy_name.size());
-  put_header(out, MsgType::kModelInfoReply, seq, 4 + 4 + 8 + 2 + name_len,
-             version);
+  put_header(out, MsgType::kModelInfoReply, seq, 4 + 4 + 8 + 2 + name_len);
   put_u32(out, reply.shards);
   put_u32(out, reply.components);
   put_u64(out, reply.model_version);
@@ -194,19 +164,19 @@ void encode_model_info_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
 
 void encode_flush_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
                           std::uint8_t version) {
-  put_empty_frame(out, MsgType::kFlush, seq, version);
+  require_v2(version, "encode_flush_request");
+  put_header(out, MsgType::kFlush, seq, 0);
 }
 
-void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        std::uint8_t version) {
-  put_empty_frame(out, MsgType::kFlushReply, seq, version);
+void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq) {
+  put_header(out, MsgType::kFlushReply, seq, 0);
 }
 
 void encode_error(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                  const ErrorReply& reply, std::uint8_t version) {
+                  const ErrorReply& reply) {
   const std::uint16_t msg_len =
       static_cast<std::uint16_t>(reply.message.size());
-  put_header(out, MsgType::kError, seq, 2 + 2 + msg_len, version);
+  put_header(out, MsgType::kError, seq, 2 + 2 + msg_len);
   put_u16(out, static_cast<std::uint16_t>(reply.code));
   put_u16(out, msg_len);
   out.insert(out.end(), reply.message.begin(), reply.message.end());
@@ -214,11 +184,12 @@ void encode_error(std::vector<std::uint8_t>& out, std::uint64_t seq,
 
 void encode_metrics_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
                             std::uint8_t version) {
-  put_empty_frame(out, MsgType::kMetrics, seq, version);
+  require_v2(version, "encode_metrics_request");
+  put_header(out, MsgType::kMetrics, seq, 0);
 }
 
 void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          const MetricsReply& reply, std::uint8_t version) {
+                          const MetricsReply& reply) {
   if (reply.entries.size() > kMaxMetricsEntries) {
     throw std::length_error("encode_metrics_reply: " +
                             std::to_string(reply.entries.size()) +
@@ -239,7 +210,7 @@ void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
                             std::to_string(kMaxPayload));
   }
   put_header(out, MsgType::kMetricsReply, seq,
-             static_cast<std::uint32_t>(payload), version);
+             static_cast<std::uint32_t>(payload));
   put_u32(out, static_cast<std::uint32_t>(reply.entries.size()));
   for (const MetricsEntry& e : reply.entries) {
     put_u16(out, static_cast<std::uint16_t>(e.name.size()));
@@ -252,13 +223,13 @@ void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
 
 DecodeStatus decode_header(std::span<const std::uint8_t> buf,
                            FrameHeader& out) noexcept {
-  if (buf.size() < kHeaderBytes) return DecodeStatus::kNeedMore;
+  // Judge the 8-byte prefix as soon as it is in: a shorter frame of
+  // another version must poison the stream, not wait for bytes that its
+  // sender will never send.
+  if (buf.size() < 8) return DecodeStatus::kNeedMore;
   const std::uint8_t* p = buf.data();
   if (get_u32(p) != kMagic) return DecodeStatus::kBadMagic;
-  out.version = p[4];
-  if (out.version != kProtocolVersion && out.version != kProtocolV2) {
-    return DecodeStatus::kBadVersion;
-  }
+  if (p[4] != kProtocolV2) return DecodeStatus::kBadVersion;
   const std::uint8_t raw_type = p[5];
   if (raw_type < static_cast<std::uint8_t>(MsgType::kPing) ||
       raw_type > static_cast<std::uint8_t>(MsgType::kMetricsReply)) {
@@ -269,17 +240,10 @@ DecodeStatus decode_header(std::span<const std::uint8_t> buf,
   out.type = static_cast<MsgType>(raw_type);
   out.flags = get_u16(p + 6);
   if (out.flags != 0) return DecodeStatus::kBadPayload;
-  if (out.version == kProtocolV2) {
-    // The common 16-byte prefix is in; the v2 tail (id high half,
-    // payload_len, reserved) may still be in flight.
-    if (buf.size() < kHeaderBytesV2) return DecodeStatus::kNeedMore;
-    out.seq = get_u64(p + 8);
-    out.payload_len = get_u32(p + 16);
-    if (get_u32(p + 20) != 0) return DecodeStatus::kBadPayload;  // reserved
-  } else {
-    out.seq = get_u32(p + 8);
-    out.payload_len = get_u32(p + 12);
-  }
+  if (buf.size() < kHeaderBytesV2) return DecodeStatus::kNeedMore;
+  out.seq = get_u64(p + 8);
+  out.payload_len = get_u32(p + 16);
+  if (get_u32(p + 20) != 0) return DecodeStatus::kBadPayload;  // reserved
   if (out.payload_len > kMaxPayload) return DecodeStatus::kBadLength;
   return DecodeStatus::kOk;
 }
@@ -288,10 +252,9 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf, Frame& frame,
                           std::size_t& consumed) noexcept {
   const DecodeStatus hs = decode_header(buf, frame.header);
   if (hs != DecodeStatus::kOk) return hs;
-  const std::size_t header = header_bytes(frame.header.version);
-  const std::size_t total = header + frame.header.payload_len;
+  const std::size_t total = kHeaderBytesV2 + frame.header.payload_len;
   if (buf.size() < total) return DecodeStatus::kNeedMore;
-  frame.payload = buf.subspan(header, frame.header.payload_len);
+  frame.payload = buf.subspan(kHeaderBytesV2, frame.header.payload_len);
   consumed = total;
   return DecodeStatus::kOk;
 }
@@ -331,35 +294,6 @@ DecodeStatus decode_access_reply(const Frame& frame,
   out.admitted = get_u32(p.data() + 8);
   out.evictions = get_u32(p.data() + 12);
   out.dirty_evictions = get_u32(p.data() + 16);
-  return DecodeStatus::kOk;
-}
-
-DecodeStatus decode_stats_reply(const Frame& frame, StatsReply& out) noexcept {
-  const std::span<const std::uint8_t> p = frame.payload;
-  if (frame.header.type != MsgType::kStatsReply || p.size() != 20 * 8) {
-    return DecodeStatus::kBadPayload;
-  }
-  const std::uint8_t* d = p.data();
-  out.accesses = get_u64(d);
-  out.hits = get_u64(d + 8);
-  out.read_misses = get_u64(d + 16);
-  out.write_misses = get_u64(d + 24);
-  out.fills = get_u64(d + 32);
-  out.bypasses = get_u64(d + 40);
-  out.evictions = get_u64(d + 48);
-  out.dirty_evictions = get_u64(d + 56);
-  out.inferences = get_u64(d + 64);
-  out.score_batches = get_u64(d + 72);
-  out.model_version = get_u64(d + 80);
-  out.models_published = get_u64(d + 88);
-  out.records_written = get_u64(d + 96);
-  out.records_dropped = get_u64(d + 104);
-  out.record_chunks = get_u64(d + 112);
-  out.shadow_accesses = get_u64(d + 120);
-  out.shadow_hits = get_u64(d + 128);
-  out.shadow_misses = get_u64(d + 136);
-  out.shadow_divergence = get_u64(d + 144);
-  out.shadow_dropped = get_u64(d + 152);
   return DecodeStatus::kOk;
 }
 

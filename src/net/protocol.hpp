@@ -1,33 +1,12 @@
-// ICGMM binary wire protocol, versions 1 and 2 — the length-prefixed
-// frame formats the RPC serving frontend speaks on a TCP stream.
+// ICGMM binary wire protocol — the length-prefixed frame format the RPC
+// serving frontend speaks on a TCP stream.
 //
-// Every frame is a fixed-size header followed by `payload_len` bytes of
+// Every frame is a 24-byte header followed by `payload_len` bytes of
 // payload, all integers explicitly little-endian on the wire regardless
-// of host byte order. The header starts with a version-independent
-// 8-byte prefix; the version byte selects the rest of the layout.
-//
-// Version 1 (16-byte header) — replies are correlated purely by arrival
-// order per connection, so the server must complete a connection's
-// requests in request order:
+// of host byte order:
 //
 //   offset  size  field
 //   0       4     magic       "ICGM" (0x4d474349 as a LE u32)
-//   4       1     version     1
-//   5       1     type        MsgType
-//   6       2     flags       reserved, must be 0
-//   8       4     seq         request sequence, echoed in the reply
-//                             (pipelining correlates replies by seq)
-//   12      4     payload_len bytes following the header
-//
-// Version 2 (24-byte header) — every request carries a u64 request id,
-// the reply echoes it, and correlation moves from arrival order to id
-// matching: replies on one connection may arrive in ANY order, which
-// lets the server complete a connection's requests on any worker as
-// they finish (and lets one connection multiplex independent logical
-// streams):
-//
-//   offset  size  field
-//   0       4     magic       "ICGM"
 //   4       1     version     2
 //   5       1     type        MsgType
 //   6       2     flags       reserved, must be 0
@@ -36,31 +15,28 @@
 //   20      4     reserved    must be 0 (keeps the payload 8-aligned and
 //                             leaves room for stream/priority bits)
 //
-// Both versions share all payload formats below; a server answers each
-// frame in the version the frame arrived with. Unknown versions are
-// stream poison (kBadVersion — the connection is dropped), which is the
-// whole negotiation rule: a v2-capable client probes with a v2 PING and
-// falls back to v1 if the connection dies instead of ponging.
+// Every request carries a u64 request id and its reply echoes it, so
+// replies correlate by id, not by arrival order: replies on one
+// connection may arrive in ANY order, which lets the server complete a
+// connection's requests on any worker as they finish. Any version byte
+// other than 2 (the retired order-correlated version 1 included) is
+// stream poison (kBadVersion — the connection is dropped).
 //
 // Request/reply payloads (LE throughout):
 //   ACCESS_BATCH  u32 count, then count x {u64 page, u64 timestamp,
 //                 u8 flags (bit0 = write)} — 17 bytes per access.
 //   ACCESS_REPLY  u32 count, u32 hits, u32 admitted, u32 evictions,
 //                 u32 dirty_evictions (per-batch aggregate).
-//   STATS         empty request; reply carries the merged RuntimeSnapshot
-//                 counters as 20 x u64 (see StatsReply).
 //   MODEL_INFO    empty request; reply: u32 shards, u32 components,
 //                 u64 model_version, u16 name_len, name bytes.
-//   PING          empty request; PONG reply echoes the seq.
+//   PING          empty request; PONG reply echoes the id.
 //   FLUSH         admin: zeroes the runtime's statistics counters
 //                 (cache contents stay warm); empty reply.
 //   METRICS       empty request; reply: u32 count, then count x
 //                 {u16 name_len, name bytes, u64 value} — the server's
 //                 whole metrics registry as length-prefixed name/value
-//                 pairs (empty set when the server runs without a
-//                 registry). Unlike the fixed 20-field STATS pin, the
-//                 entry set is open-ended: clients match names, never
-//                 positions.
+//                 pairs. The entry set is open-ended: clients match
+//                 names, never positions.
 //   ERROR         u16 code (ErrorCode), u16 msg_len, msg bytes — sent by
 //                 the server for well-framed but unserviceable requests.
 //
@@ -79,6 +55,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -86,16 +63,8 @@
 namespace icgmm::net {
 
 inline constexpr std::uint32_t kMagic = 0x4d474349u;  // "ICGM" little-endian
-inline constexpr std::uint8_t kProtocolVersion = 1;
-inline constexpr std::uint8_t kProtocolV2 = 2;
-inline constexpr std::size_t kHeaderBytes = 16;    ///< v1 header size
-inline constexpr std::size_t kHeaderBytesV2 = 24;  ///< v2 header size
-
-/// Header size for a protocol version (both are compile-time constants;
-/// the stream decoder picks after reading the version byte).
-constexpr std::size_t header_bytes(std::uint8_t version) noexcept {
-  return version == kProtocolV2 ? kHeaderBytesV2 : kHeaderBytes;
-}
+inline constexpr std::uint8_t kProtocolV2 = 2;  ///< the header's version byte
+inline constexpr std::size_t kHeaderBytesV2 = 24;  ///< header size
 /// Hard cap on a frame payload; a declared length above this is a
 /// malformed frame (protects the server from hostile allocations).
 inline constexpr std::uint32_t kMaxPayload = 1u << 20;  // 1 MiB
@@ -103,14 +72,16 @@ inline constexpr std::uint32_t kMaxPayload = 1u << 20;  // 1 MiB
 /// batches: 17 bytes per access).
 inline constexpr std::uint32_t kMaxBatch = 60000;
 inline constexpr std::size_t kAccessWireBytes = 17;
+/// Largest frame either side can send: a header plus a maximal payload.
+inline constexpr std::size_t kMaxFrameBytes = kHeaderBytesV2 + kMaxPayload;
 
 enum class MsgType : std::uint8_t {
   kPing = 1,
   kPong = 2,
   kAccessBatch = 3,
   kAccessReply = 4,
-  kStats = 5,
-  kStatsReply = 6,
+  // 5 and 6 are unassigned: a well-framed request of either type gets an
+  // ERROR (kUnknownType) reply.
   kModelInfo = 7,
   kModelInfoReply = 8,
   kFlush = 9,
@@ -140,11 +111,9 @@ enum class DecodeStatus : std::uint8_t {
 const char* to_string(DecodeStatus s) noexcept;
 
 struct FrameHeader {
-  std::uint8_t version = kProtocolVersion;
   MsgType type = MsgType::kPing;
   std::uint16_t flags = 0;
-  /// v1: the u32 wire sequence; v2: the full u64 request id.
-  std::uint64_t seq = 0;
+  std::uint64_t seq = 0;  ///< the u64 request id
   std::uint32_t payload_len = 0;
 };
 
@@ -161,35 +130,6 @@ struct AccessReply {
   std::uint32_t admitted = 0;
   std::uint32_t evictions = 0;
   std::uint32_t dirty_evictions = 0;
-};
-
-/// Merged serving counters, the wire shape of RuntimeSnapshot.
-struct StatsReply {
-  std::uint64_t accesses = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t read_misses = 0;
-  std::uint64_t write_misses = 0;
-  std::uint64_t fills = 0;
-  std::uint64_t bypasses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t dirty_evictions = 0;
-  std::uint64_t inferences = 0;
-  std::uint64_t score_batches = 0;
-  std::uint64_t model_version = 0;
-  std::uint64_t models_published = 0;
-  // Traffic recorder counters (all 0 when the server is not recording).
-  std::uint64_t records_written = 0;
-  std::uint64_t records_dropped = 0;
-  std::uint64_t record_chunks = 0;
-  // Shadow policy evaluation counters (all 0 when the server runs
-  // without a shadow). Appended within the protocol version, same as the
-  // recorder trio before them: the payload stays fixed-size, decoders
-  // pin the new length.
-  std::uint64_t shadow_accesses = 0;
-  std::uint64_t shadow_hits = 0;
-  std::uint64_t shadow_misses = 0;
-  std::uint64_t shadow_divergence = 0;
-  std::uint64_t shadow_dropped = 0;
 };
 
 struct ModelInfoReply {
@@ -212,6 +152,10 @@ struct MetricsEntry {
 
 struct MetricsReply {
   std::vector<MetricsEntry> entries;
+
+  /// Value of the entry named `name`, or 0 when there is none — the same
+  /// rule as MetricsRegistry::value_of.
+  std::uint64_t value(std::string_view name) const noexcept;
 };
 
 /// Largest METRICS reply entry count (kMaxPayload still binds first for
@@ -229,52 +173,40 @@ std::uint64_t get_u64(const std::uint8_t* p) noexcept;
 
 // --- frame encoding --------------------------------------------------------
 // Encoders append one complete frame (header + payload) to `out`. The
-// trailing `version` selects the header layout (default v1, byte-for-byte
-// what this library has always emitted); under v1 only the low 32 bits of
-// `seq` fit on the wire.
+// three request encoders the end-to-end benchmark's raw driver calls keep
+// a trailing `version` argument; it must be kProtocolV2, and any other
+// value throws std::invalid_argument.
 
-void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version = kProtocolVersion);
-void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                 std::uint8_t version = kProtocolVersion);
+void encode_ping(std::vector<std::uint8_t>& out, std::uint64_t seq);
+void encode_pong(std::vector<std::uint8_t>& out, std::uint64_t seq);
 void encode_access_batch(std::vector<std::uint8_t>& out, std::uint64_t seq,
                          std::span<const WireAccess> accesses,
-                         std::uint8_t version = kProtocolVersion);
+                         std::uint8_t version = kProtocolV2);
 void encode_access_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                         const AccessReply& reply,
-                         std::uint8_t version = kProtocolVersion);
-void encode_stats_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          std::uint8_t version = kProtocolVersion);
-void encode_stats_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        const StatsReply& reply,
-                        std::uint8_t version = kProtocolVersion);
+                         const AccessReply& reply);
 void encode_model_info_request(std::vector<std::uint8_t>& out,
-                               std::uint64_t seq,
-                               std::uint8_t version = kProtocolVersion);
+                               std::uint64_t seq);
 void encode_model_info_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                             const ModelInfoReply& reply,
-                             std::uint8_t version = kProtocolVersion);
+                             const ModelInfoReply& reply);
 void encode_flush_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          std::uint8_t version = kProtocolVersion);
-void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                        std::uint8_t version = kProtocolVersion);
+                          std::uint8_t version = kProtocolV2);
+void encode_flush_reply(std::vector<std::uint8_t>& out, std::uint64_t seq);
 void encode_error(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                  const ErrorReply& reply,
-                  std::uint8_t version = kProtocolVersion);
+                  const ErrorReply& reply);
 void encode_metrics_request(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                            std::uint8_t version = kProtocolVersion);
+                            std::uint8_t version = kProtocolV2);
 /// Throws std::length_error past kMaxMetricsEntries or a name over u16.
 void encode_metrics_reply(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                          const MetricsReply& reply,
-                          std::uint8_t version = kProtocolVersion);
+                          const MetricsReply& reply);
 
 // --- frame decoding --------------------------------------------------------
 
 /// Parses a header from the front of `buf`. kNeedMore when buf has fewer
-/// bytes than the frame's version needs (16 for v1, 24 for v2; the
-/// version byte itself sits in the common prefix); kBadMagic /
-/// kBadVersion / kBadLength on a frame that can never become valid (the
-/// connection should be dropped).
+/// than kHeaderBytesV2 bytes; kBadMagic / kBadVersion / kBadLength /
+/// kBadPayload on a frame that can never become valid (the connection
+/// should be dropped). The 8-byte prefix (magic, version, type, flags)
+/// is judged as soon as it arrives, so a shorter frame of another
+/// version is rejected rather than waited on.
 DecodeStatus decode_header(std::span<const std::uint8_t> buf,
                            FrameHeader& out) noexcept;
 
@@ -299,12 +231,11 @@ DecodeStatus decode_frame(std::span<const std::uint8_t> buf, Frame& frame,
 DecodeStatus decode_access_batch(const Frame& frame,
                                  std::vector<WireAccess>& out);
 DecodeStatus decode_access_reply(const Frame& frame, AccessReply& out) noexcept;
-DecodeStatus decode_stats_reply(const Frame& frame, StatsReply& out) noexcept;
 DecodeStatus decode_model_info_reply(const Frame& frame, ModelInfoReply& out);
 DecodeStatus decode_error(const Frame& frame, ErrorReply& out);
 DecodeStatus decode_metrics_reply(const Frame& frame, MetricsReply& out);
-/// PING/PONG/STATS/MODEL_INFO/FLUSH/METRICS requests and the FLUSH reply
-/// carry no payload; this enforces that.
+/// PING/PONG/MODEL_INFO/FLUSH/METRICS requests and the FLUSH reply carry
+/// no payload; this enforces that.
 DecodeStatus decode_empty(const Frame& frame) noexcept;
 
 }  // namespace icgmm::net

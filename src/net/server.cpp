@@ -48,7 +48,7 @@ std::uint64_t now_ns() noexcept {
 
 /// Per-connection state. The I/O thread owns `in` (the partial byte
 /// stream) exclusively; everything under `mu` is shared between the I/O
-/// thread and whichever worker currently has the connection scheduled.
+/// thread and the workers completing the connection's requests.
 struct Server::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
   ~Connection() {
@@ -64,59 +64,61 @@ struct Server::Connection {
 
   std::mutex mu;
   // --- guarded by mu ---
-  std::deque<std::vector<std::uint8_t>> inbox;  ///< v1 frames, arrival order
-  std::vector<std::uint8_t> out;                ///< v1 pending reply bytes
-  std::size_t out_off = 0;
-  /// v2 framed replies in completion order, drained by vectored writev.
+  /// Framed replies in completion order, drained by vectored writev.
   std::deque<std::vector<std::uint8_t>> outbox;
   std::size_t outbox_off = 0;  ///< bytes of outbox.front() already sent
-  /// v2 requests dispatched to the pool and not yet completed. The worker
+  /// Requests dispatched to the pool and not yet completed. The worker
   /// that takes this to zero flushes the outbox — so concurrent
   /// completions coalesce into one writev instead of racing the socket.
-  std::uint32_t v2_pending = 0;
-  bool scheduled = false;   ///< v1 inbox queued or being drained by a worker
-  bool want_write = false;  ///< EPOLLOUT armed
-  bool eof = false;         ///< peer FIN seen; close once drained
-  bool dead = false;        ///< deregistered; drop work, never write
+  std::uint32_t pending = 0;
+  /// Unsent outbox bytes plus the charges of pending requests, held
+  /// against kMaxBufferedBytes.
+  std::size_t buffered = 0;
+  std::uint32_t armed = EPOLLIN;  ///< epoll interest currently registered
+  bool want_write = false;  ///< a flush hit EAGAIN; wait for EPOLLOUT
+  /// At the buffer cap: not reading, and `in` may still hold frames.
+  bool paused = false;
+  bool eof = false;   ///< peer FIN seen; close once drained
+  bool dead = false;  ///< deregistered; drop work, never write
 
   bool drained() const {  // call with mu held
-    return inbox.empty() && !scheduled && v2_pending == 0 && outbox.empty() &&
-           out_off >= out.size();
+    return !paused && pending == 0 && outbox.empty();
   }
 };
 
 Server::Server(runtime::Runtime& rt, ServerConfig cfg)
     : rt_(rt), cfg_(cfg) {
-  if (cfg_.metrics != nullptr) {
-    if (cfg_.trace_sample != 0) {
-      stage_decode_ =
-          &cfg_.metrics->histogram("icgmm_server_stage_decode_ns");
-      stage_queue_ = &cfg_.metrics->histogram("icgmm_server_stage_queue_ns");
-      stage_apply_ = &cfg_.metrics->histogram("icgmm_server_stage_apply_ns");
-      stage_flush_ = &cfg_.metrics->histogram("icgmm_server_stage_flush_ns");
-    }
-    provider_id_ = cfg_.metrics->add_provider(
-        [this](std::vector<obs::MetricsRegistry::Sample>& out) {
-          const ServerStats s = stats();
-          out.push_back(
-              {"icgmm_server_connections_accepted", s.connections_accepted});
-          out.push_back(
-              {"icgmm_server_connections_closed", s.connections_closed});
-          out.push_back({"icgmm_server_frames_served", s.frames_served});
-          out.push_back({"icgmm_server_requests_served", s.requests_served});
-          out.push_back({"icgmm_server_protocol_errors", s.protocol_errors});
-          out.push_back({"icgmm_server_error_replies", s.error_replies});
-          out.push_back({"icgmm_server_writev_calls", s.writev_calls});
-          out.push_back({"icgmm_server_writev_replies", s.writev_replies});
-        });
+  obs::MetricsRegistry& metrics = rt_.metrics();
+  if (cfg_.trace_sample != 0) {
+    stage_decode_ = &metrics.histogram("icgmm_server_stage_decode_ns");
+    stage_queue_ = &metrics.histogram("icgmm_server_stage_queue_ns");
+    stage_apply_ = &metrics.histogram("icgmm_server_stage_apply_ns");
+    stage_flush_ = &metrics.histogram("icgmm_server_stage_flush_ns");
   }
+  provider_id_ = metrics.add_provider(
+      [this](std::vector<obs::MetricsRegistry::Sample>& out) {
+        const ServerStats s = stats();
+        out.push_back(
+            {"icgmm_server_connections_accepted", s.connections_accepted});
+        out.push_back(
+            {"icgmm_server_connections_closed", s.connections_closed});
+        out.push_back({"icgmm_server_frames_served", s.frames_served});
+        out.push_back({"icgmm_server_requests_served", s.requests_served});
+        out.push_back({"icgmm_server_protocol_errors", s.protocol_errors});
+        out.push_back({"icgmm_server_error_replies", s.error_replies});
+        out.push_back({"icgmm_server_writev_calls", s.writev_calls});
+        out.push_back({"icgmm_server_writev_replies", s.writev_replies});
+        out.push_back({"icgmm_server_read_pauses", s.read_pauses});
+        out.push_back(
+            {"icgmm_server_buffered_bytes_max", s.buffered_bytes_max});
+      });
 }
 
 Server::~Server() {
   // Drop the provider before any member goes away: a concurrent scrape
   // holds the registry mutex while calling it, so after remove_provider
   // returns no scrape can touch this object again.
-  if (provider_id_ != 0) cfg_.metrics->remove_provider(provider_id_);
+  rt_.metrics().remove_provider(provider_id_);
   stop();
 }
 
@@ -207,8 +209,8 @@ void Server::stop() {
   }
   workers_.clear();
   {
-    std::lock_guard<std::mutex> lock(close_mu_);
-    close_queue_.clear();  // entries are still in conns_, closed below
+    std::lock_guard<std::mutex> lock(revisit_mu_);
+    revisit_queue_.clear();  // entries are still in conns_, closed below
   }
   // Connections still open close like any other: counted, and announced
   // with one kConnClose each (the io thread is gone, so this is the only
@@ -232,7 +234,16 @@ ServerStats Server::stats() const noexcept {
           .protocol_errors = protocol_errors_.load(std::memory_order_relaxed),
           .error_replies = error_replies_.load(std::memory_order_relaxed),
           .writev_calls = writev_calls_.load(std::memory_order_relaxed),
-          .writev_replies = writev_replies_.load(std::memory_order_relaxed)};
+          .writev_replies = writev_replies_.load(std::memory_order_relaxed),
+          .read_pauses = read_pauses_.load(std::memory_order_relaxed),
+          .buffered_bytes_max = buffered_max_.load(std::memory_order_relaxed)};
+}
+
+void Server::note_buffered(std::size_t bytes) noexcept {
+  std::uint64_t seen = buffered_max_.load(std::memory_order_relaxed);
+  while (bytes > seen && !buffered_max_.compare_exchange_weak(
+                             seen, bytes, std::memory_order_relaxed)) {
+  }
 }
 
 void Server::io_loop() {
@@ -263,17 +274,18 @@ void Server::io_loop() {
         close_connection(conn);
         continue;
       }
-      if (events[i].events & EPOLLOUT) write_ready(conn);
+      if (events[i].events & EPOLLOUT) flush_writes(conn);
       if (events[i].events & EPOLLIN) read_ready(conn);
     }
-    // Close EOF'd connections whose drain completed since the last wake
-    // (queued by flush_writes from a worker, signalled via wake_fd_).
-    std::vector<ConnPtr> to_close;
+    // Connections whose state changed since the last wake (queued by
+    // flush_writes, signalled via wake_fd_): close the drained EOF'd
+    // ones, resume reading the ones back under the buffer cap.
+    std::vector<ConnPtr> to_revisit;
     {
-      std::lock_guard<std::mutex> lock(close_mu_);
-      to_close.swap(close_queue_);
+      std::lock_guard<std::mutex> lock(revisit_mu_);
+      to_revisit.swap(revisit_queue_);
     }
-    for (const ConnPtr& conn : to_close) close_connection(conn);
+    for (const ConnPtr& conn : to_revisit) revisit(conn);
   }
 }
 
@@ -316,36 +328,39 @@ void Server::read_ready(const ConnPtr& conn) {
   // Drain the socket (level-triggered epoll would re-notify, but fewer
   // wake-ups means fewer epoll_wait syscalls under load).
   char buf[16 * 1024];
-  bool eof = false;
   while (true) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->in.insert(conn->in.end(), buf, buf + n);
-      if (conn->in.size() > kHeaderBytesV2 + kMaxPayload + sizeof(buf)) {
+      if (conn->in.size() > kMaxFrameBytes + sizeof(buf)) {
         break;  // stop reading; frame the backlog first
       }
       continue;
     }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    eof = true;  // hard socket error
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    // EOF or a hard socket error. A client that pipelines requests and
+    // then half-closes (FIN) is still owed its replies: process_input
+    // serves what arrived, and the connection closes once drained.
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->eof = true;
     break;
   }
+  process_input(conn);
+}
 
-  // Slice complete frames off the stream front, dispatching each by the
-  // version it arrived with: v1 into the order-preserving inbox, v2 as
-  // an individual work item any worker may complete.
+void Server::process_input(const ConnPtr& conn) {
+  // Slice complete frames off the stream front. Each is dispatched as its
+  // own work item any worker may complete, or served right here when
+  // there are no workers, until the stream runs dry or the connection
+  // holds kMaxBufferedBytes.
   const bool trace_decode = stage_decode_ != nullptr && should_trace();
   const std::uint64_t decode_start = trace_decode ? now_ns() : 0;
   std::size_t off = 0;
   bool poisoned = false;
-  bool got_v1 = false;
-  bool got_v2_inline = false;
-  std::size_t v2_dispatched = 0;
+  bool paused = false;
+  std::size_t dispatched = 0;
+  std::size_t served_inline = 0;
   while (true) {
     Frame frame;
     std::size_t consumed = 0;
@@ -358,34 +373,42 @@ void Server::read_ready(const ConnPtr& conn) {
     }
     const auto frame_bytes =
         std::span<const std::uint8_t>(conn->in).subspan(off, consumed);
-    if (frame.header.version == kProtocolV2 && !workers_.empty()) {
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        ++conn->v2_pending;
+    // A 24-byte METRICS request can fetch a reply of up to a maximal
+    // frame; charging that up front keeps the cap a bound on replies too.
+    const std::size_t charge =
+        frame.header.type == MsgType::kMetrics ? kMaxFrameBytes : consumed;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      if (conn->buffered + charge > kMaxBufferedBytes) {
+        conn->paused = paused = true;  // the frame stays in `in`
+        break;
       }
+      if (!workers_.empty()) {
+        conn->buffered += charge;
+        ++conn->pending;
+        note_buffered(conn->buffered);
+      }
+    }
+    if (!workers_.empty()) {
       {
         std::lock_guard<std::mutex> lock(queue_mu_);
         queue_.push_back(Work{
             conn,
             std::vector<std::uint8_t>(frame_bytes.begin(), frame_bytes.end()),
-            stage_queue_ != nullptr && should_trace() ? now_ns() : 0});
+            charge, stage_queue_ != nullptr && should_trace() ? now_ns() : 0});
       }
-      ++v2_dispatched;
-    } else if (frame.header.version == kProtocolV2) {
+      ++dispatched;
+    } else {
       // Inline mode: complete in arrival order on the I/O thread; the
       // replies still coalesce into one writev after the slice loop.
       std::vector<std::uint8_t> reply;
       serve_frame(frame_bytes, reply);
       frames_.fetch_add(1, std::memory_order_relaxed);
-      if (!reply.empty()) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->outbox.push_back(std::move(reply));
-      }
-      got_v2_inline = true;
-    } else {
       std::lock_guard<std::mutex> lock(conn->mu);
-      conn->inbox.emplace_back(frame_bytes.begin(), frame_bytes.end());
-      got_v1 = true;
+      conn->buffered += reply.size();
+      note_buffered(conn->buffered);
+      conn->outbox.push_back(std::move(reply));
+      ++served_inline;
     }
     off += consumed;
   }
@@ -393,12 +416,12 @@ void Server::read_ready(const ConnPtr& conn) {
 
   // One decode sample covers the whole slice loop of this read batch —
   // framing cost per socket drain, not per frame.
-  if (trace_decode && (got_v1 || got_v2_inline || v2_dispatched > 0)) {
+  if (trace_decode && dispatched + served_inline > 0) {
     stage_decode_->record(now_ns() - decode_start);
   }
-  if (v2_dispatched == 1) {
+  if (dispatched == 1) {
     queue_cv_.notify_one();
-  } else if (v2_dispatched > 1) {
+  } else if (dispatched > 1) {
     queue_cv_.notify_all();
   }
   if (poisoned) {
@@ -410,52 +433,43 @@ void Server::read_ready(const ConnPtr& conn) {
     close_connection(conn);
     return;
   }
-  if (got_v1) {
-    if (workers_.empty()) {
-      serve_connection(conn);  // inline mode
-    } else {
-      enqueue_ready(conn);
+  if (paused) {
+    read_pauses_.fetch_add(1, std::memory_order_relaxed);
+    if (cfg_.events != nullptr) {
+      cfg_.events->emit(obs::EventType::kReadPause,
+                        static_cast<std::uint64_t>(conn->fd));
     }
   }
-  if (got_v2_inline) flush_writes(conn);
-  if (eof) {
-    // A client that pipelines requests and then half-closes (FIN) is
-    // still owed its replies. Close immediately only if nothing is
-    // pending; otherwise mark eof and silence EPOLLIN — a half-closed
-    // socket stays permanently readable, so leaving it armed would spin
-    // the level-triggered loop at 100% CPU while a worker drains. The
-    // drain's final flush_writes requeues the close through wake_fd_.
-    bool drained;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      drained = conn->drained();
-      if (!drained) {
-        conn->eof = true;
-        epoll_event ev{};
-        ev.events = conn->want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-      }
-    }
-    if (drained) close_connection(conn);
+  if (served_inline > 0) flush_writes(conn);
+  bool close = false;
+  {
+    // Stop reading while paused, and on a half-closed socket for good: it
+    // stays permanently readable, so leaving EPOLLIN armed would spin the
+    // level-triggered loop while the replies drain.
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->dead) return;
+    close = conn->eof && conn->drained();
+    if (!close) arm_locked(*conn);
   }
+  if (close) close_connection(conn);
 }
 
-void Server::enqueue_ready(const ConnPtr& conn) {
+void Server::revisit(const ConnPtr& conn) {
+  bool close = false;
+  bool resume = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->scheduled || conn->inbox.empty() || conn->dead) return;
-    conn->scheduled = true;
+    if (conn->dead) return;
+    close = conn->eof && conn->drained();
+    resume = conn->paused && conn->buffered < kMaxBufferedBytes / 2;
+    if (resume) conn->paused = false;
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back(Work{
-        conn, {}, stage_queue_ != nullptr && should_trace() ? now_ns() : 0});
+  if (close) {
+    close_connection(conn);
+  } else if (resume) {
+    process_input(conn);  // the frames left in `in`, then reads again
   }
-  queue_cv_.notify_one();
 }
-
-void Server::write_ready(const ConnPtr& conn) { flush_writes(conn); }
 
 void Server::close_connection(const ConnPtr& conn) {
   {
@@ -488,16 +502,12 @@ void Server::worker_loop() {
     if (work.enqueue_ns != 0 && stage_queue_ != nullptr) {
       stage_queue_->record(now_ns() - work.enqueue_ns);
     }
-    if (work.frame.empty()) {
-      serve_connection(work.conn);  // v1: drain the inbox in order
-    } else {
-      serve_v2_frame(work.conn, work.frame);  // v2: one request, any order
-    }
+    serve_work(work);
   }
 }
 
-void Server::serve_v2_frame(const ConnPtr& conn,
-                            std::span<const std::uint8_t> frame_bytes) {
+void Server::serve_work(Work& work) {
+  const ConnPtr& conn = work.conn;
   bool dead;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -505,46 +515,25 @@ void Server::serve_v2_frame(const ConnPtr& conn,
   }
   std::vector<std::uint8_t> reply;
   if (!dead) {
-    serve_frame(frame_bytes, reply);
+    serve_frame(work.frame, reply);
     frames_.fetch_add(1, std::memory_order_relaxed);
   }
   bool last_completer;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (!reply.empty() && !conn->dead) {
+    conn->buffered -= work.charge;
+    if (!conn->dead) {
+      conn->buffered += reply.size();
+      note_buffered(conn->buffered);
       conn->outbox.push_back(std::move(reply));
     }
-    --conn->v2_pending;
+    --conn->pending;
     // Only the completion that empties the in-flight set flushes: every
     // sibling reply finished in the meantime rides the same writev, and
     // two workers never contend on send() for one socket.
-    last_completer = conn->v2_pending == 0;
+    last_completer = conn->pending == 0;
   }
   if (last_completer) flush_writes(conn);
-}
-
-void Server::serve_connection(const ConnPtr& conn) {
-  std::vector<std::uint8_t> reply;
-  while (true) {
-    std::vector<std::uint8_t> frame_bytes;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->inbox.empty() || conn->dead) {
-        conn->scheduled = false;
-        break;
-      }
-      frame_bytes = std::move(conn->inbox.front());
-      conn->inbox.pop_front();
-    }
-    reply.clear();
-    serve_frame(frame_bytes, reply);
-    frames_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->out.insert(conn->out.end(), reply.begin(), reply.end());
-    }
-  }
-  flush_writes(conn);
 }
 
 void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
@@ -552,16 +541,15 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
   Frame frame;
   std::size_t consumed = 0;
   const DecodeStatus st = decode_frame(frame_bytes, frame, consumed);
-  assert(st == DecodeStatus::kOk);  // read_ready only enqueues whole frames
+  assert(st == DecodeStatus::kOk);  // process_input only takes whole frames
   if (st != DecodeStatus::kOk) return;
-  // Replies go back in the version (and with the id) the request carried.
+  // Replies go back with the id the request carried.
   const std::uint64_t seq = frame.header.seq;
-  const std::uint8_t version = frame.header.version;
 
   switch (frame.header.type) {
     case MsgType::kPing:
       if (decode_empty(frame) != DecodeStatus::kOk) break;
-      encode_pong(out, seq, version);
+      encode_pong(out, seq);
       return;
 
     case MsgType::kAccessBatch: {
@@ -590,36 +578,7 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
                            .hits = outcome.hits,
                            .admitted = outcome.admitted,
                            .evictions = outcome.evictions,
-                           .dirty_evictions = outcome.dirty_evictions},
-                          version);
-      return;
-    }
-
-    case MsgType::kStats: {
-      if (decode_empty(frame) != DecodeStatus::kOk) break;
-      const runtime::RuntimeSnapshot snap = rt_.snapshot();
-      StatsReply reply;
-      reply.accesses = snap.merged.accesses;
-      reply.hits = snap.merged.hits;
-      reply.read_misses = snap.merged.read_misses;
-      reply.write_misses = snap.merged.write_misses;
-      reply.fills = snap.merged.fills;
-      reply.bypasses = snap.merged.bypasses;
-      reply.evictions = snap.merged.evictions;
-      reply.dirty_evictions = snap.merged.dirty_evictions;
-      reply.inferences = snap.inferences;
-      reply.score_batches = snap.score_batches;
-      reply.model_version = snap.model_version;
-      reply.models_published = snap.models_published;
-      reply.records_written = snap.records_written;
-      reply.records_dropped = snap.records_dropped;
-      reply.record_chunks = snap.record_chunks;
-      reply.shadow_accesses = snap.shadow_accesses;
-      reply.shadow_hits = snap.shadow_hits;
-      reply.shadow_misses = snap.shadow_misses;
-      reply.shadow_divergence = snap.shadow_divergence;
-      reply.shadow_dropped = snap.shadow_dropped;
-      encode_stats_reply(out, seq, reply, version);
+                           .dirty_evictions = outcome.dirty_evictions});
       return;
     }
 
@@ -632,30 +591,28 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
         reply.components = static_cast<std::uint32_t>(slot->load()->size());
         reply.model_version = slot->version();
       }
-      encode_model_info_reply(out, seq, reply, version);
+      encode_model_info_reply(out, seq, reply);
       return;
     }
 
     case MsgType::kFlush:
       if (decode_empty(frame) != DecodeStatus::kOk) break;
       rt_.clear_stats();
-      encode_flush_reply(out, seq, version);
+      encode_flush_reply(out, seq);
       return;
 
     case MsgType::kMetrics: {
       if (decode_empty(frame) != DecodeStatus::kOk) break;
       MetricsReply reply;
-      if (cfg_.metrics != nullptr) {
-        for (obs::MetricsRegistry::Sample& s : cfg_.metrics->collect()) {
-          reply.entries.push_back({std::move(s.name), s.value});
-        }
-        // The wire caps entries; a registry past it loses the tail
-        // (collect() is name-sorted, so truncation is deterministic).
-        if (reply.entries.size() > kMaxMetricsEntries) {
-          reply.entries.resize(kMaxMetricsEntries);
-        }
+      for (obs::MetricsRegistry::Sample& s : rt_.metrics().collect()) {
+        reply.entries.push_back({std::move(s.name), s.value});
       }
-      encode_metrics_reply(out, seq, reply, version);
+      // The wire caps entries; a registry past it loses the tail
+      // (collect() is name-sorted, so truncation is deterministic).
+      if (reply.entries.size() > kMaxMetricsEntries) {
+        reply.entries.resize(kMaxMetricsEntries);
+      }
+      encode_metrics_reply(out, seq, reply);
       return;
     }
 
@@ -664,8 +621,7 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
       encode_error(out, seq,
                    {.code = ErrorCode::kUnknownType,
                     .message = std::string("not a request: ") +
-                               to_string(frame.header.type)},
-                   version);
+                               to_string(frame.header.type)});
       return;
   }
   // A known request type whose payload failed validation.
@@ -673,8 +629,7 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
   encode_error(out, seq,
                {.code = ErrorCode::kBadRequest,
                 .message = std::string("malformed ") +
-                           to_string(frame.header.type) + " payload"},
-               version);
+                           to_string(frame.header.type) + " payload"});
 }
 
 void Server::flush_writes(const ConnPtr& conn) {
@@ -691,36 +646,10 @@ void Server::flush_writes(const ConnPtr& conn) {
 void Server::flush_writes_impl(const ConnPtr& conn) {
   std::lock_guard<std::mutex> lock(conn->mu);
   if (conn->dead) return;
-  while (conn->out_off < conn->out.size()) {
-    const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_off,
-               conn->out.size() - conn->out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        epoll_event ev{};
-        // Never re-arm EPOLLIN on a half-closed socket (permanently
-        // readable — it would spin the level-triggered loop).
-        ev.events = (conn->eof ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
-                    EPOLLOUT;
-        ev.data.fd = conn->fd;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-          conn->want_write = true;
-        }
-      }
-      return;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return;  // peer went away; epoll reports ERR/HUP and the I/O thread closes
-  }
-  conn->out.clear();
-  conn->out_off = 0;
-  // v2 outbox: one vectored writev per syscall, coalescing up to
-  // kIovBatch framed replies (IOV_MAX-capped). The front entry may be
-  // partially sent from an earlier backpressured flush (outbox_off).
+  // One vectored writev per syscall, coalescing up to kIovBatch framed
+  // replies (IOV_MAX-capped). The front entry may be partially sent from
+  // an earlier backpressured flush (outbox_off).
+  bool blocked = false;
   while (!conn->outbox.empty()) {
     iovec iov[kIovBatch];
     std::size_t cnt = 0;
@@ -734,6 +663,7 @@ void Server::flush_writes_impl(const ConnPtr& conn) {
     if (n > 0) {
       writev_calls_.fetch_add(1, std::memory_order_relaxed);
       std::size_t advanced = static_cast<std::size_t>(n);
+      conn->buffered -= advanced;
       while (advanced > 0) {
         const std::size_t left =
             conn->outbox.front().size() - conn->outbox_off;
@@ -748,45 +678,43 @@ void Server::flush_writes_impl(const ConnPtr& conn) {
       }
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        epoll_event ev{};
-        ev.events = (conn->eof ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
-                    EPOLLOUT;
-        ev.data.fd = conn->fd;
-        if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-          conn->want_write = true;
-        }
-      }
-      return;
-    }
     if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      blocked = true;  // EPOLLOUT resumes the drain
+      break;
+    }
     return;  // peer went away; epoll reports ERR/HUP and the I/O thread closes
   }
-  if (conn->eof) {
-    // The peer already FIN'd and its last reply byte is out: hand the
-    // connection to the I/O thread for closing (never re-arm EPOLLIN on
-    // a half-closed socket — that is the busy-spin this path avoids).
-    if (conn->inbox.empty() && !conn->scheduled && conn->v2_pending == 0) {
-      request_close_locked(conn);
-    }
-    return;
-  }
-  if (conn->want_write) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = conn->fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-      conn->want_write = false;
-    }
+  conn->want_write = blocked;
+  arm_locked(*conn);
+  // The I/O thread closes a drained EOF'd connection (the peer already
+  // FIN'd and its last reply byte is out) and resumes reading a paused
+  // one once this flush took it below half the cap.
+  if ((conn->eof && conn->drained()) ||
+      (conn->paused && conn->buffered < kMaxBufferedBytes / 2)) {
+    request_revisit_locked(conn);
   }
 }
 
-void Server::request_close_locked(const ConnPtr& conn) {
+void Server::arm_locked(Connection& conn) {
+  if (conn.dead) return;
+  const std::uint32_t want =
+      (conn.eof || conn.paused ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
+      (conn.want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  if (want == conn.armed) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = conn.fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
+    conn.armed = want;
+  }
+}
+
+void Server::request_revisit_locked(const ConnPtr& conn) {
   if (conn->dead) return;
   {
-    std::lock_guard<std::mutex> lock(close_mu_);
-    close_queue_.push_back(conn);
+    std::lock_guard<std::mutex> lock(revisit_mu_);
+    revisit_queue_.push_back(conn);
   }
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));

@@ -1,7 +1,7 @@
 // Flight-recorder event ring: a bounded lock-free overwrite buffer of the
 // last N noteworthy serving events (connection open/close, protocol
-// errors, model publishes, drain barriers, ring drops) for postmortem
-// debugging — dumped via the HTTP /events route and on SIGUSR1.
+// errors, read pauses, model publishes, drain barriers, ring drops) for
+// postmortem debugging — dumped via the HTTP /events route and on SIGUSR1.
 //
 // Writers never block and never fail: emit() claims the next global
 // sequence number with one fetch_add and overwrites the oldest slot.
@@ -31,8 +31,9 @@ enum class EventType : std::uint8_t {
   kProtocolError = 3, ///< arg = fd (stream poisoned, connection dropped)
   kModelPublish = 4,  ///< arg = model version after the publish
   kDrainBarrier = 5,  ///< arg = accesses the shadow has replayed so far
-  kStatsClear = 6,    ///< arg = accesses at the clear
+  kClearStats = 6,    ///< arg = accesses at the clear
   kShadowRingDrop = 8,  ///< arg = shard whose shadow ring dropped an access
+  kReadPause = 9,  ///< arg = fd (connection hit the server's buffer cap)
 };
 
 const char* to_string(EventType t) noexcept;
@@ -134,8 +135,9 @@ inline const char* to_string(EventType t) noexcept {
     case EventType::kProtocolError: return "protocol-error";
     case EventType::kModelPublish: return "model-publish";
     case EventType::kDrainBarrier: return "drain-barrier";
-    case EventType::kStatsClear: return "stats-clear";
+    case EventType::kClearStats: return "stats-clear";
     case EventType::kShadowRingDrop: return "shadow-ring-drop";
+    case EventType::kReadPause: return "read-pause";
   }
   return "unknown";
 }

@@ -3,8 +3,8 @@
 // Named counters, gauges, and log-bucket latency histograms behind a
 // find-or-create map; every consumer (the periodic stats line, the
 // Prometheus /metrics endpoint, the wire METRICS verb) renders from the
-// same collect() call, so the three can never disagree about a value's
-// name or source.
+// same collect() call, so they can never disagree about a value's name
+// or source.
 //
 // Hot-path contract: handles returned by counter()/gauge()/histogram()
 // are stable for the registry's lifetime — callers resolve once and keep
@@ -16,8 +16,8 @@
 // Existing snapshot structs keep working: a subsystem that already owns
 // its counters (RuntimeSnapshot, ServerStats) registers a *provider*
 // callback instead of migrating storage — the registry wraps, it does
-// not fork, the counters, so the bit-identity invariants and the wire
-// STATS pin are untouched.
+// not fork, the counters, so the bit-identity invariants are untouched.
+// Each runtime owns one registry (runtime::Runtime::metrics()).
 #pragma once
 
 #include <array>
@@ -117,7 +117,7 @@ class MetricsRegistry {
   void remove_provider(std::uint64_t id);
 
   /// Every sample from every counter, gauge, histogram, and provider,
-  /// sorted by name. THE rendering source for all three surfaces.
+  /// sorted by name. THE rendering source for every surface.
   std::vector<Sample> collect() const;
 
   /// Prometheus text exposition — one untyped `name value` line per

@@ -14,7 +14,7 @@
 // ring and the caller counts the drop — the same never-stall discipline
 // as SpscRing and the ModelRefresher's sample queue. A dropped record
 // costs capture completeness (the drop counter is surfaced all the way
-// to the wire STATS reply so lossy captures are visible); blocking would
+// to METRICS and /metrics so lossy captures are visible); blocking would
 // cost serving latency immediately.
 #pragma once
 

@@ -65,8 +65,7 @@ Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
 }
 
 void Runtime::register_metrics() {
-  if (cfg_.metrics == nullptr) return;
-  provider_id_ = cfg_.metrics->add_provider(
+  provider_id_ = metrics_.add_provider(
       [this](std::vector<obs::MetricsRegistry::Sample>& out) {
         const RuntimeSnapshot s = snapshot();
         out.push_back({"icgmm_cache_accesses", s.merged.accesses});
@@ -102,7 +101,7 @@ void Runtime::register_metrics() {
 Runtime::~Runtime() {
   // Drop the provider first: a concurrent scrape calls snapshot() on this
   // object, so it must be unreachable before members start dying.
-  if (provider_id_ != 0) cfg_.metrics->remove_provider(provider_id_);
+  metrics_.remove_provider(provider_id_);
   // Stop-drain the shadow thread while the cache it reads is still alive
   // (it would also happen via member destruction order; explicit is
   // clearer and keeps the invariant independent of declaration order).
@@ -256,7 +255,7 @@ void Runtime::clear_stats() {
   if (cfg_.events != nullptr) {
     // Record the access count being discarded — the one number that lets
     // a postmortem line up pre- and post-clear windows.
-    cfg_.events->emit(obs::EventType::kStatsClear, merged_stats().accesses);
+    cfg_.events->emit(obs::EventType::kClearStats, merged_stats().accesses);
   }
   // The marker goes into the record stream first: with the serving
   // quiesced around a FLUSH (the admin contract), every access recorded

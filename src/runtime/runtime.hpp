@@ -85,14 +85,9 @@ struct RuntimeConfig {
   /// the writer thread persists chunks off the critical path. Never
   /// blocks serving; overflow drops are counted in the snapshot.
   record::RecorderConfig record;
-  /// Optional observability sinks (not owned; must outlive the runtime).
-  /// With `metrics` set the runtime registers a provider exporting every
-  /// RuntimeSnapshot counter (icgmm_cache_*, icgmm_gmm_*, icgmm_record_*,
-  /// icgmm_shadow_*, icgmm_shard_lock_waits) — the registry wraps the
-  /// existing atomics, it does not fork them. With `events` set the
-  /// flight recorder sees model publishes, drain barriers, stats clears,
-  /// and shadow-ring drops.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Optional flight recorder (not owned; must outlive the runtime): it
+  /// sees model publishes, drain barriers, stats clears, and shadow-ring
+  /// drops.
   obs::EventRing* events = nullptr;
 };
 
@@ -126,8 +121,7 @@ struct RuntimeSnapshot {
   std::uint64_t score_batches = 0;    ///< batched span scorings
   // Pages the shards' batchers scored (admissions plus rescored ways:
   // inferences + ways x score_batches), and those whose pruned score fell
-  // back to the full K-term sum. Not in the pinned STATS reply: METRICS
-  // and /metrics carry them.
+  // back to the full K-term sum.
   std::uint64_t pages_scored = 0;
   std::uint64_t score_fallbacks = 0;
   std::uint64_t model_version = 0;    ///< ModelSlot publishes (GMM mode)
@@ -138,8 +132,7 @@ struct RuntimeSnapshot {
   // trails the serving path by the writer thread's lag; records_dropped
   // counts accesses lost to a full recorder ring (the never-stall cost);
   // record_write_errors counts accepted records that never reached the
-  // file (a failed write, e.g. a full disk). Not in the pinned STATS
-  // reply: METRICS and /metrics carry it.
+  // file (a failed write, e.g. a full disk).
   std::uint64_t records_written = 0;
   std::uint64_t records_dropped = 0;
   std::uint64_t record_chunks = 0;
@@ -182,6 +175,15 @@ class Runtime {
 
   const RuntimeConfig& config() const noexcept { return cfg_; }
   const std::string& policy_name() const noexcept { return policy_name_; }
+
+  /// The one metrics registry of this runtime and everything serving it.
+  /// The runtime registers a provider exporting every RuntimeSnapshot
+  /// counter (icgmm_cache_*, icgmm_gmm_*, icgmm_record_*, icgmm_shadow_*,
+  /// icgmm_shard_lock_waits) — it wraps the existing atomics, it does not
+  /// fork them; a net::Server over the runtime adds its own counters and
+  /// stage histograms, and the METRICS verb and an HTTP exporter render
+  /// from it. Anything registering here must go before the runtime does.
+  obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// Starts background adaptation (no-op without a refresher). Serving
   /// does not require start(); it only enables drift adaptation.
@@ -257,7 +259,8 @@ class Runtime {
   void register_metrics();
 
   RuntimeConfig cfg_;
-  std::uint64_t provider_id_ = 0;  ///< 0 = no provider registered
+  obs::MetricsRegistry metrics_;
+  std::uint64_t provider_id_ = 0;
   std::string policy_name_;
   std::unique_ptr<ModelSlot> slot_;                       // GMM mode only
   std::vector<std::unique_ptr<InferenceBatcher>> batchers_;  // one per shard

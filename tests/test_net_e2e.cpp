@@ -4,9 +4,10 @@
 // hit/miss/inference counts to the in-process replay_trace driver, for a
 // classic policy and for the trained GMM policy, including the warm-up
 // discard (client-side FLUSH at the same request index replay clears
-// stats at). The V2 tests hold the same bar over the negotiated
-// multiplexed protocol, with multi-worker servers completing requests
-// out of order. Suite name starts with "Net" for the CI TSan job.
+// stats at). The V2 tests hold the same bar with multi-worker servers
+// completing requests out of order. Counters are compared by name, as
+// the server reports them on METRICS. Suite name starts with "Net" for
+// the CI TSan job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,37 +43,35 @@ std::vector<net::WireAccess> wire_stream(const trace::Trace& t,
 
 /// Replays `stream` over one connection through the shared driver the
 /// loadgen and net bench use, FLUSHing the server at exactly the given
-/// clear points ({} = never), then returns STATS. `v2` negotiates the
-/// multiplexed protocol first (and asserts the server granted it).
-net::StatsReply serve_stream(std::uint16_t port,
-                             const std::vector<net::WireAccess>& stream,
-                             std::vector<std::size_t> clear_points,
-                             std::size_t batch, bool v2 = false,
-                             std::size_t pipeline = 2) {
+/// clear points ({} = never), then returns the server's METRICS.
+net::MetricsReply serve_stream(std::uint16_t port,
+                               const std::vector<net::WireAccess>& stream,
+                               std::vector<std::size_t> clear_points,
+                               std::size_t batch, std::size_t pipeline = 2) {
   net::Client client = net::Client::connect("127.0.0.1", port);
-  if (v2) {
-    EXPECT_EQ(client.negotiate(), net::kProtocolV2);
-  }
   net::ReplayOptions opts;
   opts.batch = batch;
   opts.pipeline = pipeline;
   opts.clear_points = std::move(clear_points);
   const std::uint64_t completed = net::replay_stream(client, stream, opts);
   EXPECT_EQ(completed, stream.size());
-  return client.stats();
+  return client.metrics();
 }
 
-void expect_counts_match(const net::StatsReply& net_stats,
+void expect_counts_match(const net::MetricsReply& served,
                          const sim::RunResult& replayed) {
-  EXPECT_EQ(net_stats.accesses, replayed.stats.accesses);
-  EXPECT_EQ(net_stats.hits, replayed.stats.hits);
-  EXPECT_EQ(net_stats.read_misses, replayed.stats.read_misses);
-  EXPECT_EQ(net_stats.write_misses, replayed.stats.write_misses);
-  EXPECT_EQ(net_stats.fills, replayed.stats.fills);
-  EXPECT_EQ(net_stats.bypasses, replayed.stats.bypasses);
-  EXPECT_EQ(net_stats.evictions, replayed.stats.evictions);
-  EXPECT_EQ(net_stats.dirty_evictions, replayed.stats.dirty_evictions);
-  EXPECT_EQ(net_stats.inferences, replayed.policy_inferences);
+  EXPECT_EQ(served.value("icgmm_cache_accesses"), replayed.stats.accesses);
+  EXPECT_EQ(served.value("icgmm_cache_hits"), replayed.stats.hits);
+  EXPECT_EQ(served.value("icgmm_cache_read_misses"),
+            replayed.stats.read_misses);
+  EXPECT_EQ(served.value("icgmm_cache_write_misses"),
+            replayed.stats.write_misses);
+  EXPECT_EQ(served.value("icgmm_cache_fills"), replayed.stats.fills);
+  EXPECT_EQ(served.value("icgmm_cache_bypasses"), replayed.stats.bypasses);
+  EXPECT_EQ(served.value("icgmm_cache_evictions"), replayed.stats.evictions);
+  EXPECT_EQ(served.value("icgmm_cache_dirty_evictions"),
+            replayed.stats.dirty_evictions);
+  EXPECT_EQ(served.value("icgmm_gmm_inferences"), replayed.policy_inferences);
 }
 
 TEST(NetE2E, ServedLruTraceMatchesInProcessReplayExactly) {
@@ -93,11 +92,11 @@ TEST(NetE2E, ServedLruTraceMatchesInProcessReplayExactly) {
   runtime::Runtime served_rt(rcfg, cache::LruPolicy());
   net::Server server(served_rt, {.port = 0, .workers = 1});
   server.start();
-  const net::StatsReply net_stats = serve_stream(
+  const net::MetricsReply served = serve_stream(
       server.port(), wire_stream(t, serve_cfg.transform), {warmup}, 64);
   server.stop();
 
-  expect_counts_match(net_stats, replayed.run);
+  expect_counts_match(served, replayed.run);
 }
 
 TEST(NetE2E, ServedGmmTraceMatchesInProcessReplayExactly) {
@@ -126,13 +125,14 @@ TEST(NetE2E, ServedGmmTraceMatchesInProcessReplayExactly) {
   const auto served_rt = system.make_runtime(rcfg, strategy, threshold);
   net::Server server(*served_rt, {.port = 0, .workers = 1});
   server.start();
-  const net::StatsReply net_stats = serve_stream(
+  const net::MetricsReply served = serve_stream(
       server.port(), wire_stream(t, serve_cfg.transform), {warmup}, 64);
   server.stop();
 
-  expect_counts_match(net_stats, replayed.run);
-  EXPECT_GT(net_stats.inferences, 0u);
-  EXPECT_GT(net_stats.score_batches, 0u);  // eviction rescores ran batched
+  expect_counts_match(served, replayed.run);
+  EXPECT_GT(served.value("icgmm_gmm_inferences"), 0u);
+  // Eviction rescores ran batched.
+  EXPECT_GT(served.value("icgmm_gmm_score_batches"), 0u);
 }
 
 TEST(NetE2E, BatchSizeDoesNotChangeServedCounts) {
@@ -143,33 +143,33 @@ TEST(NetE2E, BatchSizeDoesNotChangeServedCounts) {
                                     .shards = 1};
   const trace::TransformConfig tcfg;
 
-  net::StatsReply first;
+  net::MetricsReply first;
   bool have_first = false;
   for (const std::size_t batch : {1u, 17u, 256u, 20000u}) {
     runtime::Runtime rt(rcfg, cache::LruPolicy());
     net::Server server(rt, {.port = 0, .workers = 1});
     server.start();
-    const net::StatsReply s =
+    const net::MetricsReply s =
         serve_stream(server.port(), wire_stream(t, tcfg), {}, batch);
     server.stop();
     if (!have_first) {
       first = s;
       have_first = true;
-      EXPECT_EQ(s.accesses, t.size());
+      EXPECT_EQ(s.value("icgmm_cache_accesses"), t.size());
       continue;
     }
-    EXPECT_EQ(s.accesses, first.accesses);
-    EXPECT_EQ(s.hits, first.hits);
-    EXPECT_EQ(s.read_misses, first.read_misses);
-    EXPECT_EQ(s.write_misses, first.write_misses);
-    EXPECT_EQ(s.evictions, first.evictions);
+    for (const char* name :
+         {"icgmm_cache_accesses", "icgmm_cache_hits", "icgmm_cache_read_misses",
+          "icgmm_cache_write_misses", "icgmm_cache_evictions"}) {
+      EXPECT_EQ(s.value(name), first.value(name)) << name;
+    }
   }
 }
 
 TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
   // A capture with several FLUSH markers replays exactly on one
   // connection: every clear point lands on its recorded request index,
-  // over v1 and over the negotiated v2 protocol alike. Mirrors
+  // with a multi-worker server behind it. Mirrors
   // runtime::ReplayConfig::clear_points semantics.
   const trace::Trace t = test_util::zipf_trace(30000, 1024, 0.9, 0xB7);
   const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(32, 4),
@@ -183,23 +183,21 @@ TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
   const runtime::ReplayResult replayed =
       runtime::replay_trace(reference, t, serve_cfg);
 
-  for (const bool v2 : {false, true}) {
-    runtime::Runtime rt(rcfg, cache::LruPolicy());
-    // Two workers on the v2 pass: the multiplexed dispatch path, with
-    // pipeline 1 keeping the ACCESS stream itself in deterministic order.
-    net::Server server(rt, {.port = 0, .workers = v2 ? 2u : 1u});
-    server.start();
-    const net::StatsReply s =
-        serve_stream(server.port(), wire_stream(t, serve_cfg.transform),
-                     points, 64, v2, /*pipeline=*/v2 ? 1 : 2);
-    server.stop();
-    expect_counts_match(s, replayed.run);
-  }
+  runtime::Runtime rt(rcfg, cache::LruPolicy());
+  // Two workers complete requests in any order; pipeline 1 keeps the
+  // ACCESS stream itself in deterministic order.
+  net::Server server(rt, {.port = 0, .workers = 2});
+  server.start();
+  const net::MetricsReply s =
+      serve_stream(server.port(), wire_stream(t, serve_cfg.transform), points,
+                   64, /*pipeline=*/1);
+  server.stop();
+  expect_counts_match(s, replayed.run);
 }
 
 TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
-  // The PR 4 trace-equivalence bar carried onto protocol v2 with a
-  // 2-worker server genuinely completing requests out of order: each
+  // The trace-equivalence bar with a 2-worker server genuinely
+  // completing requests out of order: each
   // ACCESS batch travels with a concurrent PING, so two requests from
   // this connection are in flight at once and the PONG may overtake or
   // trail the ACCESS reply — poll_any() absorbs either order. The ACCESS
@@ -221,7 +219,6 @@ TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
   net::Server server(served_rt, {.port = 0, .workers = 2});
   server.start();
   net::Client client = net::Client::connect("127.0.0.1", server.port());
-  ASSERT_EQ(client.negotiate(), net::kProtocolV2);
 
   const auto stream = wire_stream(t, serve_cfg.transform);
   std::uint64_t completed = 0;
@@ -248,7 +245,7 @@ TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
   EXPECT_EQ(pongs, (stream.size() + 63) / 64);
   EXPECT_EQ(client.outstanding(), 0u);
 
-  const net::StatsReply s = client.stats();
+  const net::MetricsReply s = client.metrics();
   server.stop();
   expect_counts_match(s, replayed.run);
 }

@@ -1,7 +1,8 @@
 // Wire protocol: byte-level layout pins, round-trip encode/decode for
 // every message type, incremental framing off a byte stream, and
 // rejection of malformed frames (truncated, oversized declared length,
-// bad magic/version, reserved flag bits, empty/inconsistent batches).
+// bad magic/version — the retired version 1 included — reserved flag
+// bits, empty/inconsistent batches).
 // Pure buffer tests — no sockets. gtest-only (no gmock in the container).
 #include <gtest/gtest.h>
 
@@ -26,25 +27,24 @@ Frame must_decode(const Bytes& buf, std::size_t* consumed_out = nullptr) {
 }
 
 TEST(NetProtocol, HeaderWireLayoutIsLittleEndianAndPinned) {
+  // A frame with a payload: the header is 24 bytes whatever the type, and
+  // the payload starts right behind it.
   Bytes buf;
-  encode_ping(buf, 0x11223344u);
-  ASSERT_EQ(buf.size(), kHeaderBytes);
-  // magic "ICGM" — the ASCII bytes in stream order.
-  EXPECT_EQ(buf[0], 'I');
-  EXPECT_EQ(buf[1], 'C');
-  EXPECT_EQ(buf[2], 'G');
-  EXPECT_EQ(buf[3], 'M');
-  EXPECT_EQ(buf[4], kProtocolVersion);
-  EXPECT_EQ(buf[5], static_cast<std::uint8_t>(MsgType::kPing));
-  EXPECT_EQ(buf[6], 0);  // flags lo
-  EXPECT_EQ(buf[7], 0);  // flags hi
-  // seq, little-endian.
+  encode_access_reply(buf, 0x11223344u, AccessReply{.count = 0xA1B2C3D4u});
+  ASSERT_EQ(buf.size(), kHeaderBytesV2 + 20);
+  EXPECT_EQ(buf[4], kProtocolV2);
+  EXPECT_EQ(buf[5], static_cast<std::uint8_t>(MsgType::kAccessReply));
+  // request_id, little-endian, high half zero.
   EXPECT_EQ(buf[8], 0x44);
   EXPECT_EQ(buf[9], 0x33);
   EXPECT_EQ(buf[10], 0x22);
   EXPECT_EQ(buf[11], 0x11);
-  // payload_len == 0.
   EXPECT_EQ(get_u32(buf.data() + 12), 0u);
+  // payload_len at 16, reserved u32 at 20, payload at 24.
+  EXPECT_EQ(get_u32(buf.data() + 16), 20u);
+  EXPECT_EQ(get_u32(buf.data() + 20), 0u);
+  EXPECT_EQ(buf[24], 0xD4);
+  EXPECT_EQ(get_u32(buf.data() + 24), 0xA1B2C3D4u);
 }
 
 TEST(NetProtocol, LittleEndianPrimitivesRoundTrip) {
@@ -86,7 +86,7 @@ TEST(NetProtocol, AccessBatchRoundTrip) {
   };
   Bytes buf;
   encode_access_batch(buf, 99, accesses);
-  ASSERT_EQ(buf.size(), kHeaderBytes + 4 + 3 * kAccessWireBytes);
+  ASSERT_EQ(buf.size(), kHeaderBytesV2 + 4 + 3 * kAccessWireBytes);
   const Frame f = must_decode(buf);
   EXPECT_EQ(f.header.type, MsgType::kAccessBatch);
   EXPECT_EQ(f.header.seq, 99u);
@@ -108,6 +108,10 @@ TEST(NetProtocol, EncoderRejectsBatchesOverTheProtocolCap) {
   EXPECT_THROW(encode_access_batch(buf, 1, too_many), std::length_error);
   const std::vector<WireAccess> exactly(kMaxBatch);
   EXPECT_NO_THROW(encode_access_batch(buf, 1, exactly));
+  // The encoders that keep a version argument take version 2 only.
+  EXPECT_THROW(encode_access_batch(buf, 1, exactly, 1), std::invalid_argument);
+  EXPECT_THROW(encode_metrics_request(buf, 1, 1), std::invalid_argument);
+  EXPECT_THROW(encode_flush_request(buf, 1, 3), std::invalid_argument);
 }
 
 TEST(NetProtocol, AccessReplyRoundTrip) {
@@ -126,60 +130,6 @@ TEST(NetProtocol, AccessReplyRoundTrip) {
   EXPECT_EQ(decoded.admitted, reply.admitted);
   EXPECT_EQ(decoded.evictions, reply.evictions);
   EXPECT_EQ(decoded.dirty_evictions, reply.dirty_evictions);
-}
-
-TEST(NetProtocol, StatsRoundTrip) {
-  Bytes req;
-  encode_stats_request(req, 3);
-  EXPECT_EQ(must_decode(req).header.type, MsgType::kStats);
-
-  StatsReply reply;
-  reply.accesses = 1000000007ull;
-  reply.hits = 999;
-  reply.read_misses = 11;
-  reply.write_misses = 22;
-  reply.fills = 33;
-  reply.bypasses = 44;
-  reply.evictions = 55;
-  reply.dirty_evictions = 66;
-  reply.inferences = 0xFFFFFFFFFFull;
-  reply.score_batches = 77;
-  reply.model_version = 88;
-  reply.models_published = 99;
-  reply.records_written = 111;
-  reply.records_dropped = 222;
-  reply.record_chunks = 333;
-  reply.shadow_accesses = 444;
-  reply.shadow_hits = 260;
-  reply.shadow_misses = 184;
-  reply.shadow_divergence = 17;
-  reply.shadow_dropped = 5;
-  Bytes buf;
-  encode_stats_reply(buf, 3, reply);
-  // Layout pin: 20 u64 counters since the shadow fields joined.
-  ASSERT_EQ(buf.size(), kHeaderBytes + 20 * 8);
-  StatsReply decoded;
-  ASSERT_EQ(decode_stats_reply(must_decode(buf), decoded), DecodeStatus::kOk);
-  EXPECT_EQ(decoded.accesses, reply.accesses);
-  EXPECT_EQ(decoded.hits, reply.hits);
-  EXPECT_EQ(decoded.read_misses, reply.read_misses);
-  EXPECT_EQ(decoded.write_misses, reply.write_misses);
-  EXPECT_EQ(decoded.fills, reply.fills);
-  EXPECT_EQ(decoded.bypasses, reply.bypasses);
-  EXPECT_EQ(decoded.evictions, reply.evictions);
-  EXPECT_EQ(decoded.dirty_evictions, reply.dirty_evictions);
-  EXPECT_EQ(decoded.inferences, reply.inferences);
-  EXPECT_EQ(decoded.score_batches, reply.score_batches);
-  EXPECT_EQ(decoded.model_version, reply.model_version);
-  EXPECT_EQ(decoded.models_published, reply.models_published);
-  EXPECT_EQ(decoded.records_written, reply.records_written);
-  EXPECT_EQ(decoded.records_dropped, reply.records_dropped);
-  EXPECT_EQ(decoded.record_chunks, reply.record_chunks);
-  EXPECT_EQ(decoded.shadow_accesses, reply.shadow_accesses);
-  EXPECT_EQ(decoded.shadow_hits, reply.shadow_hits);
-  EXPECT_EQ(decoded.shadow_misses, reply.shadow_misses);
-  EXPECT_EQ(decoded.shadow_divergence, reply.shadow_divergence);
-  EXPECT_EQ(decoded.shadow_dropped, reply.shadow_dropped);
 }
 
 TEST(NetProtocol, ModelInfoRoundTrip) {
@@ -228,11 +178,11 @@ TEST(NetProtocol, StreamFramingSlicesBackToBackFrames) {
   Bytes stream;
   encode_ping(stream, 1);
   encode_access_batch(stream, 2, std::vector<WireAccess>{{.page = 5}});
-  encode_stats_request(stream, 3);
+  encode_metrics_request(stream, 3);
 
   std::span<const std::uint8_t> rest(stream);
   const MsgType expected[] = {MsgType::kPing, MsgType::kAccessBatch,
-                              MsgType::kStats};
+                              MsgType::kMetrics};
   for (const MsgType type : expected) {
     Frame f;
     std::size_t consumed = 0;
@@ -267,12 +217,11 @@ TEST(NetProtocol, BadMagicRejected) {
 }
 
 TEST(NetProtocol, BadVersionRejected) {
-  // Version 2 is now a valid prefix (the v2 header), so the unknown
-  // versions are 0, 3, and up — all stream poison at the header stage.
-  // This rejection rule IS the negotiation story: an old server answers
-  // a v2 probe by dropping the connection, so the client falls back.
-  for (const std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{3},
-                                 std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
+  // Every version but 2 is stream poison at the header stage — the
+  // retired version 1 included.
+  for (const std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{1},
+                                 std::uint8_t{3}, std::uint8_t{0x7F},
+                                 std::uint8_t{0xFF}}) {
     Bytes buf;
     encode_ping(buf, 1);
     buf[4] = bad;
@@ -281,13 +230,23 @@ TEST(NetProtocol, BadVersionRejected) {
     EXPECT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kBadVersion)
         << "version " << static_cast<int>(bad);
   }
+  // Judged from the 8-byte prefix alone: a version-1 PING was 16 bytes,
+  // and its sender waits for a reply rather than sending the rest of a
+  // 24-byte header, so the decoder must not wait for it either.
+  Bytes v1_ping;
+  encode_ping(v1_ping, 1);
+  v1_ping[4] = 1;
+  Frame f;
+  std::size_t consumed = 0;
+  EXPECT_EQ(decode_frame(std::span(v1_ping.data(), 8), f, consumed),
+            DecodeStatus::kBadVersion);
+  EXPECT_EQ(decode_frame(std::span(v1_ping.data(), 7), f, consumed),
+            DecodeStatus::kNeedMore);
 }
-
-// --- protocol v2 ------------------------------------------------------------
 
 TEST(NetProtocol, V2HeaderWireLayoutIsLittleEndianAndPinned) {
   Bytes buf;
-  encode_ping(buf, 0x1122334455667788ull, kProtocolV2);
+  encode_ping(buf, 0x1122334455667788ull);
   ASSERT_EQ(buf.size(), kHeaderBytesV2);
   EXPECT_EQ(buf[0], 'I');
   EXPECT_EQ(buf[1], 'C');
@@ -307,20 +266,18 @@ TEST(NetProtocol, V2HeaderWireLayoutIsLittleEndianAndPinned) {
 }
 
 TEST(NetProtocol, V2RoundTripsEveryMessageType) {
-  // Same payload formats as v1, 24-byte header, u64 ids beyond u32 range.
+  // Every message type with a u64 id beyond the u32 range.
   const std::uint64_t id = 0xDEADBEEF00000001ull;
 
   Bytes ping;
-  encode_ping(ping, id, kProtocolV2);
+  encode_ping(ping, id);
   Frame f = must_decode(ping);
-  EXPECT_EQ(f.header.version, kProtocolV2);
   EXPECT_EQ(f.header.seq, id);
   EXPECT_EQ(decode_empty(f), DecodeStatus::kOk);
 
   Bytes batch;
   encode_access_batch(batch, id + 1,
-                      std::vector<WireAccess>{{.page = 9, .timestamp = 3}},
-                      kProtocolV2);
+                      std::vector<WireAccess>{{.page = 9, .timestamp = 3}});
   ASSERT_EQ(batch.size(), kHeaderBytesV2 + 4 + kAccessWireBytes);
   f = must_decode(batch);
   EXPECT_EQ(f.header.seq, id + 1);
@@ -330,43 +287,48 @@ TEST(NetProtocol, V2RoundTripsEveryMessageType) {
   EXPECT_EQ(accesses[0].page, 9u);
 
   Bytes reply;
-  encode_access_reply(reply, id + 2, AccessReply{.count = 3, .hits = 2},
-                      kProtocolV2);
+  encode_access_reply(reply, id + 2, AccessReply{.count = 3, .hits = 2});
   f = must_decode(reply);
   AccessReply r;
   ASSERT_EQ(decode_access_reply(f, r), DecodeStatus::kOk);
   EXPECT_EQ(r.count, 3u);
   EXPECT_EQ(r.hits, 2u);
 
-  Bytes stats_req;
-  encode_stats_request(stats_req, id + 3, kProtocolV2);
-  EXPECT_EQ(must_decode(stats_req).header.type, MsgType::kStats);
-  Bytes stats_rep;
-  encode_stats_reply(stats_rep, id + 3, StatsReply{.accesses = 77},
-                     kProtocolV2);
-  StatsReply sr;
-  ASSERT_EQ(decode_stats_reply(must_decode(stats_rep), sr), DecodeStatus::kOk);
-  EXPECT_EQ(sr.accesses, 77u);
+  Bytes metrics_req;
+  encode_metrics_request(metrics_req, id + 3);
+  f = must_decode(metrics_req);
+  EXPECT_EQ(f.header.type, MsgType::kMetrics);
+  EXPECT_EQ(decode_empty(f), DecodeStatus::kOk);
+  Bytes metrics_rep;
+  MetricsReply mr;
+  mr.entries.push_back({"icgmm_cache_accesses", 77});
+  encode_metrics_reply(metrics_rep, id + 3, mr);
+  MetricsReply decoded_mr;
+  ASSERT_EQ(decode_metrics_reply(must_decode(metrics_rep), decoded_mr),
+            DecodeStatus::kOk);
+  EXPECT_EQ(decoded_mr.value("icgmm_cache_accesses"), 77u);
+  EXPECT_EQ(decoded_mr.value("icgmm_absent"), 0u);
 
+  Bytes info_req;
+  encode_model_info_request(info_req, id + 4);
+  EXPECT_EQ(must_decode(info_req).header.type, MsgType::kModelInfo);
   Bytes info;
   encode_model_info_reply(info, id + 4,
-                          ModelInfoReply{.shards = 2, .policy_name = "lru"},
-                          kProtocolV2);
+                          ModelInfoReply{.shards = 2, .policy_name = "lru"});
   ModelInfoReply mi;
   ASSERT_EQ(decode_model_info_reply(must_decode(info), mi), DecodeStatus::kOk);
   EXPECT_EQ(mi.policy_name, "lru");
 
   Bytes flush_req;
-  encode_flush_request(flush_req, id + 5, kProtocolV2);
+  encode_flush_request(flush_req, id + 5);
   EXPECT_EQ(must_decode(flush_req).header.type, MsgType::kFlush);
   Bytes flush_rep;
-  encode_flush_reply(flush_rep, id + 5, kProtocolV2);
+  encode_flush_reply(flush_rep, id + 5);
   EXPECT_EQ(decode_empty(must_decode(flush_rep)), DecodeStatus::kOk);
 
   Bytes err;
   encode_error(err, id + 6,
-               {.code = ErrorCode::kBadRequest, .message = "nope"},
-               kProtocolV2);
+               {.code = ErrorCode::kBadRequest, .message = "nope"});
   ErrorReply er;
   ASSERT_EQ(decode_error(must_decode(err), er), DecodeStatus::kOk);
   EXPECT_EQ(er.message, "nope");
@@ -377,7 +339,7 @@ TEST(NetProtocol, V2ReservedHeaderTailMustBeZero) {
   // a nonzero value is a framing error, reserved for future meaning.
   for (const std::size_t byte : {20u, 21u, 22u, 23u}) {
     Bytes buf;
-    encode_ping(buf, 1, kProtocolV2);
+    encode_ping(buf, 1);
     buf[byte] = 0x01;
     Frame f;
     std::size_t consumed = 0;
@@ -387,11 +349,10 @@ TEST(NetProtocol, V2ReservedHeaderTailMustBeZero) {
 }
 
 TEST(NetProtocol, V2TruncatedHeaderNeedsMoreAtEveryPrefixLength) {
-  // A v2 header prefix — including lengths 16..23, which would be a
-  // complete v1 header — must wait for all 24 bytes, never misparse.
+  // A header prefix — including lengths 8..23, past the judged 8-byte
+  // prefix — must wait for all 24 bytes, never misparse.
   Bytes full;
-  encode_access_batch(full, 42, std::vector<WireAccess>{{.page = 1}},
-                      kProtocolV2);
+  encode_access_batch(full, 42, std::vector<WireAccess>{{.page = 1}});
   for (std::size_t len = 0; len < full.size(); ++len) {
     Frame f;
     std::size_t consumed = 0;
@@ -402,29 +363,43 @@ TEST(NetProtocol, V2TruncatedHeaderNeedsMoreAtEveryPrefixLength) {
 }
 
 TEST(NetProtocol, MixedVersionStreamSlicesFrameByFrame) {
-  // The server decodes each frame in the version it arrived with; a
-  // connection may interleave versions mid-stream (the negotiate probe
-  // does exactly this: v1 traffic, then a v2 PING).
+  // A stream that switches version mid-way slices frame by frame up to
+  // the first frame of another version, which poisons the stream there:
+  // the frames before it decode, nothing after it is ever read.
   Bytes stream;
   encode_ping(stream, 1);
-  encode_ping(stream, 0x100000000ull, kProtocolV2);
-  encode_stats_request(stream, 2);
+  encode_metrics_request(stream, 0x100000000ull);
+  const std::size_t v1_at = stream.size();
+  encode_ping(stream, 2);
+  stream[v1_at + 4] = 1;  // a version-1 header
 
   std::span<const std::uint8_t> rest(stream);
   Frame f;
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(rest, f, consumed), DecodeStatus::kOk);
-  EXPECT_EQ(f.header.version, kProtocolVersion);
+  EXPECT_EQ(f.header.type, MsgType::kPing);
   EXPECT_EQ(f.header.seq, 1u);
   rest = rest.subspan(consumed);
   ASSERT_EQ(decode_frame(rest, f, consumed), DecodeStatus::kOk);
-  EXPECT_EQ(f.header.version, kProtocolV2);
+  EXPECT_EQ(f.header.type, MsgType::kMetrics);
   EXPECT_EQ(f.header.seq, 0x100000000ull);
   rest = rest.subspan(consumed);
-  ASSERT_EQ(decode_frame(rest, f, consumed), DecodeStatus::kOk);
-  EXPECT_EQ(f.header.type, MsgType::kStats);
-  rest = rest.subspan(consumed);
-  EXPECT_TRUE(rest.empty());
+  EXPECT_EQ(rest.size(), kHeaderBytesV2);
+  EXPECT_EQ(decode_frame(rest, f, consumed), DecodeStatus::kBadVersion);
+}
+
+TEST(NetProtocol, RetiredStatsTypeNumbersStayWellFramed) {
+  // 5 and 6 (once STATS and its reply) are unassigned but inside the type
+  // range: a frame of either type decodes, so the server can answer it
+  // with an ERROR instead of dropping the connection.
+  for (const std::uint8_t type : {std::uint8_t{5}, std::uint8_t{6}}) {
+    Bytes buf;
+    encode_ping(buf, 9);
+    buf[5] = type;
+    const Frame f = must_decode(buf);
+    EXPECT_EQ(static_cast<std::uint8_t>(f.header.type), type);
+    EXPECT_STREQ(to_string(f.header.type), "UNKNOWN");
+  }
 }
 
 TEST(NetProtocol, UnknownTypeAndReservedFlagsRejected) {
@@ -447,10 +422,10 @@ TEST(NetProtocol, OversizedDeclaredLengthRejectedBeforePayloadArrives) {
   // Declare a payload over the cap. Header alone must already reject —
   // a server must not wait for (or allocate) a bogus gigabyte.
   const std::uint32_t huge = kMaxPayload + 1;
-  buf[12] = static_cast<std::uint8_t>(huge);
-  buf[13] = static_cast<std::uint8_t>(huge >> 8);
-  buf[14] = static_cast<std::uint8_t>(huge >> 16);
-  buf[15] = static_cast<std::uint8_t>(huge >> 24);
+  buf[16] = static_cast<std::uint8_t>(huge);
+  buf[17] = static_cast<std::uint8_t>(huge >> 8);
+  buf[18] = static_cast<std::uint8_t>(huge >> 16);
+  buf[19] = static_cast<std::uint8_t>(huge >> 24);
   Frame f;
   std::size_t consumed = 0;
   EXPECT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kBadLength);
@@ -461,10 +436,10 @@ TEST(NetProtocol, EmptyBatchRejected) {
   Bytes buf;
   encode_access_batch(buf, 1, std::vector<WireAccess>{{.page = 1}});
   // Rewrite payload to just the count field, zeroed.
-  buf.resize(kHeaderBytes + 4);
-  buf[12] = 4;  // payload_len = 4
-  buf[13] = buf[14] = buf[15] = 0;
-  buf[16] = buf[17] = buf[18] = buf[19] = 0;  // count = 0
+  buf.resize(kHeaderBytesV2 + 4);
+  buf[16] = 4;  // payload_len = 4
+  buf[17] = buf[18] = buf[19] = 0;
+  buf[24] = buf[25] = buf[26] = buf[27] = 0;  // count = 0
   const Frame f = must_decode(buf);
   std::vector<WireAccess> out;
   EXPECT_EQ(decode_access_batch(f, out), DecodeStatus::kBadPayload);
@@ -475,7 +450,7 @@ TEST(NetProtocol, BatchCountInconsistentWithPayloadRejected) {
   encode_access_batch(buf, 1, std::vector<WireAccess>{{.page = 1},
                                                       {.page = 2}});
   // Claim 3 records while carrying 2.
-  buf[kHeaderBytes] = 3;
+  buf[kHeaderBytesV2] = 3;
   Frame f;
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kOk);
@@ -486,10 +461,10 @@ TEST(NetProtocol, BatchCountInconsistentWithPayloadRejected) {
   Bytes buf2;
   encode_access_batch(buf2, 1, std::vector<WireAccess>{{.page = 1}});
   const std::uint32_t over = kMaxBatch + 1;
-  buf2[kHeaderBytes] = static_cast<std::uint8_t>(over);
-  buf2[kHeaderBytes + 1] = static_cast<std::uint8_t>(over >> 8);
-  buf2[kHeaderBytes + 2] = static_cast<std::uint8_t>(over >> 16);
-  buf2[kHeaderBytes + 3] = static_cast<std::uint8_t>(over >> 24);
+  buf2[kHeaderBytesV2] = static_cast<std::uint8_t>(over);
+  buf2[kHeaderBytesV2 + 1] = static_cast<std::uint8_t>(over >> 8);
+  buf2[kHeaderBytesV2 + 2] = static_cast<std::uint8_t>(over >> 16);
+  buf2[kHeaderBytesV2 + 3] = static_cast<std::uint8_t>(over >> 24);
   ASSERT_EQ(decode_frame(buf2, f, consumed), DecodeStatus::kOk);
   EXPECT_EQ(decode_access_batch(f, out), DecodeStatus::kBadPayload);
 }
@@ -497,7 +472,7 @@ TEST(NetProtocol, BatchCountInconsistentWithPayloadRejected) {
 TEST(NetProtocol, ReservedAccessFlagBitsRejected) {
   Bytes buf;
   encode_access_batch(buf, 1, std::vector<WireAccess>{{.page = 1}});
-  buf[kHeaderBytes + 4 + 16] = 0x02;  // flags byte: reserved bit set
+  buf[kHeaderBytesV2 + 4 + 16] = 0x02;  // flags byte: reserved bit set
   Frame f;
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kOk);
@@ -509,7 +484,7 @@ TEST(NetProtocol, WrongPayloadSizeForFixedSizeRepliesRejected) {
   Bytes buf;
   encode_access_reply(buf, 1, AccessReply{.count = 1});
   buf.pop_back();
-  buf[12] = 19;  // payload_len 20 -> 19
+  buf[16] = 19;  // payload_len 20 -> 19
   Frame f;
   std::size_t consumed = 0;
   ASSERT_EQ(decode_frame(buf, f, consumed), DecodeStatus::kOk);
@@ -519,7 +494,7 @@ TEST(NetProtocol, WrongPayloadSizeForFixedSizeRepliesRejected) {
   Bytes ping;
   encode_ping(ping, 1);
   ping.push_back(0);  // non-empty payload on an empty-payload type
-  ping[12] = 1;
+  ping[16] = 1;
   ASSERT_EQ(decode_frame(ping, f, consumed), DecodeStatus::kOk);
   EXPECT_EQ(decode_empty(f), DecodeStatus::kBadPayload);
 }

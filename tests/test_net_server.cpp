@@ -1,15 +1,19 @@
 // Server + Client over real loopback sockets: lifecycle, every RPC type,
 // pipelined batches, concurrent connections hammering one runtime (the
-// TSan target), malformed-stream rejection, FLUSH semantics, and the
-// connection pool. Suite name starts with "Net" so the CI thread-sanitizer
-// job picks it up via -R '^(Runtime|PolicyClone|Net)'.
+// TSan target), malformed-stream rejection (retired version-1 frames
+// included), FLUSH semantics, the per-connection buffer cap against a
+// client that never reads, and the open-loop replay driver. Suite names
+// start with "Net" so the CI sanitizer jobs pick them up via -R.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -54,9 +58,15 @@ TEST(NetServer, StartsOnEphemeralPortAndStopsCleanly) {
   server.stop();  // idempotent
 }
 
+/// Cache accesses + misses the server reports on METRICS.
+std::uint64_t served_misses(const net::MetricsReply& m) {
+  return m.value("icgmm_cache_read_misses") +
+         m.value("icgmm_cache_write_misses");
+}
+
 TEST(NetServer, PingStatsModelInfoFlushRoundTrips) {
   runtime::Runtime rt(small_runtime_config(4), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 1});
+  net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
   net::Client client = net::Client::connect("127.0.0.1", server.port());
 
@@ -67,10 +77,10 @@ TEST(NetServer, PingStatsModelInfoFlushRoundTrips) {
   EXPECT_EQ(reply.count, 500u);
   EXPECT_LE(reply.hits, 500u);
 
-  net::StatsReply stats = client.stats();
-  EXPECT_EQ(stats.accesses, 500u);
-  EXPECT_EQ(stats.hits, reply.hits);
-  EXPECT_EQ(stats.hits + stats.read_misses + stats.write_misses, 500u);
+  net::MetricsReply stats = client.metrics();
+  EXPECT_EQ(stats.value("icgmm_cache_accesses"), 500u);
+  EXPECT_EQ(stats.value("icgmm_cache_hits"), reply.hits);
+  EXPECT_EQ(stats.value("icgmm_cache_hits") + served_misses(stats), 500u);
 
   net::ModelInfoReply info = client.model_info();
   EXPECT_EQ(info.shards, 4u);
@@ -78,17 +88,30 @@ TEST(NetServer, PingStatsModelInfoFlushRoundTrips) {
   EXPECT_EQ(info.components, 0u);  // prototype mode: no model slot
 
   client.flush();
-  stats = client.stats();
-  EXPECT_EQ(stats.accesses, 0u);  // counters zeroed...
+  EXPECT_EQ(client.metrics().value("icgmm_cache_accesses"),
+            0u);  // counters zeroed...
   const net::AccessReply after = client.access(accesses);
   // ...but cache contents stayed warm: replaying the same stream now hits
   // at least as often as the cold first pass.
   EXPECT_GE(after.hits, reply.hits);
 
+  // Pipeline a burst so the outbox actually coalesces replies.
+  std::span<const net::WireAccess> all(accesses);
+  for (std::size_t off = 0; off < 500; off += 50) {
+    client.send_access(all.subspan(off, 50));
+  }
+  EXPECT_EQ(client.outstanding(), 10u);
+  std::uint64_t total = 0;
+  while (client.outstanding() > 0) total += client.await_access_reply().count;
+  EXPECT_EQ(total, 500u);
+
   const net::ServerStats ss = server.stats();
-  EXPECT_GE(ss.frames_served, 6u);
-  EXPECT_EQ(ss.requests_served, 1000u);
+  EXPECT_GE(ss.frames_served, 17u);
+  EXPECT_EQ(ss.requests_served, 1500u);
   EXPECT_EQ(ss.protocol_errors, 0u);
+  // Every reply leaves through the outbox's vectored writev.
+  EXPECT_GT(ss.writev_calls, 0u);
+  EXPECT_GE(ss.writev_replies, ss.writev_calls);
   server.stop();
 }
 
@@ -115,8 +138,7 @@ TEST(NetServer, PipelinedBatchesReplyInOrder) {
   }
   EXPECT_EQ(total, 1000u);
   EXPECT_EQ(client.outstanding(), 0u);
-  const net::StatsReply stats = client.stats();
-  EXPECT_EQ(stats.accesses, 1000u);
+  EXPECT_EQ(client.metrics().value("icgmm_cache_accesses"), 1000u);
   server.stop();
 }
 
@@ -172,32 +194,58 @@ TEST(NetServer, InlineModeServesWithoutWorkers) {
     served += client.access(all.subspan(off, 250)).count;
   }
   EXPECT_EQ(served, accesses.size());
-  EXPECT_EQ(client.stats().accesses, accesses.size());
+  EXPECT_EQ(client.metrics().value("icgmm_cache_accesses"), accesses.size());
   server.stop();
 }
 
-/// Raw loopback socket (bypasses the Client's framing) for sending
-/// hostile bytes. Returns true if the server closed the connection (EOF
-/// or reset observed on a subsequent blocking read).
-bool raw_send_expect_close(std::uint16_t port,
-                           const std::vector<std::uint8_t>& bytes) {
+/// Raw blocking loopback socket with a 5 s receive deadline (bypasses the
+/// Client's framing); -1 on failure.
+int raw_connect(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     ::close(fd);
-    return false;
+    return -1;
   }
-  (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
   timeval tv{.tv_sec = 5, .tv_usec = 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+/// Sends hostile bytes on a raw socket. Returns true if the server closed
+/// the connection (EOF or reset observed on a subsequent blocking read).
+bool raw_send_expect_close(std::uint16_t port,
+                           const std::vector<std::uint8_t>& bytes) {
+  const int fd = raw_connect(port);
+  if (fd < 0) return false;
+  (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
   char buf[64];
   const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);  // EOF or reset = closed
   ::close(fd);
   return n <= 0;
+}
+
+/// Sends `bytes` on a raw socket, half-closes, and returns every byte the
+/// server sent back before closing its side.
+std::vector<std::uint8_t> raw_conversation(
+    std::uint16_t port, const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint8_t> replies;
+  const int fd = raw_connect(port);
+  if (fd < 0) return replies;
+  EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  ::shutdown(fd, SHUT_WR);
+  char buf[256];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    replies.insert(replies.end(), buf, buf + n);
+  }
+  ::close(fd);
+  return replies;
 }
 
 TEST(NetServer, GarbageStreamClosesConnectionAndCountsProtocolError) {
@@ -220,12 +268,11 @@ TEST(NetServer, GarbageStreamClosesConnectionAndCountsProtocolError) {
   net::encode_ping(oversized, 2);
   const std::uint32_t huge = net::kMaxPayload + 1;
   for (int i = 0; i < 4; ++i) {
-    oversized[12 + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+    oversized[16 + i] = static_cast<std::uint8_t>(huge >> (8 * i));
   }
   EXPECT_TRUE(raw_send_expect_close(server.port(), oversized));
 
-  // Unknown protocol version (2 is now the valid v2 header, so the first
-  // unknown version is 3).
+  // Unknown protocol version.
   std::vector<std::uint8_t> bad_version;
   net::encode_ping(bad_version, 3);
   bad_version[4] = net::kProtocolV2 + 1;
@@ -295,127 +342,96 @@ TEST(NetServer, WellFramedBadRequestGetsErrorReplyAndConnectionSurvives) {
   // and the connection keeps working afterwards.
   EXPECT_THROW(client.access({}), std::runtime_error);
   client.ping();
-  EXPECT_EQ(client.stats().accesses, 0u);
+  EXPECT_EQ(client.metrics().value("icgmm_cache_accesses"), 0u);
   EXPECT_GE(server.stats().error_replies, 1u);
   server.stop();
 }
 
-TEST(NetServer, PoolSlotHealsAfterServerDropsTheConnection) {
-  // A connection the server kills (stream poison) must not permanently
-  // poison its pool slot: the client marks itself disconnected on the
-  // transport error and the pool lazily reconnects on the next acquire.
+TEST(NetServer, RetiredStatsTypeGetsUnknownTypeErrorAndConnectionLives) {
+  // Type 5 was the STATS request. A well-framed frame of it is answered
+  // with an ERROR (kUnknownType), and a PING behind it on the same
+  // connection still gets its PONG.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
-  net::ClientPool pool("127.0.0.1", server.port(), 1);
 
-  const auto accesses = make_accesses(10, 0x5);
-  {
-    auto lease = pool.acquire();
-    lease->access(accesses);
-    // Simulate the server dropping us mid-conversation.
-    server.stop();
-    EXPECT_THROW(lease->ping(), std::exception);
-    EXPECT_FALSE(lease->connected());
-  }
-  // New server on a fresh port; repoint is not possible (pool pins the
-  // port), so restart on the same one to prove the reconnect path.
-  net::Server server2(rt, {.port = 0, .workers = 1});
-  server2.start();
-  net::ClientPool pool2("127.0.0.1", server2.port(), 1);
-  {
-    auto lease = pool2.acquire();
-    lease->close();  // dead slot, as after a server drop
-  }
-  {
-    auto lease = pool2.acquire();  // must transparently reconnect
-    EXPECT_EQ(lease->access(accesses).count, 10u);
-  }
-  server2.stop();
-}
+  std::vector<std::uint8_t> wire;
+  net::encode_ping(wire, 1);
+  wire[5] = 5;
+  net::encode_ping(wire, 2);
+  const std::vector<std::uint8_t> replies =
+      raw_conversation(server.port(), wire);
 
-TEST(NetServer, ClientPoolLeasesExclusiveConnections) {
-  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 2});
-  server.start();
-
-  net::ClientPool pool("127.0.0.1", server.port(), 2);
-  constexpr std::uint32_t kThreads = 4;
-  constexpr std::size_t kBatches = 50;
-  std::atomic<std::uint64_t> served{0};
-  std::vector<std::thread> threads;
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const auto accesses = make_accesses(100, 0x200 + t);
-      for (std::size_t i = 0; i < kBatches; ++i) {
-        auto lease = pool.acquire();
-        served += lease->access(accesses).count;
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(served.load(), kThreads * kBatches * 100);
-  // Never more connections than pool slots (lazy connect may use fewer).
-  EXPECT_LE(server.stats().connections_accepted, 2u);
-  EXPECT_GE(server.stats().connections_accepted, 1u);
-  server.stop();
-}
-
-// --- protocol v2 over real sockets ------------------------------------------
-
-TEST(NetServer, V2NegotiateAndEveryRpcRoundTrips) {
-  runtime::Runtime rt(small_runtime_config(4), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 2});
-  server.start();
-  net::Client client = net::Client::connect("127.0.0.1", server.port());
-
-  EXPECT_EQ(client.version(), net::kProtocolVersion);
-  EXPECT_EQ(client.negotiate(), net::kProtocolV2);
-  EXPECT_EQ(client.version(), net::kProtocolV2);
-  EXPECT_EQ(client.negotiate(), net::kProtocolV2);  // idempotent
-
-  client.ping();
-  const auto accesses = make_accesses(500, 0x21);
-  const net::AccessReply reply = client.access(accesses);
-  EXPECT_EQ(reply.count, 500u);
-
-  // Pipeline a burst so the outbox actually coalesces replies.
-  std::span<const net::WireAccess> all(accesses);
-  for (std::size_t off = 0; off < 500; off += 50) {
-    client.send_access(all.subspan(off, 50));
-  }
-  EXPECT_EQ(client.outstanding(), 10u);
-  std::uint64_t total = 0;
-  while (client.outstanding() > 0) total += client.await_access_reply().count;
-  EXPECT_EQ(total, 500u);
-
-  const net::StatsReply stats = client.stats();
-  EXPECT_EQ(stats.accesses, 1000u);
-  const net::ModelInfoReply info = client.model_info();
-  EXPECT_EQ(info.shards, 4u);
-  client.flush();
-  EXPECT_EQ(client.stats().accesses, 0u);
+  net::Frame frame;
+  std::size_t consumed = 0;
+  ASSERT_EQ(net::decode_frame(replies, frame, consumed),
+            net::DecodeStatus::kOk);
+  ASSERT_EQ(frame.header.type, net::MsgType::kError);
+  EXPECT_EQ(frame.header.seq, 1u);
+  net::ErrorReply err;
+  ASSERT_EQ(net::decode_error(frame, err), net::DecodeStatus::kOk);
+  EXPECT_EQ(err.code, net::ErrorCode::kUnknownType);
+  const std::span<const std::uint8_t> rest(replies.data() + consumed,
+                                           replies.size() - consumed);
+  ASSERT_EQ(net::decode_frame(rest, frame, consumed), net::DecodeStatus::kOk);
+  EXPECT_EQ(frame.header.type, net::MsgType::kPong);
+  EXPECT_EQ(frame.header.seq, 2u);
+  EXPECT_EQ(consumed, rest.size());
 
   const net::ServerStats ss = server.stats();
   EXPECT_EQ(ss.protocol_errors, 0u);
-  // The v2 path flushes via vectored writev; every reply above went
-  // through the outbox.
-  EXPECT_GT(ss.writev_calls, 0u);
-  EXPECT_GE(ss.writev_replies, ss.writev_calls);
+  EXPECT_EQ(ss.error_replies, 1u);
   server.stop();
 }
 
+TEST(NetServer, V1FrameClosesTheConnectionWithOneProtocolError) {
+  // A version-1 client's first frame (a 16-byte PING: magic, version 1,
+  // type, flags, u32 seq, u32 payload_len) is stream poison: no reply,
+  // the connection closes, and one protocol error is counted — without
+  // the server waiting for the 24 bytes of a current header.
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 1});
+  server.start();
+
+  std::vector<std::uint8_t> v1_ping;
+  net::put_u32(v1_ping, net::kMagic);
+  v1_ping.push_back(1);  // version
+  v1_ping.push_back(static_cast<std::uint8_t>(net::MsgType::kPing));
+  net::put_u16(v1_ping, 0);  // flags
+  net::put_u32(v1_ping, 7);  // seq
+  net::put_u32(v1_ping, 0);  // payload_len
+  ASSERT_EQ(v1_ping.size(), 16u);
+  EXPECT_TRUE(raw_send_expect_close(server.port(), v1_ping));
+
+  const net::ServerStats ss = server.stats();
+  EXPECT_EQ(ss.protocol_errors, 1u);
+  EXPECT_EQ(ss.frames_served, 0u);
+  server.stop();
+}
+
+TEST(NetServer, ClientCallThrowsAfterServerDropsTheConnection) {
+  // A connection the server drops mid-conversation surfaces as an
+  // exception on the next call, and the client marks itself disconnected
+  // so its owner knows to reconnect.
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 1});
+  server.start();
+  net::Client client = net::Client::connect("127.0.0.1", server.port());
+  EXPECT_EQ(client.access(make_accesses(10, 0x5)).count, 10u);
+  server.stop();
+  EXPECT_THROW(client.ping(), std::exception);
+  EXPECT_FALSE(client.connected());
+}
+
 TEST(NetServer, V2RepliesCompleteOutOfOrderAcrossWorkers) {
-  // The tentpole behavior, forced deterministically: a kMaxBatch ACCESS
-  // and a PING dispatched back to back on a 2-worker server. The PING's
-  // worker finishes in microseconds while the batch grinds through the
-  // cache, so the PONG should overtake the ACCESS reply — impossible on
-  // v1, where one worker serializes the connection's inbox in order.
+  // Id correlation, forced deterministically: a kMaxBatch ACCESS and a
+  // PING dispatched back to back on a 2-worker server. The PING's worker
+  // finishes in microseconds while the batch grinds through the cache,
+  // so the PONG should overtake the ACCESS reply.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
   net::Client client = net::Client::connect("127.0.0.1", server.port());
-  ASSERT_EQ(client.negotiate(), net::kProtocolV2);
 
   const auto accesses = make_accesses(net::kMaxBatch, 0x22);
   bool reordered = false;
@@ -436,26 +452,18 @@ TEST(NetServer, V2RepliesCompleteOutOfOrderAcrossWorkers) {
   server.stop();
 }
 
-TEST(NetServer, V1ClientBytesAreByteIdenticalAgainstTheV2Server) {
-  // The compatibility contract: a v1 client against the new server gets
-  // byte-for-byte the replies the old server produced. Checked at the raw
-  // byte level — same header layout, same 32-bit seq echo, same payload —
-  // with the expected ACCESS reply computed from a twin runtime.
+TEST(NetServer, RawByteConversationMatchesATwinRuntimeByteForByte) {
+  // The wire contract at the raw byte level: a PING gets exactly the
+  // encoded PONG, and an ACCESS batch exactly the reply bytes a twin
+  // runtime predicts — same header layout, same u64 id echo, same
+  // payload.
   const runtime::RuntimeConfig rcfg = small_runtime_config();
   runtime::Runtime rt(rcfg, cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  timeval tv{.tv_sec = 5, .tv_usec = 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   const auto recv_exactly = [&](std::size_t n) {
     std::vector<std::uint8_t> got(n);
     std::size_t off = 0;
@@ -468,13 +476,14 @@ TEST(NetServer, V1ClientBytesAreByteIdenticalAgainstTheV2Server) {
     return got;
   };
 
-  // PING -> PONG, byte-identical.
+  // PING -> PONG, byte-identical, with an id beyond the u32 range.
+  const std::uint64_t ping_id = 0x1122334455667788ull;
   std::vector<std::uint8_t> wire;
-  net::encode_ping(wire, 1);
+  net::encode_ping(wire, ping_id);
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(wire.size()));
   std::vector<std::uint8_t> expected;
-  net::encode_pong(expected, 1);
+  net::encode_pong(expected, ping_id);
   EXPECT_EQ(recv_exactly(expected.size()), expected);
 
   // ACCESS_BATCH -> the exact reply bytes a twin runtime predicts.
@@ -506,60 +515,123 @@ TEST(NetServer, V1ClientBytesAreByteIdenticalAgainstTheV2Server) {
   server.stop();
 }
 
-TEST(NetClient, NegotiateFallsBackToV1WhenTheServerDropsTheProbe) {
-  // Simulated v1-only server: drops the first connection on receiving the
-  // v2 probe (exactly what the old server's kBadVersion poison does),
-  // then answers a v1 PING on the reconnect. negotiate() must hide all
-  // of this and leave a working v1 connection.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
+/// Fills a raw connection that never reads its replies with one-request
+/// ACCESS frames (ids 1, 2, ...) until its sends stall with the server
+/// paused, then reads every reply back. The server must have stopped
+/// reading at its buffer cap and must still serve every complete frame
+/// exactly once.
+void expect_buffer_cap_holds(std::uint32_t workers) {
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  obs::EventRing ring(1024);
+  net::Server server(rt, {.port = 0, .workers = workers, .events = &ring});
+  server.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // Small client buffers keep what the kernel holds on both paths short
+  // of the server's own cap, so the stall comes from the server.
+  const int small = 64 * 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 4), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
 
-  std::thread responder([lfd] {
-    // First connection: swallow the probe bytes, close without replying.
-    const int c1 = ::accept(lfd, nullptr, nullptr);
-    if (c1 >= 0) {
-      char buf[64];
-      (void)::recv(c1, buf, sizeof(buf), 0);
-      ::close(c1);
-    }
-    // Second connection (the transparent reconnect): serve one v1 PING.
-    const int c2 = ::accept(lfd, nullptr, nullptr);
-    if (c2 >= 0) {
-      std::vector<std::uint8_t> rx(net::kHeaderBytes);
-      std::size_t off = 0;
-      while (off < rx.size()) {
-        const ssize_t n = ::recv(c2, rx.data() + off, rx.size() - off, 0);
-        if (n <= 0) break;
-        off += static_cast<std::size_t>(n);
+  constexpr std::size_t kFrameBytes = net::kHeaderBytesV2 + 4 +
+                                      net::kAccessWireBytes;
+  constexpr std::size_t kReplyBytes = net::kHeaderBytesV2 + 20;
+  // 45 MB: far past the cap plus the kernel's socket buffers, so
+  // reaching it means the server never stopped reading.
+  constexpr std::uint64_t kFrameLimit = 1'000'000;
+  std::vector<std::uint8_t> chunk;
+  std::size_t chunk_off = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t next_id = 1;
+  while (true) {
+    if (chunk_off == chunk.size()) {
+      chunk.clear();
+      chunk_off = 0;
+      for (int i = 0; i < 1000; ++i) {
+        const net::WireAccess a{.page = next_id % 4096,
+                                .timestamp = next_id / 32};
+        net::encode_access_batch(chunk, next_id++, {&a, 1});
       }
-      net::Frame frame;
-      std::size_t consumed = 0;
-      if (net::decode_frame(rx, frame, consumed) == net::DecodeStatus::kOk &&
-          frame.header.type == net::MsgType::kPing) {
-        std::vector<std::uint8_t> pong;
-        net::encode_pong(pong, frame.header.seq);
-        (void)::send(c2, pong.data(), pong.size(), MSG_NOSIGNAL);
-      }
-      ::close(c2);
     }
-  });
+    const ssize_t n = ::send(fd, chunk.data() + chunk_off,
+                             chunk.size() - chunk_off, MSG_NOSIGNAL);
+    if (n > 0) {
+      chunk_off += static_cast<std::size_t>(n);
+      bytes_sent += static_cast<std::uint64_t>(n);
+      ASSERT_LT(bytes_sent / kFrameBytes, kFrameLimit)
+          << "the server never stopped reading";
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    // Stalled: writable again within 200 ms means the server still reads.
+    pollfd pfd{.fd = fd, .events = POLLOUT, .revents = 0};
+    if (::poll(&pfd, 1, 200) == 0 && server.stats().read_pauses > 0) break;
+  }
+  // A trailing partial frame never completes; only whole frames count.
+  const std::uint64_t frames = bytes_sent / kFrameBytes;
+  ASSERT_GT(frames, 0u);
 
-  net::Client client = net::Client::connect("127.0.0.1", port);
-  EXPECT_EQ(client.negotiate(), net::kProtocolVersion);
-  EXPECT_EQ(client.version(), net::kProtocolVersion);
-  EXPECT_TRUE(client.connected());
-  client.ping();  // the fallback connection actually works
-  responder.join();
-  ::close(lfd);
+  const net::ServerStats paused = server.stats();
+  EXPECT_GE(paused.read_pauses, 1u);
+  EXPECT_LE(paused.buffered_bytes_max, net::kMaxBufferedBytes + kReplyBytes);
+
+  // Read everything back: one reply per frame, each id echoed once.
+  pollfd pfd{.fd = fd, .events = POLLIN, .revents = 0};
+  std::vector<std::uint8_t> rx;
+  std::vector<bool> seen(frames + 1, false);
+  std::uint64_t replies = 0;
+  char buf[64 * 1024];
+  while (replies < frames) {
+    ASSERT_GT(::poll(&pfd, 1, 5000), 0) << "replies stopped at " << replies;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    rx.insert(rx.end(), buf, buf + n);
+    std::size_t off = 0;
+    net::Frame frame;
+    std::size_t consumed = 0;
+    while (net::decode_frame(std::span(rx).subspan(off), frame, consumed) ==
+           net::DecodeStatus::kOk) {
+      ASSERT_EQ(frame.header.type, net::MsgType::kAccessReply);
+      ASSERT_GE(frame.header.seq, 1u);
+      ASSERT_LE(frame.header.seq, frames);
+      ASSERT_FALSE(seen[frame.header.seq]) << "id " << frame.header.seq;
+      seen[frame.header.seq] = true;
+      ++replies;
+      off += consumed;
+    }
+    rx.erase(rx.begin(), rx.begin() + static_cast<std::ptrdiff_t>(off));
+  }
+  EXPECT_EQ(replies, frames);
+  ::close(fd);
+
+  const net::ServerStats done = server.stats();
+  EXPECT_EQ(done.requests_served, frames);
+  EXPECT_EQ(done.protocol_errors, 0u);
+  EXPECT_LE(done.buffered_bytes_max, net::kMaxBufferedBytes + kReplyBytes);
+  server.stop();
+  // Each pause left one flight-recorder event.
+  ASSERT_EQ(ring.dropped(), 0u);
+  std::uint64_t pause_events = 0;
+  for (const obs::Event& e : ring.dump()) {
+    pause_events += e.type == obs::EventType::kReadPause ? 1 : 0;
+  }
+  EXPECT_EQ(pause_events, done.read_pauses);
+}
+
+TEST(NetServer, ClientThatNeverReadsIsPausedAtTheBufferCapInline) {
+  expect_buffer_cap_holds(0);
+}
+
+TEST(NetServer, ClientThatNeverReadsIsPausedAtTheBufferCapWithWorkers) {
+  expect_buffer_cap_holds(2);
 }
 
 TEST(NetClient, RecvTimeoutSurfacesAsTimedOutAndClosesTheConnection) {
@@ -605,11 +677,10 @@ TEST(NetClient, RecvTimeoutSurfacesAsTimedOutAndClosesTheConnection) {
 }
 
 TEST(NetClient, SyncRpcMidPipelineDrainsOutstandingReplies) {
-  // Regression: replies are correlated purely by order, so a sync RPC
-  // issued with ACCESS replies still in flight used to throw
-  // (require_quiet). It must now drain the pipeline and answer normally
-  // — a monitoring poller calling stats() must not care what the driver
-  // thread has outstanding.
+  // A sync RPC issued with ACCESS replies still in flight drains the
+  // pipeline and answers normally — a monitoring poller calling
+  // metrics() must not care what the driver thread has outstanding, and
+  // what it reads reflects every request already sent.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
@@ -622,12 +693,12 @@ TEST(NetClient, SyncRpcMidPipelineDrainsOutstandingReplies) {
   client.send_access(all.subspan(200, 100));
   EXPECT_EQ(client.outstanding(), 3u);
 
-  // stats() drains the three ACCESS replies first, then does its own
+  // metrics() drains the three ACCESS replies first, then does its own
   // round trip — so it reflects every request already sent.
-  const net::StatsReply stats = client.stats();
+  const net::MetricsReply stats = client.metrics();
   EXPECT_EQ(client.outstanding(), 0u);
-  EXPECT_EQ(stats.accesses, 300u);
-  EXPECT_EQ(stats.hits + stats.read_misses + stats.write_misses, 300u);
+  EXPECT_EQ(stats.value("icgmm_cache_accesses"), 300u);
+  EXPECT_EQ(stats.value("icgmm_cache_hits") + served_misses(stats), 300u);
 
   // The connection stays healthy: further RPCs and batches round-trip.
   client.ping();
@@ -642,7 +713,7 @@ TEST(NetClient, SyncRpcMidPipelineDrainsOutstandingReplies) {
   EXPECT_EQ(client.outstanding(), 0u);
   EXPECT_EQ(client.drain_outstanding(), 0u);
   client.flush();  // FLUSH mid-quiet still fine after all of the above
-  EXPECT_EQ(client.stats().accesses, 0u);
+  EXPECT_EQ(client.metrics().value("icgmm_cache_accesses"), 0u);
   server.stop();
 }
 
@@ -710,6 +781,42 @@ TEST(NetClient, OpenLoopReplayHoldsTargetRateAtLowRate) {
   EXPECT_LE(achieved, target * 1.05);
   EXPECT_GE(achieved, target * 0.5)
       << "achieved " << achieved << " req/s vs target " << target;
+  server.stop();
+}
+
+TEST(NetClient, OpenLoopReplayTakesRepliesWhileWaiting) {
+  // Open loop with a deep window: the driver must take each reply while
+  // it waits for the next send slot, not when the window next fills —
+  // otherwise every reply waits behind pipeline - 1 later sends and the
+  // measured latency reads as that many intervals.
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 0});
+  server.start();
+  net::Client client = net::Client::connect("127.0.0.1", server.port());
+
+  constexpr std::size_t kBatches = 200;
+  constexpr std::size_t kBatch = 16;
+  constexpr auto kInterval = std::chrono::milliseconds(1);
+  const auto accesses = make_accesses(kBatches * kBatch, 0x6);
+  net::ReplayOptions opts;
+  opts.batch = kBatch;
+  opts.pipeline = 64;
+  opts.batch_interval = kInterval;
+
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::duration> latency;
+  const std::uint64_t completed = net::replay_stream(
+      client, accesses, opts,
+      [&latency](const net::AccessReply&, Clock::time_point ref,
+                 std::uint32_t) { latency.push_back(Clock::now() - ref); });
+  EXPECT_EQ(completed, accesses.size());
+  ASSERT_EQ(latency.size(), kBatches);
+  std::nth_element(latency.begin(), latency.begin() + kBatches / 2,
+                   latency.end());
+  const Clock::duration median = latency[kBatches / 2];
+  EXPECT_LT(median, 5 * kInterval)
+      << "median latency "
+      << std::chrono::duration<double, std::micro>(median).count() << " us";
   server.stop();
 }
 

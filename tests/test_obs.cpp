@@ -4,9 +4,8 @@
 // serial sibling, registry find-or-create + sharded-counter sums under
 // concurrency (the TSan target — suites start with "Obs" for the CI -R
 // filters), event-ring overflow accounting, the HTTP scrape endpoint,
-// the METRICS verb in both protocol versions, and the capstone: one live
-// serving run where the wire STATS pin, the METRICS verb, and the HTTP
-// /metrics body agree exactly.
+// the METRICS verb, and the capstone: one live serving run where the
+// METRICS verb and the HTTP /metrics body agree exactly.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,12 +13,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -388,7 +389,7 @@ TEST(ObsHttp, ServesMetricsHealthzEventsAnd404) {
   obs::MetricsRegistry reg;
   reg.counter("icgmm_test_scraped").add(31337);
   obs::EventRing ring(16);
-  ring.emit(obs::EventType::kStatsClear, 5);
+  ring.emit(obs::EventType::kClearStats, 5);
   obs::HttpExporter exporter(reg, &ring, {.port = 0});
   exporter.start();
   ASSERT_GT(exporter.port(), 0);
@@ -426,43 +427,55 @@ TEST(ObsHttp, EventsRouteIs404WithoutARing) {
   exporter.stop();
 }
 
-// --- METRICS verb + the three-surface identity --------------------------
+// --- METRICS verb + the two-surface identity ----------------------------
 
 runtime::RuntimeConfig small_runtime_config(std::uint32_t shards = 2) {
   return {.cache = test_util::tiny_cache(64, 8), .shards = shards};
 }
 
-TEST(ObsMetricsVerb, RoundTripsInBothProtocolVersions) {
-  obs::MetricsRegistry reg;
-  runtime::RuntimeConfig rcfg = small_runtime_config();
-  rcfg.metrics = &reg;
-  runtime::Runtime rt(rcfg, cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 1, .metrics = &reg});
+TEST(ObsMetricsVerb, RoundTripsOverTheWire) {
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
-
-  for (const bool use_v2 : {false, true}) {
-    SCOPED_TRACE(use_v2 ? "v2" : "v1");
-    net::Client c = net::Client::connect("127.0.0.1", server.port());
-    if (use_v2) {
-      ASSERT_EQ(c.negotiate(), net::kProtocolV2);
-    }
-    const net::MetricsReply reply = c.metrics();
-    EXPECT_FALSE(reply.entries.empty());
-    bool found = false;
-    for (const net::MetricsEntry& e : reply.entries) {
-      if (e.name == "icgmm_cache_accesses") found = true;
-    }
-    EXPECT_TRUE(found);
-  }
+  net::Client c = net::Client::connect("127.0.0.1", server.port());
+  const net::MetricsReply reply = c.metrics();
+  // Runtime and server counters alike, by name, and name-sorted.
+  EXPECT_FALSE(reply.entries.empty());
+  const auto has = [&reply](std::string_view name) {
+    return std::any_of(reply.entries.begin(), reply.entries.end(),
+                       [name](const net::MetricsEntry& e) {
+                         return e.name == name;
+                       });
+  };
+  EXPECT_TRUE(has("icgmm_cache_accesses"));
+  EXPECT_TRUE(has("icgmm_server_requests_served"));
+  EXPECT_TRUE(has("icgmm_server_read_pauses"));
+  EXPECT_TRUE(has("icgmm_server_buffered_bytes_max"));
+  EXPECT_TRUE(std::is_sorted(
+      reply.entries.begin(), reply.entries.end(),
+      [](const net::MetricsEntry& a, const net::MetricsEntry& b) {
+        return a.name < b.name;
+      }));
   server.stop();
 }
 
-TEST(ObsMetricsVerb, ServerWithoutRegistryRepliesEmptySet) {
+TEST(ObsMetricsVerb, ServerOverABareRuntimeReportsItsAccesses) {
+  // A runtime built with no observability wiring still owns its
+  // registry, so a server over it reports the runtime's counters on
+  // METRICS: the accesses it served, by name.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 1});  // no registry
+  net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
   net::Client c = net::Client::connect("127.0.0.1", server.port());
-  EXPECT_TRUE(c.metrics().entries.empty());
+  std::vector<net::WireAccess> batch;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    batch.push_back({.page = i % 97, .timestamp = i / 32});
+  }
+  EXPECT_EQ(c.access(batch).count, 300u);
+  EXPECT_EQ(c.access(std::span(batch).first(41)).count, 41u);
+  const net::MetricsReply m = c.metrics();
+  EXPECT_EQ(m.value("icgmm_cache_accesses"), 341u);
+  EXPECT_EQ(m.value("icgmm_server_requests_served"), 341u);
   c.ping();  // connection still healthy
   server.stop();
 }
@@ -475,8 +488,8 @@ TEST(ObsMetricsVerb, MetricsReplySentAsRequestGetsErrorNotClose) {
   // A reply type is well-framed but not a request: the server must answer
   // ERROR and keep the connection alive — not poison-close the stream.
   std::vector<std::uint8_t> wire;
-  net::encode_metrics_reply(wire, 1, {}, net::kProtocolVersion);
-  net::encode_ping(wire, 2, net::kProtocolVersion);
+  net::encode_metrics_reply(wire, 1, {});
+  net::encode_ping(wire, 2);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
@@ -518,29 +531,25 @@ TEST(ObsMetricsVerb, MetricsReplySentAsRequestGetsErrorNotClose) {
   server.stop();
 }
 
-TEST(ObsE2E, WireStatsMetricsVerbAndHttpScrapeAgreeExactly) {
+TEST(ObsE2E, MetricsVerbAndHttpScrapeAgreeExactly) {
   // The acceptance test: drive live traffic, then read the same counters
-  // through all three surfaces — the 15-field STATS pin, the METRICS
-  // verb, and the HTTP /metrics body — and require exact agreement plus
-  // the accesses == hits + misses identity on every surface.
-  obs::MetricsRegistry reg;
+  // through both surfaces — the METRICS verb and the HTTP /metrics body —
+  // and require exact agreement plus the accesses == hits + misses
+  // identity.
   obs::EventRing ring(64);
   runtime::RuntimeConfig rcfg = small_runtime_config(4);
-  rcfg.metrics = &reg;
   rcfg.events = &ring;
   runtime::Runtime rt(rcfg, cache::LruPolicy());
   net::Server server(rt, {.port = 0,
                           .workers = 2,
-                          .metrics = &reg,
                           .events = &ring,
                           .trace_sample = 1});
   server.start();
-  obs::HttpExporter exporter(reg, &ring, {.port = 0});
+  obs::HttpExporter exporter(rt.metrics(), &ring, {.port = 0});
   exporter.start();
 
   {
     net::Client c = net::Client::connect("127.0.0.1", server.port());
-    ASSERT_EQ(c.negotiate(), net::kProtocolV2);
     trace::Zipf zipf(4096, 0.9);
     Rng rng(0xE2Eu);
     std::vector<net::WireAccess> batch;
@@ -554,18 +563,15 @@ TEST(ObsE2E, WireStatsMetricsVerbAndHttpScrapeAgreeExactly) {
       c.access(batch);
     }
 
-    // Surface 1: the wire STATS pin.
-    const net::StatsReply stats = c.stats();
-    EXPECT_EQ(stats.accesses, 50u * 64u);
-    EXPECT_EQ(stats.accesses,
-              stats.hits + stats.read_misses + stats.write_misses);
-
-    // Surface 2: the METRICS verb, same connection, traffic quiesced.
+    // Surface 1: the METRICS verb, traffic quiesced.
     const net::MetricsReply verb = c.metrics();
-    std::map<std::string, std::uint64_t> by_name;
-    for (const net::MetricsEntry& e : verb.entries) by_name[e.name] = e.value;
+    EXPECT_EQ(verb.value("icgmm_cache_accesses"), 50u * 64u);
+    EXPECT_EQ(verb.value("icgmm_cache_accesses"),
+              verb.value("icgmm_cache_hits") +
+                  verb.value("icgmm_cache_read_misses") +
+                  verb.value("icgmm_cache_write_misses"));
 
-    // Surface 3: the HTTP scrape.
+    // Surface 2: the HTTP scrape.
     const auto scraped =
         parse_metrics(body_of(http_get(exporter.port(),
                                        "GET /metrics HTTP/1.0")));
@@ -574,20 +580,16 @@ TEST(ObsE2E, WireStatsMetricsVerbAndHttpScrapeAgreeExactly) {
          {"icgmm_cache_accesses", "icgmm_cache_hits",
           "icgmm_cache_read_misses", "icgmm_cache_write_misses"}) {
       SCOPED_TRACE(name);
-      EXPECT_EQ(by_name.at(name), scraped.at(name));
+      EXPECT_EQ(verb.value(name), scraped.at(name));
     }
-    EXPECT_EQ(by_name.at("icgmm_cache_accesses"), stats.accesses);
-    EXPECT_EQ(by_name.at("icgmm_cache_hits"), stats.hits);
-    EXPECT_EQ(by_name.at("icgmm_cache_read_misses"), stats.read_misses);
-    EXPECT_EQ(by_name.at("icgmm_cache_write_misses"), stats.write_misses);
 
     // Per-stage tracing saw the traffic: one apply per served batch.
-    EXPECT_EQ(by_name.at("icgmm_server_stage_apply_ns_count"), 50u);
-    EXPECT_GT(by_name.at("icgmm_server_stage_decode_ns_count"), 0u);
-    EXPECT_GT(by_name.at("icgmm_server_stage_flush_ns_count"), 0u);
-    EXPECT_GT(by_name.at("icgmm_server_stage_queue_ns_count"), 0u);
-    EXPECT_EQ(by_name.at("icgmm_server_requests_served"), 50u * 64u);
-    EXPECT_GT(by_name.at("icgmm_server_writev_calls"), 0u);
+    EXPECT_EQ(verb.value("icgmm_server_stage_apply_ns_count"), 50u);
+    EXPECT_GT(verb.value("icgmm_server_stage_decode_ns_count"), 0u);
+    EXPECT_GT(verb.value("icgmm_server_stage_flush_ns_count"), 0u);
+    EXPECT_GT(verb.value("icgmm_server_stage_queue_ns_count"), 0u);
+    EXPECT_EQ(verb.value("icgmm_server_requests_served"), 50u * 64u);
+    EXPECT_GT(verb.value("icgmm_server_writev_calls"), 0u);
   }
 
   // The flight recorder saw the connection lifecycle.
@@ -604,19 +606,13 @@ TEST(ObsE2E, WireStatsMetricsVerbAndHttpScrapeAgreeExactly) {
 }
 
 TEST(ObsE2E, TraceSampleZeroDisablesStageHistograms) {
-  obs::MetricsRegistry reg;
-  runtime::RuntimeConfig rcfg = small_runtime_config();
-  rcfg.metrics = &reg;
-  runtime::Runtime rt(rcfg, cache::LruPolicy());
-  net::Server server(rt, {.port = 0,
-                          .workers = 1,
-                          .metrics = &reg,
-                          .trace_sample = 0});
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 1, .trace_sample = 0});
   server.start();
   net::Client c = net::Client::connect("127.0.0.1", server.port());
   std::vector<net::WireAccess> batch{{.page = 1, .timestamp = 0}};
   c.access(batch);
-  const auto samples = reg.collect();
+  const auto samples = rt.metrics().collect();
   // Counters still exact; no stage histograms were even created.
   EXPECT_EQ(obs::MetricsRegistry::value_of(samples, "icgmm_cache_accesses"),
             1u);

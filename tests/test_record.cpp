@@ -616,14 +616,12 @@ TEST(RecorderRuntime, FullDiskKeepsServingAndCountsWriteErrors) {
     GTEST_SKIP() << "/dev/full cannot be opened";
   }
   constexpr std::uint64_t kN = 2000;
-  obs::MetricsRegistry metrics;
   const RuntimeConfig plain_cfg{.cache = test_util::tiny_cache(16, 4),
                                 .shards = 2};
   RuntimeConfig rcfg = plain_cfg;
   rcfg.record.path = "/dev/full";
   rcfg.record.chunk_records = 64;
   rcfg.record.ring_capacity = 4096;  // holds the whole burst
-  rcfg.metrics = &metrics;
   Runtime recorded(rcfg, cache::LruPolicy());
   Runtime plain(plain_cfg, cache::LruPolicy());
   for (std::uint64_t i = 0; i < kN; ++i) {
@@ -647,7 +645,7 @@ TEST(RecorderRuntime, FullDiskKeepsServingAndCountsWriteErrors) {
   EXPECT_EQ(snap.records_written, 0u);
   EXPECT_EQ(snap.records_dropped, 0u);
   EXPECT_EQ(snap.record_write_errors, kN);
-  EXPECT_EQ(obs::MetricsRegistry::value_of(metrics.collect(),
+  EXPECT_EQ(obs::MetricsRegistry::value_of(recorded.metrics().collect(),
                                            "icgmm_record_write_errors"),
             kN);
 }

@@ -3,8 +3,8 @@
 // recorded capture through the in-process driver and reproduce the
 // server's measured counters exactly — hits, misses, and (for the GMM
 // policy) inference counts — with the capture's FLUSH marker standing in
-// for the server-side warm-up clear. Suite name starts with "Record" for
-// the CI TSan job.
+// for the server-side warm-up clear. Served counters are read by name
+// from METRICS. Suite name starts with "Record" for the CI TSan job.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -36,9 +36,9 @@ std::vector<net::WireAccess> wire_stream(const trace::Trace& t,
   return stream;
 }
 
-net::StatsReply serve_stream(std::uint16_t port,
-                             const std::vector<net::WireAccess>& stream,
-                             std::vector<std::size_t> clear_points) {
+net::MetricsReply serve_stream(std::uint16_t port,
+                               const std::vector<net::WireAccess>& stream,
+                               std::vector<std::size_t> clear_points) {
   net::Client client = net::Client::connect("127.0.0.1", port);
   net::ReplayOptions opts;
   opts.batch = 64;
@@ -46,7 +46,7 @@ net::StatsReply serve_stream(std::uint16_t port,
   opts.clear_points = std::move(clear_points);
   const std::uint64_t completed = net::replay_stream(client, stream, opts);
   EXPECT_EQ(completed, stream.size());
-  return client.stats();
+  return client.metrics();
 }
 
 record::RecorderConfig capture_config(const std::string& name) {
@@ -72,17 +72,20 @@ runtime::ReplayResult replay_capture(runtime::Runtime& rt,
   return runtime::replay_trace(rt, capture.trace, cfg);
 }
 
-void expect_counts_match(const net::StatsReply& served,
+void expect_counts_match(const net::MetricsReply& served,
                          const sim::RunResult& replayed) {
-  EXPECT_EQ(served.accesses, replayed.stats.accesses);
-  EXPECT_EQ(served.hits, replayed.stats.hits);
-  EXPECT_EQ(served.read_misses, replayed.stats.read_misses);
-  EXPECT_EQ(served.write_misses, replayed.stats.write_misses);
-  EXPECT_EQ(served.fills, replayed.stats.fills);
-  EXPECT_EQ(served.bypasses, replayed.stats.bypasses);
-  EXPECT_EQ(served.evictions, replayed.stats.evictions);
-  EXPECT_EQ(served.dirty_evictions, replayed.stats.dirty_evictions);
-  EXPECT_EQ(served.inferences, replayed.policy_inferences);
+  EXPECT_EQ(served.value("icgmm_cache_accesses"), replayed.stats.accesses);
+  EXPECT_EQ(served.value("icgmm_cache_hits"), replayed.stats.hits);
+  EXPECT_EQ(served.value("icgmm_cache_read_misses"),
+            replayed.stats.read_misses);
+  EXPECT_EQ(served.value("icgmm_cache_write_misses"),
+            replayed.stats.write_misses);
+  EXPECT_EQ(served.value("icgmm_cache_fills"), replayed.stats.fills);
+  EXPECT_EQ(served.value("icgmm_cache_bypasses"), replayed.stats.bypasses);
+  EXPECT_EQ(served.value("icgmm_cache_evictions"), replayed.stats.evictions);
+  EXPECT_EQ(served.value("icgmm_cache_dirty_evictions"),
+            replayed.stats.dirty_evictions);
+  EXPECT_EQ(served.value("icgmm_gmm_inferences"), replayed.policy_inferences);
 }
 
 TEST(RecordE2E, RecordedLruServeReplaysToIdenticalCounts) {
@@ -96,7 +99,7 @@ TEST(RecordE2E, RecordedLruServeReplaysToIdenticalCounts) {
   runtime::Runtime served_rt(rcfg, cache::LruPolicy());
   net::Server server(served_rt, {.port = 0, .workers = 1});
   server.start();
-  const net::StatsReply served = serve_stream(
+  const net::MetricsReply served = serve_stream(
       server.port(), wire_stream(t, trace::TransformConfig{}), {warmup});
   server.stop();
   served_rt.stop();  // finalizes the capture file
@@ -134,7 +137,7 @@ TEST(RecordE2E, RecordedGmmServeReplaysToIdenticalCounts) {
   const auto served_rt = system.make_runtime(rcfg, strategy, threshold);
   net::Server server(*served_rt, {.port = 0, .workers = 1});
   server.start();
-  const net::StatsReply served = serve_stream(
+  const net::MetricsReply served = serve_stream(
       server.port(), wire_stream(t, cfg.engine.transform), {warmup});
   server.stop();
   served_rt->stop();
@@ -149,7 +152,7 @@ TEST(RecordE2E, RecordedGmmServeReplaysToIdenticalCounts) {
   const runtime::ReplayResult replayed =
       replay_capture(*replay_rt, capture, /*policy_runs_on_miss=*/true);
   expect_counts_match(served, replayed.run);
-  EXPECT_GT(served.inferences, 0u);
+  EXPECT_GT(served.value("icgmm_gmm_inferences"), 0u);
 }
 
 TEST(RecordE2E, MultiFlushCaptureReplaysOverTheWireExactly) {
@@ -196,7 +199,7 @@ TEST(RecordE2E, MultiFlushCaptureReplaysOverTheWireExactly) {
   runtime::Runtime rewire_rt(replay_cfg, cache::LruPolicy());
   net::Server rewire_server(rewire_rt, {.port = 0, .workers = 1});
   rewire_server.start();
-  const net::StatsReply rewired = serve_stream(
+  const net::MetricsReply rewired = serve_stream(
       rewire_server.port(), capture_stream, capture.flush_points);
   rewire_server.stop();
   expect_counts_match(rewired, replayed.run);
@@ -212,12 +215,12 @@ TEST(RecordE2E, WireStatsCarryRecorderCounters) {
   runtime::Runtime rt(rcfg, cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
-  const net::StatsReply mid = serve_stream(
+  const net::MetricsReply mid = serve_stream(
       server.port(), wire_stream(t, trace::TransformConfig{}), {});
   // Sized-to-fit ring: nothing may drop; the written count can trail the
   // serving path by the writer thread's lag but never exceed it.
-  EXPECT_EQ(mid.records_dropped, 0u);
-  EXPECT_LE(mid.records_written, t.size());
+  EXPECT_EQ(mid.value("icgmm_record_dropped"), 0u);
+  EXPECT_LE(mid.value("icgmm_record_written"), t.size());
   server.stop();
   rt.stop();
 
@@ -234,12 +237,13 @@ TEST(RecordE2E, StatsReportZeroRecorderCountersWhenRecordingIsOff) {
   runtime::Runtime rt(rcfg, cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
-  const net::StatsReply s = serve_stream(
+  const net::MetricsReply s = serve_stream(
       server.port(), wire_stream(t, trace::TransformConfig{}), {});
   server.stop();
-  EXPECT_EQ(s.records_written, 0u);
-  EXPECT_EQ(s.records_dropped, 0u);
-  EXPECT_EQ(s.record_chunks, 0u);
+  EXPECT_EQ(s.value("icgmm_cache_accesses"), t.size());
+  EXPECT_EQ(s.value("icgmm_record_written"), 0u);
+  EXPECT_EQ(s.value("icgmm_record_dropped"), 0u);
+  EXPECT_EQ(s.value("icgmm_record_chunks"), 0u);
 }
 
 }  // namespace

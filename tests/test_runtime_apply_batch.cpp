@@ -267,10 +267,8 @@ TEST(RuntimeApplyBatch, ConcurrentSpansWithShadowKeepIdentities) {
 }
 
 TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
-  obs::MetricsRegistry reg;
-  runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(32, 4),
-                              .shards = 4};
-  rcfg.metrics = &reg;
+  const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(32, 4),
+                                    .shards = 4};
   runtime::Runtime rt(rcfg, cache::LruPolicy());
 
   // One thread alone never finds a shard lock held.
@@ -312,7 +310,7 @@ TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
 
   const runtime::RuntimeSnapshot snap = rt.snapshot();
   EXPECT_EQ(snap.shard_lock_waits, 1u);  // one group, one wait
-  EXPECT_EQ(obs::MetricsRegistry::value_of(reg.collect(),
+  EXPECT_EQ(obs::MetricsRegistry::value_of(rt.metrics().collect(),
                                            "icgmm_shard_lock_waits"),
             snap.shard_lock_waits);
 }
@@ -331,9 +329,7 @@ TEST(RuntimeApplyBatch, CountsPagesScoredAndPrunedScoreFallbacks) {
   const gmm::GaussianMixture& model = system.engine().model();
   ASSERT_TRUE(model.kernel().pruned());
   const auto strategy = cache::GmmStrategy::kCachingEviction;
-  obs::MetricsRegistry reg;
-  runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
-  rcfg.metrics = &reg;
+  const runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
   const auto rt =
       system.make_runtime(rcfg, strategy, system.pick_threshold(t, strategy));
 
@@ -365,7 +361,7 @@ TEST(RuntimeApplyBatch, CountsPagesScoredAndPrunedScoreFallbacks) {
   EXPECT_EQ(after.pages_scored, snap.pages_scored + 1);
   EXPECT_EQ(after.score_batches, snap.score_batches);
   EXPECT_EQ(after.score_fallbacks, 1u);
-  const auto samples = reg.collect();
+  const auto samples = rt->metrics().collect();
   EXPECT_EQ(obs::MetricsRegistry::value_of(samples, "icgmm_gmm_pages_scored"),
             after.pages_scored);
   EXPECT_EQ(

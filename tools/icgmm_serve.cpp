@@ -28,24 +28,26 @@
 // gmm-* strategy when the serving policy is also GMM) against the live
 // stream off the serving path: per-shard bounded rings feed a background
 // evaluator owning its own tag-only directories, and the would-have-hit
-// and divergence counters surface through STATS, METRICS, and /metrics
-// as icgmm_shadow_* (see docs/ARCHITECTURE.md). Never touches serving
+// and divergence counters surface through METRICS and /metrics as
+// icgmm_shadow_* (see docs/ARCHITECTURE.md). Never touches serving
 // state. --shadow-ring bounds the per-shard ring (full = drop + count).
 //
 // --record PATH captures every accepted access (page, timestamp, R/W,
 // arrival time) to an append-only chunked file the loadgen can replay
 // bit-for-bit (see docs/ARCHITECTURE.md). Capture is try-push-only: a
-// full recorder ring drops (counted in STATS), never stalls serving.
+// full recorder ring drops (counted on METRICS), never stalls serving.
 // --record-sample N keeps 1 window in N of --record-window W requests.
 //
-// Observability (docs/OBSERVABILITY.md): the daemon always runs a
-// MetricsRegistry (server + runtime counters, per-stage latency
-// histograms) and a 256-event flight recorder; the periodic stats line,
-// the final report, and the wire METRICS verb all render from the same
-// registry collect(). --metrics-port P additionally serves Prometheus
-// text over HTTP on loopback (GET /metrics, /healthz, /events; P=0 binds
-// an ephemeral port, announced on a parseable line). --trace-sample N
-// records 1 in N per-stage timings (1 = every one, 0 = tracing off).
+// The daemon speaks wire protocol v2 (docs/ARCHITECTURE.md).
+//
+// Observability (docs/OBSERVABILITY.md): the runtime's MetricsRegistry
+// (server + runtime counters, per-stage latency histograms) and a
+// 256-event flight recorder; the periodic stats line, the final report,
+// and the wire METRICS verb all render from the same registry collect().
+// --metrics-port P additionally serves Prometheus text over HTTP on
+// loopback (GET /metrics, /healthz, /events; P=0 binds an ephemeral port,
+// announced on a parseable line). --trace-sample N records 1 in N
+// per-stage timings (1 = every one, the default; 0 = tracing off).
 // SIGUSR1 dumps the flight-recorder window to stderr.
 #include <chrono>
 #include <csignal>
@@ -158,11 +160,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // One registry + flight recorder for the whole daemon: the runtime and
-  // server register providers/histograms into it, and every reporting
+  // One flight recorder for the whole daemon, declared before the runtime
+  // so it outlives it. The registry is the runtime's own: the server
+  // registers its counters and histograms there, and every reporting
   // surface (stats lines, METRICS verb, HTTP /metrics) renders from its
-  // collect(). Declared before the runtime so they outlive it.
-  obs::MetricsRegistry metrics;
+  // collect().
   obs::EventRing events(256);
 
   runtime::RuntimeConfig rcfg;
@@ -172,7 +174,6 @@ int main(int argc, char** argv) {
   rcfg.adapt = args.adapt;
   rcfg.sample_every = args.sample_every;
   rcfg.record = args.record;
-  rcfg.metrics = &metrics;
   rcfg.events = &events;
   // Stamp the capture with where it came from (host, build, flags) —
   // the same provenance header every BENCH_*.json carries.
@@ -246,7 +247,6 @@ int main(int argc, char** argv) {
   scfg.port = args.port;
   scfg.bind_any = args.bind_any;
   scfg.workers = args.workers;
-  scfg.metrics = &metrics;
   scfg.events = &events;
   scfg.trace_sample = args.trace_sample;
   net::Server server(*rt, scfg);
@@ -257,6 +257,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  obs::MetricsRegistry& metrics = rt->metrics();
   std::unique_ptr<obs::HttpExporter> exporter;
   if (args.metrics_port >= 0) {
     try {
@@ -278,7 +279,7 @@ int main(int argc, char** argv) {
 
   // Announce the resolved port on a parseable line (CI greps for it).
   std::cout << "icgmm_serve listening on port " << server.port()
-            << " (protocols v1+v2, policy " << rt->policy_name()
+            << " (protocol v2, policy " << rt->policy_name()
             << ", shards " << args.shards << ", workers " << args.workers
             << (args.adapt ? ", adaptive" : "")
             << (rcfg.shadow.enabled ? ", shadow " + rcfg.shadow.policy_name
@@ -292,13 +293,13 @@ int main(int argc, char** argv) {
   }
 
   // Both the periodic line and the final report render from the same
-  // registry collect() the METRICS verb and /metrics serve — the four
+  // registry collect() the METRICS verb and /metrics serve — the
   // surfaces can never disagree on a value.
-  const auto scrape = [&metrics](std::string_view name,
-                                 const std::vector<obs::MetricsRegistry::Sample>&
-                                     samples) {
-    return obs::MetricsRegistry::value_of(samples, name);
-  };
+  const auto scrape =
+      [](std::string_view name,
+         const std::vector<obs::MetricsRegistry::Sample>& samples) {
+        return obs::MetricsRegistry::value_of(samples, name);
+      };
   const auto hit_rate_of =
       [](std::uint64_t hits, std::uint64_t accesses) {
         return accesses == 0
