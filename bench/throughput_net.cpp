@@ -1,6 +1,6 @@
 // Network-serving throughput: aggregate requests/sec and latency
 // percentiles through the full RPC stack — loadgen-style clients ->
-// loopback TCP -> epoll server -> worker pool -> sharded runtime — as a
+// loopback TCP -> 2 epoll reactor threads -> sharded runtime — as a
 // function of client connections x wire batch size, for LRU and the GMM
 // policy. The in-process analogue (bench/throughput_runtime) measures the
 // runtime without the network; the delta between the two is the serving

@@ -21,7 +21,8 @@ int main() {
   rcfg.shards = 4;
   runtime::Runtime rt(rcfg, cache::LruPolicy());
 
-  // ...served over TCP (port 0 = pick an ephemeral port, workers = 2).
+  // ...served over TCP (port 0 = pick an ephemeral port, workers = 2
+  // serving threads; each connection is served on one of them).
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
   std::cout << "serving on 127.0.0.1:" << server.port() << "\n";

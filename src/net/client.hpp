@@ -3,10 +3,11 @@
 // halves so callers can pipeline several ACCESS_BATCH frames before
 // collecting replies.
 //
-// Every request carries a u64 id and its reply echoes it. Replies may
-// arrive in ANY order — the server completes a connection's requests on
-// any worker as they finish — so the client correlates by id: replies to
-// ids nobody is waiting for yet are parked, and the out-of-order safe
+// Every request carries a u64 id and its reply echoes it. The protocol
+// lets a server answer a connection's requests in ANY order (this repo's
+// net::Server answers each connection in arrival order, but the client
+// does not rely on it), so the client correlates by id: replies to ids
+// nobody is waiting for yet are parked, and the out-of-order safe
 // await_access(id) / poll_any() primitives hand them out.
 //
 // All failures (connect/socket errors, unexpected EOF, malformed or
@@ -64,9 +65,9 @@ class Client {
 
   // --- synchronous round trips ---------------------------------------------
   // Each sync RPC first drains the ACCESS batches still in flight
-  // (drain_outstanding): the server completes a connection's requests out
-  // of order, so a FLUSH or METRICS would otherwise race the batches sent
-  // before it. That makes a mid-pipeline METRICS or FLUSH a true barrier
+  // (drain_outstanding): a server may complete a connection's requests
+  // out of order, so a FLUSH or METRICS would otherwise race the batches
+  // sent before it. That makes a mid-pipeline METRICS or FLUSH a true barrier
   // (monitoring pollers, admin tools), at the cost of discarding the
   // drained replies' contents.
 
@@ -188,8 +189,8 @@ struct ReplayOptions {
   /// (zeros and duplicates are ignored; points past the stream never
   /// fire). At each point the batch is split so the boundary is exact
   /// and the in-flight window is drained first, so the FLUSH lands
-  /// between the last request before it and the first after — the server
-  /// completes requests out of order, so that drain is what makes the
+  /// between the last request before it and the first after — a server
+  /// may complete requests out of order, so that drain is what makes the
   /// clear point exact. The single-point case is the classic warm-up
   /// discard.
   std::vector<std::size_t> clear_points;

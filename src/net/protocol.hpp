@@ -17,10 +17,10 @@
 //
 // Every request carries a u64 request id and its reply echoes it, so
 // replies correlate by id, not by arrival order: replies on one
-// connection may arrive in ANY order, which lets the server complete a
-// connection's requests on any worker as they finish. Any version byte
-// other than 2 (the retired order-correlated version 1 included) is
-// stream poison (kBadVersion — the connection is dropped).
+// connection may arrive in ANY order (net::Server answers each
+// connection in arrival order, but clients must not rely on it). Any
+// version byte other than 2 (the retired order-correlated version 1
+// included) is stream poison (kBadVersion — the connection is dropped).
 //
 // Request/reply payloads (LE throughout):
 //   ACCESS_BATCH  u32 count, then count x {u64 page, u64 timestamp,

@@ -1,6 +1,5 @@
 #include "net/server.hpp"
 
-#include <fcntl.h>
 #include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -10,12 +9,14 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <cassert>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <deque>
+#include <mutex>
+#include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 namespace icgmm::net {
@@ -46,44 +47,71 @@ std::uint64_t now_ns() noexcept {
 
 }  // namespace
 
-/// Per-connection state. The I/O thread owns `in` (the partial byte
-/// stream) exclusively; everything under `mu` is shared between the I/O
-/// thread and the workers completing the connection's requests.
+/// Per-connection state, owned by one reactor and touched only on its
+/// thread.
 struct Server::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
+  ~Connection() { ::close(fd); }
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
   const int fd;
-
-  /// Partial inbound byte stream; I/O thread only.
+  /// Partial inbound byte stream.
   std::vector<std::uint8_t> in;
-
-  std::mutex mu;
-  // --- guarded by mu ---
-  /// Framed replies in completion order, drained by vectored writev.
+  /// Framed replies in arrival order, drained by vectored writev.
   std::deque<std::vector<std::uint8_t>> outbox;
   std::size_t outbox_off = 0;  ///< bytes of outbox.front() already sent
-  /// Requests dispatched to the pool and not yet completed. The worker
-  /// that takes this to zero flushes the outbox — so concurrent
-  /// completions coalesce into one writev instead of racing the socket.
-  std::uint32_t pending = 0;
-  /// Unsent outbox bytes plus the charges of pending requests, held
-  /// against kMaxBufferedBytes.
+  /// Unsent outbox bytes, held against kMaxBufferedBytes.
   std::size_t buffered = 0;
   std::uint32_t armed = EPOLLIN;  ///< epoll interest currently registered
   bool want_write = false;  ///< a flush hit EAGAIN; wait for EPOLLOUT
   /// At the buffer cap: not reading, and `in` may still hold frames.
   bool paused = false;
-  bool eof = false;   ///< peer FIN seen; close once drained
-  bool dead = false;  ///< deregistered; drop work, never write
+  bool eof = false;  ///< peer FIN seen; close once drained
+};
 
-  bool drained() const {  // call with mu held
-    return !paused && pending == 0 && outbox.empty();
+/// One serving thread: its epoll set, the eventfd that wakes it, and the
+/// connections it owns.
+struct Server::Reactor {
+  Reactor()
+      : epoll_fd(::epoll_create1(EPOLL_CLOEXEC)),
+        wake_fd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+    if (epoll_fd < 0 || wake_fd < 0 || !watch(wake_fd)) {
+      const int err = errno;
+      if (epoll_fd >= 0) ::close(epoll_fd);
+      if (wake_fd >= 0) ::close(wake_fd);
+      throw std::system_error(err, std::generic_category(), "reactor setup");
+    }
   }
+  ~Reactor() {
+    conns.clear();  // closes the sockets before their epoll set goes
+    ::close(wake_fd);
+    ::close(epoll_fd);
+  }
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
+
+  /// Adds `fd` to the epoll set for reading; false on failure.
+  bool watch(int fd) const noexcept {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
+  }
+  /// Wakes the reactor's epoll_wait.
+  void kick() const noexcept {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof(one));
+  }
+
+  const int epoll_fd;
+  const int wake_fd;
+  std::thread thread;
+  /// Live connections, keyed by fd. This reactor's thread only.
+  std::unordered_map<int, std::unique_ptr<Connection>> conns;
+  /// Accepted sockets handed over by reactor 0, adopted on the next wake.
+  std::mutex inbox_mu;
+  std::vector<int> inbox;
 };
 
 Server::Server(runtime::Runtime& rt, ServerConfig cfg)
@@ -91,7 +119,6 @@ Server::Server(runtime::Runtime& rt, ServerConfig cfg)
   obs::MetricsRegistry& metrics = rt_.metrics();
   if (cfg_.trace_sample != 0) {
     stage_decode_ = &metrics.histogram("icgmm_server_stage_decode_ns");
-    stage_queue_ = &metrics.histogram("icgmm_server_stage_queue_ns");
     stage_apply_ = &metrics.histogram("icgmm_server_stage_apply_ns");
     stage_flush_ = &metrics.histogram("icgmm_server_stage_flush_ns");
   }
@@ -130,15 +157,18 @@ bool Server::should_trace() noexcept {
 
 void Server::start() {
   if (started_) throw std::logic_error("Server::start: already started");
+  if (cfg_.workers == 0) {
+    throw std::invalid_argument(
+        "Server::start: workers (serving threads) must be at least 1");
+  }
   try {
     start_impl();
   } catch (...) {
     // Partial setup (e.g. bind EADDRINUSE after socket()) must not leak
     // fds — a caller retrying ports would otherwise creep toward EMFILE.
     if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+    listen_fd_ = -1;
+    reactors_.clear();
     throw;
   }
 }
@@ -166,63 +196,37 @@ void Server::start_impl() {
   }
   port_ = ntohs(addr.sin_port);
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) throw_errno("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) throw_errno("eventfd");
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
-    throw_errno("epoll_ctl(listen)");
+  for (std::uint32_t i = 0; i < cfg_.workers; ++i) {
+    reactors_.push_back(std::make_unique<Reactor>());
   }
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
-    throw_errno("epoll_ctl(wake)");
-  }
+  if (!reactors_[0]->watch(listen_fd_)) throw_errno("epoll_ctl(listen)");
 
   started_ = true;
   running_.store(true, std::memory_order_release);
-  io_thread_ = std::thread([this] { io_loop(); });
-  workers_.reserve(cfg_.workers);
-  for (std::uint32_t i = 0; i < cfg_.workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (const std::unique_ptr<Reactor>& r : reactors_) {
+    r->thread = std::thread([this, &r = *r] { reactor_loop(r); });
   }
 }
 
 void Server::stop() {
   if (!started_) return;
   running_.store(false, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  if (io_thread_.joinable()) io_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      queue_.push_back(Work{});  // stop tokens (null conn)
-    }
-  }
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-  {
-    std::lock_guard<std::mutex> lock(revisit_mu_);
-    revisit_queue_.clear();  // entries are still in conns_, closed below
-  }
+  for (const std::unique_ptr<Reactor>& r : reactors_) r->kick();
+  for (const std::unique_ptr<Reactor>& r : reactors_) r->thread.join();
   // Connections still open close like any other: counted, and announced
-  // with one kConnClose each (the io thread is gone, so this is the only
-  // thread touching conns_). Sockets close as the last references drop.
-  while (!conns_.empty()) {
-    const ConnPtr conn = conns_.begin()->second;  // erased by the close
-    close_connection(conn);
+  // with one kConnClose each (the reactors are gone, so this is the only
+  // thread touching them). Sockets handed over but never adopted close
+  // the same way.
+  for (const std::unique_ptr<Reactor>& r : reactors_) {
+    for (const int fd : r->inbox) {
+      r->conns.emplace(fd, std::make_unique<Connection>(fd));
+    }
+    r->inbox.clear();
+    while (!r->conns.empty()) close_connection(*r, *r->conns.begin()->second);
   }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  reactors_.clear();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   started_ = false;
 }
 
@@ -246,46 +250,50 @@ void Server::note_buffered(std::size_t bytes) noexcept {
   }
 }
 
-void Server::io_loop() {
+void Server::reactor_loop(Reactor& r) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    const int n = ::epoll_wait(r.epoll_fd, events, kMaxEvents, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone — shutting down
     }
+    bool woken = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
+      if (fd == r.wake_fd) {
         std::uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
+        while (::read(r.wake_fd, &drain, sizeof(drain)) > 0) {
         }
-        continue;  // running_ re-checked by the loop condition
+        woken = true;  // running_ re-checked by the loop condition
+        continue;
       }
       if (fd == listen_fd_) {
         accept_ready();
         continue;
       }
-      const auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // closed earlier this wake-up
-      const ConnPtr conn = it->second;
+      const auto it = r.conns.find(fd);
+      if (it == r.conns.end()) continue;  // closed earlier this wake-up
+      Connection& c = *it->second;
       if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-        close_connection(conn);
+        close_connection(r, c);
         continue;
       }
-      if (events[i].events & EPOLLOUT) flush_writes(conn);
-      if (events[i].events & EPOLLIN) read_ready(conn);
+      if (events[i].events & EPOLLOUT) {
+        if (!flush_writes(c)) {
+          close_connection(r, c);
+          continue;
+        }
+        // The drain may resume a paused connection or finish a drained
+        // EOF'd one.
+        if (!serve_input(r, c)) continue;
+      }
+      if (events[i].events & EPOLLIN) read_ready(r, c);
     }
-    // Connections whose state changed since the last wake (queued by
-    // flush_writes, signalled via wake_fd_): close the drained EOF'd
-    // ones, resume reading the ones back under the buffer cap.
-    std::vector<ConnPtr> to_revisit;
-    {
-      std::lock_guard<std::mutex> lock(revisit_mu_);
-      to_revisit.swap(revisit_queue_);
-    }
-    for (const ConnPtr& conn : to_revisit) revisit(conn);
+    // New sockets join after the batch, so no event of this batch can
+    // reach a new connection that reuses a just-closed fd number.
+    if (woken) adopt_inbox(r);
   }
 }
 
@@ -296,43 +304,56 @@ void Server::accept_ready() {
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      // Persistent failure (EMFILE/ENFILE/ENOBUFS): the pending
-      // connection keeps the listen fd readable, so returning immediately
-      // would make the level-triggered epoll loop spin at 100% CPU. Back
-      // off briefly and let an fd free up.
+      // Persistent failure (EMFILE/ENFILE/ENOBUFS): the connection still
+      // in the backlog keeps the listen fd readable, so returning
+      // immediately would make the level-triggered epoll loop spin at
+      // 100% CPU. Back off briefly and let an fd free up.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       return;
     }
-    if (conns_.size() >= cfg_.max_connections) {
+    const std::uint64_t live = accepted_.load(std::memory_order_relaxed) -
+                               closed_.load(std::memory_order_relaxed);
+    if (live >= cfg_.max_connections) {
       ::close(fd);  // at capacity: refuse
       continue;
     }
     set_nodelay(fd);
-    auto conn = std::make_shared<Connection>(fd);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      continue;  // conn destructor closes fd
-    }
-    conns_.emplace(fd, std::move(conn));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.events != nullptr) {
       cfg_.events->emit(obs::EventType::kConnOpen,
                         static_cast<std::uint64_t>(fd));
     }
+    Reactor& owner = *reactors_[next_owner_++ % reactors_.size()];
+    {
+      std::lock_guard<std::mutex> lock(owner.inbox_mu);
+      owner.inbox.push_back(fd);
+    }
+    owner.kick();
   }
 }
 
-void Server::read_ready(const ConnPtr& conn) {
+void Server::adopt_inbox(Reactor& r) {
+  std::vector<int> fds;
+  {
+    std::lock_guard<std::mutex> lock(r.inbox_mu);
+    fds.swap(r.inbox);
+  }
+  for (const int fd : fds) {
+    Connection& c =
+        *r.conns.emplace(fd, std::make_unique<Connection>(fd)).first->second;
+    if (!r.watch(fd)) close_connection(r, c);
+  }
+}
+
+void Server::read_ready(Reactor& r, Connection& c) {
   // Drain the socket (level-triggered epoll would re-notify, but fewer
   // wake-ups means fewer epoll_wait syscalls under load).
   char buf[16 * 1024];
   while (true) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      conn->in.insert(conn->in.end(), buf, buf + n);
-      if (conn->in.size() > kMaxFrameBytes + sizeof(buf)) {
+      c.in.insert(c.in.end(), buf, buf + n);
+      if (c.in.size() > kMaxFrameBytes + sizeof(buf)) {
         break;  // stop reading; frame the backlog first
       }
       continue;
@@ -340,209 +361,101 @@ void Server::read_ready(const ConnPtr& conn) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     // EOF or a hard socket error. A client that pipelines requests and
-    // then half-closes (FIN) is still owed its replies: process_input
+    // then half-closes (FIN) is still owed its replies: serve_input
     // serves what arrived, and the connection closes once drained.
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->eof = true;
+    c.eof = true;
     break;
   }
-  process_input(conn);
+  serve_input(r, c);
 }
 
-void Server::process_input(const ConnPtr& conn) {
-  // Slice complete frames off the stream front. Each is dispatched as its
-  // own work item any worker may complete, or served right here when
-  // there are no workers, until the stream runs dry or the connection
-  // holds kMaxBufferedBytes.
-  const bool trace_decode = stage_decode_ != nullptr && should_trace();
-  const std::uint64_t decode_start = trace_decode ? now_ns() : 0;
-  std::size_t off = 0;
-  bool poisoned = false;
-  bool paused = false;
-  std::size_t dispatched = 0;
-  std::size_t served_inline = 0;
-  while (true) {
-    Frame frame;
-    std::size_t consumed = 0;
-    const DecodeStatus st = decode_frame(
-        std::span<const std::uint8_t>(conn->in).subspan(off), frame, consumed);
-    if (st == DecodeStatus::kNeedMore) break;
-    if (st != DecodeStatus::kOk) {
-      poisoned = true;
-      break;
-    }
-    const auto frame_bytes =
-        std::span<const std::uint8_t>(conn->in).subspan(off, consumed);
-    // A 24-byte METRICS request can fetch a reply of up to a maximal
-    // frame; charging that up front keeps the cap a bound on replies too.
-    const std::size_t charge =
-        frame.header.type == MsgType::kMetrics ? kMaxFrameBytes : consumed;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->buffered + charge > kMaxBufferedBytes) {
-        conn->paused = paused = true;  // the frame stays in `in`
+bool Server::serve_input(Reactor& r, Connection& c) {
+  // A paused connection resumes once a flush took it below half the cap.
+  while (!c.paused || c.buffered < kMaxBufferedBytes / 2) {
+    c.paused = false;
+    // Slice complete frames off the stream front and serve each in
+    // arrival order, until the stream runs dry or the next reply could
+    // take the connection past kMaxBufferedBytes.
+    std::size_t off = 0;
+    std::size_t served = 0;
+    bool poisoned = false;
+    while (true) {
+      const bool trace_decode = stage_decode_ != nullptr && should_trace();
+      const std::uint64_t decode_start = trace_decode ? now_ns() : 0;
+      Frame frame;
+      std::size_t consumed = 0;
+      const DecodeStatus st = decode_frame(
+          std::span<const std::uint8_t>(c.in).subspan(off), frame, consumed);
+      if (st == DecodeStatus::kNeedMore) break;
+      if (st != DecodeStatus::kOk) {
+        poisoned = true;
         break;
       }
-      if (!workers_.empty()) {
-        conn->buffered += charge;
-        ++conn->pending;
-        note_buffered(conn->buffered);
+      if (trace_decode) stage_decode_->record(now_ns() - decode_start);
+      // A 24-byte METRICS request can fetch a reply of up to a maximal
+      // frame; charging that up front keeps the cap a bound on replies.
+      const std::size_t charge =
+          frame.header.type == MsgType::kMetrics ? kMaxFrameBytes : consumed;
+      if (c.buffered + charge > kMaxBufferedBytes) {
+        c.paused = true;  // the frame stays in `in`
+        break;
       }
-    }
-    if (!workers_.empty()) {
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        queue_.push_back(Work{
-            conn,
-            std::vector<std::uint8_t>(frame_bytes.begin(), frame_bytes.end()),
-            charge, stage_queue_ != nullptr && should_trace() ? now_ns() : 0});
-      }
-      ++dispatched;
-    } else {
-      // Inline mode: complete in arrival order on the I/O thread; the
-      // replies still coalesce into one writev after the slice loop.
       std::vector<std::uint8_t> reply;
-      serve_frame(frame_bytes, reply);
+      serve_frame(frame, reply);
       frames_.fetch_add(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->buffered += reply.size();
-      note_buffered(conn->buffered);
-      conn->outbox.push_back(std::move(reply));
-      ++served_inline;
+      c.buffered += reply.size();
+      note_buffered(c.buffered);
+      c.outbox.push_back(std::move(reply));
+      ++served;
+      off += consumed;
     }
-    off += consumed;
-  }
-  if (off > 0) conn->in.erase(conn->in.begin(), conn->in.begin() + off);
-
-  // One decode sample covers the whole slice loop of this read batch —
-  // framing cost per socket drain, not per frame.
-  if (trace_decode && dispatched + served_inline > 0) {
-    stage_decode_->record(now_ns() - decode_start);
-  }
-  if (dispatched == 1) {
-    queue_cv_.notify_one();
-  } else if (dispatched > 1) {
-    queue_cv_.notify_all();
-  }
-  if (poisoned) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (cfg_.events != nullptr) {
-      cfg_.events->emit(obs::EventType::kProtocolError,
-                        static_cast<std::uint64_t>(conn->fd));
+    if (off > 0) c.in.erase(c.in.begin(), c.in.begin() + off);
+    if (poisoned) {
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      if (cfg_.events != nullptr) {
+        cfg_.events->emit(obs::EventType::kProtocolError,
+                          static_cast<std::uint64_t>(c.fd));
+      }
+      close_connection(r, c);
+      return false;
     }
-    close_connection(conn);
-    return;
-  }
-  if (paused) {
-    read_pauses_.fetch_add(1, std::memory_order_relaxed);
-    if (cfg_.events != nullptr) {
-      cfg_.events->emit(obs::EventType::kReadPause,
-                        static_cast<std::uint64_t>(conn->fd));
+    // One flush per pass: every reply the pass produced rides one writev.
+    if (served > 0 && !flush_writes(c)) {
+      close_connection(r, c);
+      return false;
+    }
+    if (!c.paused) break;
+    // At the cap. A flush that drained it below half serves on; else the
+    // connection stops being read until EPOLLOUT drains it.
+    if (c.buffered >= kMaxBufferedBytes / 2) {
+      read_pauses_.fetch_add(1, std::memory_order_relaxed);
+      if (cfg_.events != nullptr) {
+        cfg_.events->emit(obs::EventType::kReadPause,
+                          static_cast<std::uint64_t>(c.fd));
+      }
     }
   }
-  if (served_inline > 0) flush_writes(conn);
-  bool close = false;
-  {
-    // Stop reading while paused, and on a half-closed socket for good: it
-    // stays permanently readable, so leaving EPOLLIN armed would spin the
-    // level-triggered loop while the replies drain.
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) return;
-    close = conn->eof && conn->drained();
-    if (!close) arm_locked(*conn);
+  // The peer already FIN'd and its last reply byte is out.
+  if (c.eof && !c.paused && c.outbox.empty()) {
+    close_connection(r, c);
+    return false;
   }
-  if (close) close_connection(conn);
+  arm(r, c);
+  return true;
 }
 
-void Server::revisit(const ConnPtr& conn) {
-  bool close = false;
-  bool resume = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) return;
-    close = conn->eof && conn->drained();
-    resume = conn->paused && conn->buffered < kMaxBufferedBytes / 2;
-    if (resume) conn->paused = false;
-  }
-  if (close) {
-    close_connection(conn);
-  } else if (resume) {
-    process_input(conn);  // the frames left in `in`, then reads again
-  }
-}
-
-void Server::close_connection(const ConnPtr& conn) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) return;
-    conn->dead = true;
-  }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  conns_.erase(conn->fd);
+void Server::close_connection(Reactor& r, Connection& c) {
+  const int fd = c.fd;
+  ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   closed_.fetch_add(1, std::memory_order_relaxed);
   if (cfg_.events != nullptr) {
     cfg_.events->emit(obs::EventType::kConnClose,
-                      static_cast<std::uint64_t>(conn->fd));
+                      static_cast<std::uint64_t>(fd));
   }
-  // The socket itself closes when the last reference (possibly a worker
-  // mid-drain) drops — never before, so the fd number cannot be reused
-  // while a worker might still write to it.
+  r.conns.erase(fd);  // destroys `c` and closes the socket
 }
 
-void Server::worker_loop() {
-  while (true) {
-    Work work;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return !queue_.empty(); });
-      work = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (!work.conn) return;  // stop token
-    if (work.enqueue_ns != 0 && stage_queue_ != nullptr) {
-      stage_queue_->record(now_ns() - work.enqueue_ns);
-    }
-    serve_work(work);
-  }
-}
-
-void Server::serve_work(Work& work) {
-  const ConnPtr& conn = work.conn;
-  bool dead;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    dead = conn->dead;
-  }
-  std::vector<std::uint8_t> reply;
-  if (!dead) {
-    serve_frame(work.frame, reply);
-    frames_.fetch_add(1, std::memory_order_relaxed);
-  }
-  bool last_completer;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->buffered -= work.charge;
-    if (!conn->dead) {
-      conn->buffered += reply.size();
-      note_buffered(conn->buffered);
-      conn->outbox.push_back(std::move(reply));
-    }
-    --conn->pending;
-    // Only the completion that empties the in-flight set flushes: every
-    // sibling reply finished in the meantime rides the same writev, and
-    // two workers never contend on send() for one socket.
-    last_completer = conn->pending == 0;
-  }
-  if (last_completer) flush_writes(conn);
-}
-
-void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
-                         std::vector<std::uint8_t>& out) {
-  Frame frame;
-  std::size_t consumed = 0;
-  const DecodeStatus st = decode_frame(frame_bytes, frame, consumed);
-  assert(st == DecodeStatus::kOk);  // process_input only takes whole frames
-  if (st != DecodeStatus::kOk) return;
+void Server::serve_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
   // Replies go back with the id the request carried.
   const std::uint64_t seq = frame.header.seq;
 
@@ -632,92 +545,69 @@ void Server::serve_frame(std::span<const std::uint8_t> frame_bytes,
                            to_string(frame.header.type) + " payload"});
 }
 
-void Server::flush_writes(const ConnPtr& conn) {
+bool Server::flush_writes(Connection& c) {
   const bool trace = stage_flush_ != nullptr && should_trace();
-  if (!trace) {
-    flush_writes_impl(conn);
-    return;
-  }
+  if (!trace) return flush_writes_impl(c);
   const std::uint64_t start = now_ns();
-  flush_writes_impl(conn);
+  const bool alive = flush_writes_impl(c);
   stage_flush_->record(now_ns() - start);
+  return alive;
 }
 
-void Server::flush_writes_impl(const ConnPtr& conn) {
-  std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->dead) return;
+bool Server::flush_writes_impl(Connection& c) {
   // One vectored writev per syscall, coalescing up to kIovBatch framed
   // replies (IOV_MAX-capped). The front entry may be partially sent from
   // an earlier backpressured flush (outbox_off).
-  bool blocked = false;
-  while (!conn->outbox.empty()) {
+  c.want_write = false;
+  while (!c.outbox.empty()) {
     iovec iov[kIovBatch];
     std::size_t cnt = 0;
-    for (const std::vector<std::uint8_t>& reply : conn->outbox) {
-      const std::size_t skip = cnt == 0 ? conn->outbox_off : 0;
+    for (const std::vector<std::uint8_t>& reply : c.outbox) {
+      const std::size_t skip = cnt == 0 ? c.outbox_off : 0;
       iov[cnt].iov_base = const_cast<std::uint8_t*>(reply.data()) + skip;
       iov[cnt].iov_len = reply.size() - skip;
       if (++cnt == kIovBatch) break;
     }
-    const ssize_t n = ::writev(conn->fd, iov, static_cast<int>(cnt));
+    const ssize_t n = ::writev(c.fd, iov, static_cast<int>(cnt));
     if (n > 0) {
       writev_calls_.fetch_add(1, std::memory_order_relaxed);
       std::size_t advanced = static_cast<std::size_t>(n);
-      conn->buffered -= advanced;
+      c.buffered -= advanced;
       while (advanced > 0) {
-        const std::size_t left =
-            conn->outbox.front().size() - conn->outbox_off;
+        const std::size_t left = c.outbox.front().size() - c.outbox_off;
         if (advanced < left) {
-          conn->outbox_off += advanced;
+          c.outbox_off += advanced;
           break;
         }
         advanced -= left;
-        conn->outbox.pop_front();
-        conn->outbox_off = 0;
+        c.outbox.pop_front();
+        c.outbox_off = 0;
         writev_replies_.fetch_add(1, std::memory_order_relaxed);
       }
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      blocked = true;  // EPOLLOUT resumes the drain
-      break;
+      c.want_write = true;  // EPOLLOUT resumes the drain
+      return true;
     }
-    return;  // peer went away; epoll reports ERR/HUP and the I/O thread closes
+    return false;  // the peer went away
   }
-  conn->want_write = blocked;
-  arm_locked(*conn);
-  // The I/O thread closes a drained EOF'd connection (the peer already
-  // FIN'd and its last reply byte is out) and resumes reading a paused
-  // one once this flush took it below half the cap.
-  if ((conn->eof && conn->drained()) ||
-      (conn->paused && conn->buffered < kMaxBufferedBytes / 2)) {
-    request_revisit_locked(conn);
-  }
+  return true;
 }
 
-void Server::arm_locked(Connection& conn) {
-  if (conn.dead) return;
+void Server::arm(Reactor& r, Connection& c) {
+  // Stop reading while paused, and on a half-closed socket for good: it
+  // stays permanently readable, so leaving EPOLLIN armed would spin the
+  // level-triggered loop while the replies drain.
   const std::uint32_t want =
-      (conn.eof || conn.paused ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
-      (conn.want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-  if (want == conn.armed) return;
+      (c.eof || c.paused ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
+      (c.want_write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  if (want == c.armed) return;
   epoll_event ev{};
   ev.events = want;
-  ev.data.fd = conn.fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
-    conn.armed = want;
-  }
-}
-
-void Server::request_revisit_locked(const ConnPtr& conn) {
-  if (conn->dead) return;
-  {
-    std::lock_guard<std::mutex> lock(revisit_mu_);
-    revisit_queue_.push_back(conn);
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  ev.data.fd = c.fd;
+  if (::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev) == 0) c.armed = want;
 }
 
 }  // namespace icgmm::net

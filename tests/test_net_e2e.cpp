@@ -1,13 +1,13 @@
-// Loopback end-to-end serving equivalence — the PR's acceptance bar: the
-// same trace replayed through the RPC stack (loadgen-style client ->
-// TCP -> 1-worker server -> 1-shard runtime) must produce *identical*
-// hit/miss/inference counts to the in-process replay_trace driver, for a
-// classic policy and for the trained GMM policy, including the warm-up
-// discard (client-side FLUSH at the same request index replay clears
-// stats at). The V2 tests hold the same bar with multi-worker servers
-// completing requests out of order. Counters are compared by name, as
-// the server reports them on METRICS. Suite name starts with "Net" for
-// the CI TSan job.
+// Loopback end-to-end serving equivalence (invariant 3): the same trace
+// replayed through the RPC stack (loadgen-style client -> TCP -> server
+// -> 1-shard runtime) must produce *identical* hit/miss/inference counts
+// to the in-process replay_trace driver, for a classic policy and for the
+// trained GMM policy, including the warm-up discard (client-side FLUSH at
+// the same request index replay clears stats at). The server answers each
+// connection in arrival order on one serving thread, so the bar holds at
+// any access window and any number of serving threads. Counters are
+// compared by name, as the server reports them on METRICS. Suite name
+// starts with "Net" for the CI TSan job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,58 +21,14 @@
 #include "net/server.hpp"
 #include "runtime/replay.hpp"
 #include "test_util.hpp"
-#include "trace/timestamp_transform.hpp"
+#include "wire_equivalence.hpp"
 
 namespace icgmm {
 namespace {
 
-/// The wire stream replay_trace would generate at threads == 1: trace
-/// order, Algorithm-1 timestamps from a fresh transform.
-std::vector<net::WireAccess> wire_stream(const trace::Trace& t,
-                                         const trace::TransformConfig& cfg) {
-  trace::TimestampTransform transform(cfg);
-  std::vector<net::WireAccess> stream;
-  stream.reserve(t.size());
-  for (const trace::Record& r : t) {
-    stream.push_back({.page = r.page(),
-                      .timestamp = transform.next(),
-                      .is_write = r.is_write()});
-  }
-  return stream;
-}
-
-/// Replays `stream` over one connection through the shared driver the
-/// loadgen and net bench use, FLUSHing the server at exactly the given
-/// clear points ({} = never), then returns the server's METRICS.
-net::MetricsReply serve_stream(std::uint16_t port,
-                               const std::vector<net::WireAccess>& stream,
-                               std::vector<std::size_t> clear_points,
-                               std::size_t batch, std::size_t pipeline = 2) {
-  net::Client client = net::Client::connect("127.0.0.1", port);
-  net::ReplayOptions opts;
-  opts.batch = batch;
-  opts.pipeline = pipeline;
-  opts.clear_points = std::move(clear_points);
-  const std::uint64_t completed = net::replay_stream(client, stream, opts);
-  EXPECT_EQ(completed, stream.size());
-  return client.metrics();
-}
-
-void expect_counts_match(const net::MetricsReply& served,
-                         const sim::RunResult& replayed) {
-  EXPECT_EQ(served.value("icgmm_cache_accesses"), replayed.stats.accesses);
-  EXPECT_EQ(served.value("icgmm_cache_hits"), replayed.stats.hits);
-  EXPECT_EQ(served.value("icgmm_cache_read_misses"),
-            replayed.stats.read_misses);
-  EXPECT_EQ(served.value("icgmm_cache_write_misses"),
-            replayed.stats.write_misses);
-  EXPECT_EQ(served.value("icgmm_cache_fills"), replayed.stats.fills);
-  EXPECT_EQ(served.value("icgmm_cache_bypasses"), replayed.stats.bypasses);
-  EXPECT_EQ(served.value("icgmm_cache_evictions"), replayed.stats.evictions);
-  EXPECT_EQ(served.value("icgmm_cache_dirty_evictions"),
-            replayed.stats.dirty_evictions);
-  EXPECT_EQ(served.value("icgmm_gmm_inferences"), replayed.policy_inferences);
-}
+using test_util::expect_counts_match;
+using test_util::serve_stream;
+using test_util::wire_stream;
 
 TEST(NetE2E, ServedLruTraceMatchesInProcessReplayExactly) {
   const trace::Trace t = test_util::zipf_trace(60000, 2048, 0.9, 0x77);
@@ -169,7 +125,7 @@ TEST(NetE2E, BatchSizeDoesNotChangeServedCounts) {
 TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
   // A capture with several FLUSH markers replays exactly on one
   // connection: every clear point lands on its recorded request index,
-  // with a multi-worker server behind it. Mirrors
+  // with a multi-threaded server behind it. Mirrors
   // runtime::ReplayConfig::clear_points semantics.
   const trace::Trace t = test_util::zipf_trace(30000, 1024, 0.9, 0xB7);
   const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(32, 4),
@@ -184,8 +140,8 @@ TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
       runtime::replay_trace(reference, t, serve_cfg);
 
   runtime::Runtime rt(rcfg, cache::LruPolicy());
-  // Two workers complete requests in any order; pipeline 1 keeps the
-  // ACCESS stream itself in deterministic order.
+  // Two serving threads; the one connection lives on one of them, so the
+  // window-1 stream reaches the cache in order like any other window.
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
   const net::MetricsReply s =
@@ -195,15 +151,43 @@ TEST(NetE2E, V2MultipleClearPointsMatchInProcessReplayExactly) {
   expect_counts_match(s, replayed.run);
 }
 
+TEST(NetE2E, WindowEightOnTwoServingThreadsMatchesInProcessReplayExactly) {
+  // Invariant 3 at a deep window: eight ACCESS batches in flight on one
+  // connection of a 2-thread server still reach the cache in the exact
+  // replay_trace order, FLUSH at the warm-up point included, so every
+  // counter matches. A server that spread one connection's frames over
+  // threads could apply two in-flight batches in either order.
+  const trace::Trace t = test_util::zipf_trace(60000, 2048, 0.9, 0x8E);
+  const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
+                                    .shards = 1};
+  runtime::ReplayConfig serve_cfg;
+  serve_cfg.threads = 1;
+
+  runtime::Runtime reference(rcfg, cache::LruPolicy());
+  const runtime::ReplayResult replayed =
+      runtime::replay_trace(reference, t, serve_cfg);
+
+  const std::size_t warmup = static_cast<std::size_t>(
+      serve_cfg.warmup_fraction * static_cast<double>(t.size()));
+  runtime::Runtime served_rt(rcfg, cache::LruPolicy());
+  net::Server server(served_rt, {.port = 0, .workers = 2});
+  server.start();
+  const net::MetricsReply served =
+      serve_stream(server.port(), wire_stream(t, serve_cfg.transform),
+                   {warmup}, 64, /*pipeline=*/8);
+  server.stop();
+
+  expect_counts_match(served, replayed.run);
+}
+
 TEST(NetE2E, V2OutOfOrderCompletionsMatchInProcessReplayExactly) {
-  // The trace-equivalence bar with a 2-worker server genuinely
-  // completing requests out of order: each
-  // ACCESS batch travels with a concurrent PING, so two requests from
-  // this connection are in flight at once and the PONG may overtake or
-  // trail the ACCESS reply — poll_any() absorbs either order. The ACCESS
-  // stream itself stays at window 1 (awaited before the next send), so
-  // the cache sees the exact replay_trace request order and the final
-  // counts must be exactly equal.
+  // The trace-equivalence bar with mixed request types in flight: each
+  // ACCESS batch travels with a concurrent PING on a 2-thread server, so
+  // two requests from this connection are in flight at once. The
+  // protocol lets their replies arrive in either order (this server
+  // answers in arrival order), and the driver takes them with
+  // poll_any(), which absorbs either. The final counts must be exactly
+  // equal.
   const trace::Trace t = test_util::zipf_trace(40000, 2048, 0.9, 0x7A);
   const runtime::RuntimeConfig rcfg{.cache = test_util::tiny_cache(64, 8),
                                     .shards = 1};

@@ -1,9 +1,12 @@
 // Server + Client over real loopback sockets: lifecycle, every RPC type,
-// pipelined batches, concurrent connections hammering one runtime (the
-// TSan target), malformed-stream rejection (retired version-1 frames
-// included), FLUSH semantics, the per-connection buffer cap against a
-// client that never reads, and the open-loop replay driver. Suite names
-// start with "Net" so the CI sanitizer jobs pick them up via -R.
+// pipelined batches, concurrent connections hammering one runtime and
+// connection churn across serving threads (the TSan targets), the
+// round-robin hand-off of connections to serving threads, malformed-stream
+// rejection (retired version-1 frames included), FLUSH semantics, the
+// per-connection buffer cap against a client that never reads, the
+// client's id correlation against a peer that answers out of order, and
+// the open-loop replay driver. Suite names start with "Net" so the CI
+// sanitizer jobs pick them up via -R.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,6 +20,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -130,8 +134,9 @@ TEST(NetServer, PipelinedBatchesReplyInOrder) {
 }
 
 TEST(NetServer, ConcurrentConnectionsServeOneRuntime) {
-  // The TSan-relevant test: several client threads, several workers, one
-  // shared runtime. Totals must balance exactly at quiescence.
+  // The TSan-relevant test: several client threads, several serving
+  // threads, one shared runtime. Totals must balance exactly at
+  // quiescence.
   runtime::Runtime rt(small_runtime_config(4), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 3});
   server.start();
@@ -169,20 +174,64 @@ TEST(NetServer, ConcurrentConnectionsServeOneRuntime) {
   server.stop();
 }
 
-TEST(NetServer, InlineModeServesWithoutWorkers) {
+TEST(NetServer, ZeroServingThreadsAreRejectedAtStart) {
+  // workers counts serving threads; a server needs at least one, and
+  // serving inline on a single thread is workers = 1.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 0});  // I/O-thread inline
+  net::Server server(rt, {.port = 0, .workers = 0});
+  EXPECT_THROW(server.start(), std::invalid_argument);
+  EXPECT_FALSE(server.running());
+  server.stop();  // never started: a no-op
+}
+
+/// Every reactor's connections, opened and closed over and over from
+/// several client threads: each connection is counted open and closed
+/// exactly once, whichever serving thread owned it, and every request
+/// is served once.
+TEST(NetServer, ConnectionChurnBalancesAcrossThreeServingThreads) {
+  runtime::Runtime rt(small_runtime_config(4), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 3});
   server.start();
-  net::Client client = net::Client::connect("127.0.0.1", server.port());
-  const auto accesses = make_accesses(2000, 0x3);
-  std::uint64_t served = 0;
-  std::span<const net::WireAccess> all(accesses);
-  for (std::size_t off = 0; off < accesses.size(); off += 250) {
-    served += client.access(all.subspan(off, 250)).count;
+
+  constexpr std::uint32_t kClients = 4;
+  constexpr std::uint32_t kConnectionsEach = 16;
+  constexpr std::uint64_t kConnections = kClients * kConnectionsEach;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        for (std::uint32_t i = 0; i < kConnectionsEach; ++i) {
+          net::Client client =
+              net::Client::connect("127.0.0.1", server.port());
+          const auto accesses = make_accesses(64 + i, 0x300 + c * 64 + i);
+          if (client.access(accesses).count != accesses.size()) {
+            failures.fetch_add(1);
+          }
+          client.ping();
+        }  // each Client closes its connection as it goes
+      } catch (...) {
+        failures.fetch_add(1);
+      }
+    });
   }
-  EXPECT_EQ(served, accesses.size());
-  EXPECT_EQ(client.metrics().value("icgmm_cache_accesses"), accesses.size());
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // A close reaches the server a moment after the client's; wait for it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().connections_closed < kConnections &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const net::ServerStats ss = server.stats();
+  EXPECT_EQ(ss.connections_accepted, kConnections);
+  EXPECT_EQ(ss.connections_closed, kConnections);
+  EXPECT_EQ(ss.protocol_errors, 0u);
+  EXPECT_EQ(ss.requests_served, rt.snapshot().merged.accesses);
   server.stop();
+  EXPECT_FALSE(server.running());
 }
 
 /// Raw blocking loopback socket with a 5 s receive deadline (bypasses the
@@ -275,8 +324,8 @@ TEST(NetServer, GarbageStreamClosesConnectionAndCountsProtocolError) {
 TEST(NetServer, RequestsBeforeClientFinStillGetReplies) {
   // A client may pipeline its last batch and half-close (FIN) before
   // reading the reply; the server must serve what arrived before the EOF
-  // and flush the replies before closing — in worker mode too, where the
-  // frame and the FIN can land in the same read.
+  // and flush the replies before closing, also when the frame and the
+  // FIN land in the same read.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
@@ -413,7 +462,7 @@ TEST(NetServer, ClientCallThrowsAfterServerDropsTheConnection) {
 TEST(NetServer, V2NegotiateAndEveryRpcRoundTrips) {
   // Nothing is negotiated any more: a fresh connection speaks version 2
   // from its first frame, so every RPC works without a probe, on a
-  // multi-worker server that completes them out of order.
+  // server with two serving threads.
   runtime::Runtime rt(small_runtime_config(4), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
@@ -450,32 +499,47 @@ TEST(NetServer, V2NegotiateAndEveryRpcRoundTrips) {
   server.stop();
 }
 
-TEST(NetServer, V2RepliesCompleteOutOfOrderAcrossWorkers) {
-  // Id correlation, forced deterministically: a kMaxBatch ACCESS and a
-  // PING dispatched back to back on a 2-worker server. The PING's worker
-  // finishes in microseconds while the batch grinds through the cache,
-  // so the PONG should overtake the ACCESS reply.
-  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+TEST(NetServer, PingOnASecondConnectionIsAnsweredWhileTheFirstIsServed) {
+  // The round-robin hand-off puts two connections on the two serving
+  // threads: while one thread grinds through connection A's kMaxBatch
+  // ACCESS, the other answers connection B's PING. The attempt waits
+  // until A's batch has published its first shard group, so B's PING
+  // cannot slip in while A's frame is still arriving; on one thread the
+  // PONG would then always trail A's reply.
+  runtime::Runtime rt(small_runtime_config(4), cache::LruPolicy());
   net::Server server(rt, {.port = 0, .workers = 2});
   server.start();
-  net::Client client = net::Client::connect("127.0.0.1", server.port());
+  net::Client a = net::Client::connect("127.0.0.1", server.port());
+  net::Client b = net::Client::connect("127.0.0.1", server.port());
 
   const auto accesses = make_accesses(net::kMaxBatch, 0x22);
-  bool reordered = false;
-  for (int attempt = 0; attempt < 20 && !reordered; ++attempt) {
-    const std::uint64_t batch_id = client.send_access(accesses);
-    const std::uint64_t ping_id = client.send_ping();
-    const net::Completion first = client.poll_any();
-    const net::Completion second = client.poll_any();
-    // Both completions always arrive, whatever the order.
-    EXPECT_TRUE(first.id == batch_id || first.id == ping_id);
-    EXPECT_TRUE(second.id == batch_id || second.id == ping_id);
-    EXPECT_NE(first.id, second.id);
-    if (first.id == ping_id) reordered = true;  // PONG overtook the batch
+  bool overtaken = false;
+  for (int attempt = 0; attempt < 20 && !overtaken; ++attempt) {
+    const std::uint64_t before = rt.merged_stats().accesses;
+    const std::uint64_t batch_id = a.send_access(accesses);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (rt.merged_stats().accesses == before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    b.ping();
+    // A's reply not in yet, with B's PONG already back: B was answered
+    // while A's batch was still being served.
+    const std::optional<net::Completion> early =
+        a.poll_any_until(std::chrono::steady_clock::now());
+    if (early) {
+      EXPECT_EQ(early->id, batch_id);
+      EXPECT_EQ(early->access.count, net::kMaxBatch);
+    } else {
+      overtaken = true;
+      EXPECT_EQ(a.await_access(batch_id).count, net::kMaxBatch);
+    }
   }
-  EXPECT_TRUE(reordered)
-      << "PONG never overtook a kMaxBatch ACCESS reply in 20 attempts";
-  EXPECT_EQ(client.outstanding(), 0u);
+  EXPECT_TRUE(overtaken)
+      << "connection B's PONG never overtook connection A's kMaxBatch "
+         "ACCESS reply in 20 attempts";
+  EXPECT_EQ(a.outstanding(), 0u);
   server.stop();
 }
 
@@ -547,10 +611,12 @@ TEST(NetServer, RawByteConversationMatchesATwinRuntimeByteForByte) {
 /// paused, then reads every reply back. The server must have stopped
 /// reading at its buffer cap and must still serve every complete frame
 /// exactly once.
-void expect_buffer_cap_holds(std::uint32_t workers) {
+void expect_buffer_cap_holds(std::uint32_t serving_threads) {
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
   obs::EventRing ring(1024);
-  net::Server server(rt, {.port = 0, .workers = workers, .events = &ring});
+  net::Server server(rt, {.port = 0,
+                          .workers = serving_threads,
+                          .events = &ring});
   server.start();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -654,11 +720,99 @@ void expect_buffer_cap_holds(std::uint32_t workers) {
 }
 
 TEST(NetServer, ClientThatNeverReadsIsPausedAtTheBufferCapInline) {
-  expect_buffer_cap_holds(0);
+  expect_buffer_cap_holds(1);
 }
 
 TEST(NetServer, ClientThatNeverReadsIsPausedAtTheBufferCapWithWorkers) {
   expect_buffer_cap_holds(2);
+}
+
+TEST(NetClient, RepliesInReverseOrderStillCorrelateById) {
+  // The protocol lets a server answer a connection's requests in any
+  // order. A raw peer answers each pair of requests last-first:
+  // poll_any() hands out completions in arrival order, and
+  // await_access(id) finds its own reply and parks the other.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  net::Client client = net::Client::connect("127.0.0.1", ntohs(addr.sin_port));
+  const int peer = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(peer, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+
+  // Reads two request frames off the peer socket; returns their headers.
+  std::vector<std::uint8_t> rx;
+  const auto read_two = [&] {
+    std::vector<net::FrameHeader> headers;
+    char buf[4096];
+    while (headers.size() < 2) {
+      net::Frame frame;
+      std::size_t consumed = 0;
+      if (net::decode_frame(rx, frame, consumed) == net::DecodeStatus::kOk) {
+        headers.push_back(frame.header);
+        rx.erase(rx.begin(),
+                 rx.begin() + static_cast<std::ptrdiff_t>(consumed));
+        continue;
+      }
+      const ssize_t n = ::recv(peer, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      rx.insert(rx.end(), buf, buf + n);
+    }
+    return headers;
+  };
+  const auto send_all = [&](const std::vector<std::uint8_t>& wire) {
+    ASSERT_EQ(::send(peer, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+  };
+  const auto add_access_reply = [](std::vector<std::uint8_t>& wire,
+                                   std::uint64_t id, std::uint32_t count) {
+    net::encode_access_reply(wire, id, {.count = count, .hits = count / 2});
+  };
+
+  // An ACCESS and a PING; the PONG comes back first.
+  const auto accesses = make_accesses(3, 0x24);
+  const std::uint64_t batch_id = client.send_access(accesses);
+  const std::uint64_t ping_id = client.send_ping();
+  std::vector<net::FrameHeader> got = read_two();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].seq, batch_id);
+  EXPECT_EQ(got[1].seq, ping_id);
+  std::vector<std::uint8_t> wire;
+  net::encode_pong(wire, ping_id);
+  add_access_reply(wire, batch_id, 3);
+  send_all(wire);
+  const net::Completion first = client.poll_any();
+  EXPECT_EQ(first.id, ping_id);
+  EXPECT_EQ(first.type, net::MsgType::kPong);
+  const net::AccessReply batch_reply = client.await_access(batch_id);
+  EXPECT_EQ(batch_reply.count, 3u);
+  EXPECT_EQ(batch_reply.hits, 1u);
+
+  // Two ACCESS batches answered last-first: awaiting the older one parks
+  // the newer reply, which the next await hands out.
+  const std::uint64_t older = client.send_access(accesses);
+  const std::uint64_t newer = client.send_access(std::span(accesses).first(2));
+  got = read_two();
+  ASSERT_EQ(got.size(), 2u);
+  wire.clear();
+  add_access_reply(wire, newer, 2);
+  add_access_reply(wire, older, 3);
+  send_all(wire);
+  EXPECT_EQ(client.await_access(older).count, 3u);
+  EXPECT_EQ(client.outstanding(), 1u);
+  EXPECT_EQ(client.await_access(newer).count, 2u);
+  EXPECT_EQ(client.outstanding(), 0u);
+
+  ::close(peer);
+  ::close(lfd);
 }
 
 TEST(NetClient, RecvTimeoutSurfacesAsTimedOutAndClosesTheConnection) {
@@ -817,7 +971,7 @@ TEST(NetClient, OpenLoopReplayTakesRepliesWhileWaiting) {
   // otherwise every reply waits behind pipeline - 1 later sends and the
   // measured latency reads as that many intervals.
   runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
-  net::Server server(rt, {.port = 0, .workers = 0});
+  net::Server server(rt, {.port = 0, .workers = 1});
   server.start();
   net::Client client = net::Client::connect("127.0.0.1", server.port());
 

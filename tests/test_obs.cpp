@@ -587,7 +587,6 @@ TEST(ObsE2E, MetricsVerbAndHttpScrapeAgreeExactly) {
     EXPECT_EQ(verb.value("icgmm_server_stage_apply_ns_count"), 50u);
     EXPECT_GT(verb.value("icgmm_server_stage_decode_ns_count"), 0u);
     EXPECT_GT(verb.value("icgmm_server_stage_flush_ns_count"), 0u);
-    EXPECT_GT(verb.value("icgmm_server_stage_queue_ns_count"), 0u);
     EXPECT_EQ(verb.value("icgmm_server_requests_served"), 50u * 64u);
     EXPECT_GT(verb.value("icgmm_server_writev_calls"), 0u);
   }

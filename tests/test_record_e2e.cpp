@@ -18,36 +18,14 @@
 #include "runtime/replay.hpp"
 #include "test_util.hpp"
 #include "trace/timestamp_transform.hpp"
+#include "wire_equivalence.hpp"
 
 namespace icgmm {
 namespace {
 
-/// The wire stream replay_trace would generate at threads == 1.
-std::vector<net::WireAccess> wire_stream(const trace::Trace& t,
-                                         const trace::TransformConfig& cfg) {
-  trace::TimestampTransform transform(cfg);
-  std::vector<net::WireAccess> stream;
-  stream.reserve(t.size());
-  for (const trace::Record& r : t) {
-    stream.push_back({.page = r.page(),
-                      .timestamp = transform.next(),
-                      .is_write = r.is_write()});
-  }
-  return stream;
-}
-
-net::MetricsReply serve_stream(std::uint16_t port,
-                               const std::vector<net::WireAccess>& stream,
-                               std::vector<std::size_t> clear_points) {
-  net::Client client = net::Client::connect("127.0.0.1", port);
-  net::ReplayOptions opts;
-  opts.batch = 64;
-  opts.pipeline = 2;
-  opts.clear_points = std::move(clear_points);
-  const std::uint64_t completed = net::replay_stream(client, stream, opts);
-  EXPECT_EQ(completed, stream.size());
-  return client.metrics();
-}
+using test_util::expect_counts_match;
+using test_util::serve_stream;
+using test_util::wire_stream;
 
 record::RecorderConfig capture_config(const std::string& name) {
   record::RecorderConfig cfg;
@@ -70,22 +48,6 @@ runtime::ReplayResult replay_capture(runtime::Runtime& rt,
   cfg.clear_points = capture.flush_points;
   cfg.warmup_fraction = 0.0;  // only the recorded FLUSH may clear
   return runtime::replay_trace(rt, capture.trace, cfg);
-}
-
-void expect_counts_match(const net::MetricsReply& served,
-                         const sim::RunResult& replayed) {
-  EXPECT_EQ(served.value("icgmm_cache_accesses"), replayed.stats.accesses);
-  EXPECT_EQ(served.value("icgmm_cache_hits"), replayed.stats.hits);
-  EXPECT_EQ(served.value("icgmm_cache_read_misses"),
-            replayed.stats.read_misses);
-  EXPECT_EQ(served.value("icgmm_cache_write_misses"),
-            replayed.stats.write_misses);
-  EXPECT_EQ(served.value("icgmm_cache_fills"), replayed.stats.fills);
-  EXPECT_EQ(served.value("icgmm_cache_bypasses"), replayed.stats.bypasses);
-  EXPECT_EQ(served.value("icgmm_cache_evictions"), replayed.stats.evictions);
-  EXPECT_EQ(served.value("icgmm_cache_dirty_evictions"),
-            replayed.stats.dirty_evictions);
-  EXPECT_EQ(served.value("icgmm_gmm_inferences"), replayed.policy_inferences);
 }
 
 TEST(RecordE2E, RecordedLruServeReplaysToIdenticalCounts) {

@@ -2,7 +2,7 @@
 // binary RPC frontend, ready for icgmm_loadgen (or any protocol client).
 //
 // Usage:
-//   icgmm_serve [--port P] [--bind-any] [--shards N] [--threads W]
+//   icgmm_serve [--port P] [--bind-any] [--shards N] [--workers W]
 //               [--policy lru|fifo|random|lfu|clock|
 //                         gmm-caching|gmm-eviction|gmm-both]
 //               [--cache-mb MB] [--assoc WAYS]
@@ -19,8 +19,9 @@
 // threshold at the 5th score percentile — the same recipe the throughput
 // bench uses. --adapt additionally runs the background drift refresher.
 //
-// --threads is the server worker pool (0 = serve inline on the I/O
-// thread, the fully deterministic mode). SIGINT/SIGTERM shut down
+// --workers is the number of serving threads (at least 1, default 2).
+// Each serves the connections handed to it round-robin, one
+// connection's frames in arrival order. SIGINT/SIGTERM shut down
 // cleanly: stop accepting, drain, print a final stats line, exit 0.
 // --stats-every prints a one-line serving report periodically.
 //
@@ -109,7 +110,7 @@ Args parse(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--port")) args.port = static_cast<std::uint16_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--bind-any")) args.bind_any = true;
     else if (!std::strcmp(argv[i], "--shards")) args.shards = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (!std::strcmp(argv[i], "--threads") || !std::strcmp(argv[i], "--workers")) args.workers = static_cast<std::uint32_t>(std::stoul(next()));
+    else if (!std::strcmp(argv[i], "--workers")) args.workers = static_cast<std::uint32_t>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--policy")) args.policy = next();
     else if (!std::strcmp(argv[i], "--cache-mb")) args.cache_mb = std::stoull(next());
     else if (!std::strcmp(argv[i], "--assoc")) args.assoc = static_cast<std::uint32_t>(std::stoul(next()));
@@ -130,6 +131,10 @@ Args parse(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--stats-every")) args.stats_every = static_cast<unsigned>(std::stoul(next()));
     else if (!std::strcmp(argv[i], "--quiet")) args.quiet = true;
     else throw std::invalid_argument(std::string("unknown flag: ") + argv[i]);
+  }
+  if (args.workers == 0) {
+    throw std::invalid_argument(
+        "--workers must be at least 1 (one serving thread serves inline)");
   }
   return args;
 }
@@ -280,7 +285,8 @@ int main(int argc, char** argv) {
   // Announce the resolved port on a parseable line (CI greps for it).
   std::cout << "icgmm_serve listening on port " << server.port()
             << " (protocol v2, policy " << rt->policy_name()
-            << ", shards " << args.shards << ", workers " << args.workers
+            << ", shards " << args.shards << ", serving threads "
+            << args.workers
             << (args.adapt ? ", adaptive" : "")
             << (rcfg.shadow.enabled ? ", shadow " + rcfg.shadow.policy_name
                                     : "")
