@@ -1,10 +1,13 @@
 #include "cache/policies/gmm_policy.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "cache/cache.hpp"
 
 namespace icgmm::cache {
 
@@ -28,41 +31,126 @@ void GmmPolicy::set_batch_scorer(BatchScoreFn batch) {
   batch_scorer_ = std::move(batch);
 }
 
+void GmmPolicy::set_bracket_scorer(BracketFn bracket) {
+  bracket_ = std::move(bracket);
+}
+
 std::unique_ptr<ReplacementPolicy> GmmPolicy::clone() const {
-  // The batch scorer is deliberately NOT copied: it is wiring to external
-  // scoring plumbing (typically a per-shard InferenceBatcher with mutable
-  // snapshot state), and sharing one instance across clones serving from
-  // different threads would race. The clone falls back to the per-page
-  // scorer — numerically identical by the set_batch_scorer contract —
-  // until its owner re-wires a batch scorer of its own.
+  // The batch and bracket scorers are deliberately NOT copied: they are
+  // wiring to external scoring plumbing (typically a per-shard
+  // InferenceBatcher with mutable snapshot state), and sharing one
+  // instance across clones serving from different threads would race. The
+  // clone scores every decision through the per-page scorer — the same
+  // decisions, by the setters' contracts — until its owner re-wires
+  // scorers of its own.
   return std::make_unique<GmmPolicy>(scorer_, cfg_);
 }
 
 void GmmPolicy::attach(std::uint64_t sets, std::uint32_t ways) {
+  if (ways > SetAssociativeCache::kMaxWays) {
+    throw std::invalid_argument("GmmPolicy: more ways than kMaxWays");
+  }
   ways_ = ways;
   tick_ = 0;
   score_.assign(sets * ways, 0.0);
   last_use_.assign(sets * ways, 0);
   inferences_ = 0;
+  settled_ = {};
   pending_valid_ = false;
 }
 
+bool GmmPolicy::pending_for(const AccessContext& ctx) const noexcept {
+  return pending_valid_ && pending_page_ == ctx.page &&
+         pending_time_ == ctx.timestamp;
+}
+
 double GmmPolicy::score_page(const AccessContext& ctx) {
-  if (pending_valid_ && pending_page_ == ctx.page &&
-      pending_time_ == ctx.timestamp) {
-    return pending_score_;  // admission already scored this miss
-  }
+  // Admission already decided this miss (or an identical one bypassed).
+  if (pending_for(ctx)) return pending_score_;
+  settle(ctx, scorer_(ctx.page, ctx.timestamp));
+  return pending_score_;
+}
+
+void GmmPolicy::settle(const AccessContext& ctx, double value) {
   ++inferences_;
-  pending_score_ = scorer_(ctx.page, ctx.timestamp);
+  pending_score_ = value;
   pending_page_ = ctx.page;
   pending_time_ = ctx.timestamp;
   pending_valid_ = true;
-  return pending_score_;
 }
 
 bool GmmPolicy::should_admit(const AccessContext& ctx) {
   if (cfg_.strategy == GmmStrategy::kEvictionOnly) return true;
+  ScoreBracket b;
+  if (bracket_ && !pending_for(ctx) &&
+      bracket_({&ctx.page, 1}, ctx.timestamp, {&b, 1})) {
+    // A bound stands in for the score: it decides the same way, and a
+    // repeat of this miss at the same timestamp reuses it as a score
+    // would be reused.
+    if (b.hi < cfg_.threshold) {
+      settle(ctx, b.hi);
+      ++settled_.bypasses;
+      return false;
+    }
+    // on_fill stores the stand-in, which only a fill-time score comparison
+    // could read.
+    if (b.lo >= cfg_.threshold && (cfg_.rescore_set_on_evict ||
+                                   cfg_.strategy == GmmStrategy::kCachingOnly)) {
+      settle(ctx, b.lo);
+      ++settled_.admissions;
+      return true;
+    }
+  }
   return score_page(ctx) >= cfg_.threshold;
+}
+
+void GmmPolicy::rescore(std::uint64_t base, std::uint32_t mru,
+                        std::span<const PageIndex> resident, Timestamp t) {
+  std::uint32_t open[SetAssociativeCache::kMaxWays];
+  PageIndex pages[SetAssociativeCache::kMaxWays];
+  std::size_t n = 0;
+  const auto count = std::min<std::size_t>(resident.size(), ways_);
+  for (std::uint32_t way = 0; way < count; ++way) {
+    if (way == mru) continue;
+    open[n] = way;
+    pages[n] = resident[way];
+    ++n;
+  }
+  if (n < 2) return;  // a lone candidate is the victim whatever it scores
+  ScoreBracket br[SetAssociativeCache::kMaxWays];
+  if (bracket_ && bracket_({pages, n}, t, {br, n})) {
+    // A way whose lower bound exceeds some candidate's upper bound scores
+    // strictly above that candidate, so it cannot be the victim even on
+    // a tie; its lower bound keeps it out of the pick below.
+    double least_hi = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) least_hi = std::min(least_hi, br[i].hi);
+    std::size_t left = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (br[i].lo > least_hi) {
+        score_[base + open[i]] = br[i].lo;
+        ++settled_.ways;
+      } else {
+        open[left] = open[i];
+        pages[left] = pages[i];
+        ++left;
+      }
+    }
+    if (left == 1) {
+      // The way holding the least upper bound always survives, so a lone
+      // survivor is it: storing that bound puts it below every other way.
+      score_[base + open[0]] = least_hi;
+      ++settled_.ways;
+      return;
+    }
+    n = left;
+  }
+  double out[SetAssociativeCache::kMaxWays];
+  if (batch_scorer_) {
+    batch_scorer_({pages, n}, t, {out, n});
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out[i] = scorer_(pages[i], t);
+  }
+  for (std::size_t i = 0; i < n; ++i) score_[base + open[i]] = out[i];
 }
 
 std::uint32_t GmmPolicy::choose_victim(std::uint64_t set,
@@ -82,26 +170,12 @@ std::uint32_t GmmPolicy::choose_victim(std::uint64_t set,
     return victim;
   }
 
-  if (cfg_.rescore_set_on_evict) {
-    // Refresh the set's scores at the current timestamp. The II=1 pipeline
-    // streams all ways through the GMM in `assoc` extra cycles, so this
-    // counts as part of the single per-miss engine invocation.
-    const auto count = static_cast<std::uint32_t>(
-        std::min<std::size_t>(resident.size(), ways_));
-    if (batch_scorer_) {
-      batch_scorer_(resident.first(count), ctx.timestamp,
-                    std::span<double>(score_.data() + base, count));
-    } else {
-      for (std::uint32_t way = 0; way < count; ++way) {
-        score_[base + way] = scorer_(resident[way], ctx.timestamp);
-      }
-    }
-  }
   // Smart eviction: lowest GMM score leaves first (Fig. 4), with two
   // hardware-standard guards: ties break toward the least recently used,
   // and the MRU block is never the victim (a just-fetched page must
   // survive its burst even when the model scores it cold — without this,
-  // streaming bursts thrash).
+  // streaming bursts thrash). A direct-mapped set has only its MRU way.
+  if (ways_ < 2) return 0;
   std::uint32_t mru = 0;
   std::uint64_t newest = last_use_[base];
   for (std::uint32_t way = 1; way < ways_; ++way) {
@@ -109,6 +183,12 @@ std::uint32_t GmmPolicy::choose_victim(std::uint64_t set,
       mru = way;
       newest = last_use_[base + way];
     }
+  }
+  if (cfg_.rescore_set_on_evict) {
+    // Refresh the candidates' scores at the current timestamp. The II=1
+    // pipeline streams all ways through the GMM in `assoc` extra cycles,
+    // so this counts as part of the single per-miss engine invocation.
+    rescore(base, mru, resident, ctx.timestamp);
   }
   victim = mru == 0 ? 1 : 0;
   // Best-so-far kept in locals: the victim's score/recency were re-read

@@ -6,6 +6,14 @@
 // counter with the stored GMM score and evicts the lowest-scoring block in
 // the set. Scores are stored at fill time and NOT recomputed on hits (the
 // paper bypasses the GMM on hits); refresh_on_hit exists as an ablation.
+//
+// The paper's FPGA streams every way through an II=1 pipeline, so a score
+// that cannot change a decision costs it nothing; software pays for each
+// one. The policy therefore scores only what can change a decision: the
+// MRU way is never rescored (it is never the victim), and with a bracket
+// scorer (score ranges from the model's bracket table) it settles what a
+// bracket decides and scores the rest, with the same tie rule. Every
+// decision equals the one full scoring makes.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +35,12 @@ using ScoreFn = std::function<double(PageIndex, Timestamp)>;
 /// model-snapshot load instead of one indirect call per way.
 using BatchScoreFn =
     std::function<void(std::span<const PageIndex>, Timestamp, std::span<double>)>;
+
+/// Bracket callback: a guaranteed range of each of `pages[i]`'s scores at
+/// one shared timestamp, written to `out[i]` (out.size() >= pages.size()).
+/// Returns false, writing nothing, when the model has no brackets.
+using BracketFn = std::function<bool(std::span<const PageIndex>, Timestamp,
+                                     std::span<ScoreBracket>)>;
 
 /// The three strategies evaluated in Fig. 6.
 enum class GmmStrategy : std::uint8_t {
@@ -61,14 +75,28 @@ class GmmPolicy final : public ReplacementPolicy {
   /// admission and eviction would judge pages on different scales.
   void set_batch_scorer(BatchScoreFn batch);
 
+  /// Optional bracket scorer. Its brackets must hold for the per-page
+  /// scorer's scores (same model); then, with no decision changed:
+  ///  * an admission whose bracket lies below the threshold bypasses, and
+  ///    one at or above it admits where no fill-time score is ever read
+  ///    (rescore_set_on_evict, or kCachingOnly's LRU eviction);
+  ///  * at eviction, a way whose lower bound exceeds the least upper
+  ///    bound among the candidates cannot be the victim and stores that
+  ///    lower bound; a lone survivor is the victim and stores its upper
+  ///    bound, which is that least one.
+  /// Each of those decisions is called first, so a scorer that pins a
+  /// model snapshot on the bracket call can score the rest of the
+  /// decision on the same snapshot.
+  void set_bracket_scorer(BracketFn bracket);
+
   /// NOTE: the per-page scorer closure is *copied*, not re-created — a
   /// clone used from another thread shares whatever state it captures, so
   /// scorers must capture immutable state (e.g. a model by value, as
   /// PolicyEngine::score_fn does) for clones to be independent. The batch
-  /// scorer is NOT carried over: it is per-instance wiring to external
-  /// (typically per-shard, mutable) scoring plumbing, and each clone's
-  /// owner must call set_batch_scorer again — see runtime::Runtime's GMM
-  /// mode, which builds one InferenceBatcher per shard.
+  /// and bracket scorers are NOT carried over: they are per-instance
+  /// wiring to external (typically per-shard, mutable) scoring plumbing,
+  /// and each clone's owner must set them again — see runtime::Runtime's
+  /// GMM mode, which builds one InferenceBatcher per shard.
   std::unique_ptr<ReplacementPolicy> clone() const override;
   void attach(std::uint64_t sets, std::uint32_t ways) override;
   bool should_admit(const AccessContext& ctx) override;
@@ -80,9 +108,18 @@ class GmmPolicy final : public ReplacementPolicy {
 
   const GmmPolicyConfig& config() const noexcept { return cfg_; }
 
-  /// Number of GMM inferences performed — the quantity the dataflow
-  /// architecture overlaps with SSD access (one per miss).
+  /// Number of GMM inferences — the quantity the dataflow architecture
+  /// overlaps with SSD access: one decision per miss, whether a page was
+  /// scored or a bracket settled it.
   std::uint64_t inferences() const noexcept { return inferences_; }
+
+  /// Decisions the bracket scorer settled without scoring a page.
+  struct SettledCounts {
+    std::uint64_t bypasses = 0;    ///< misses bypassed unscored
+    std::uint64_t admissions = 0;  ///< misses admitted unscored
+    std::uint64_t ways = 0;        ///< eviction candidates left unscored
+  };
+  const SettledCounts& settled() const noexcept { return settled_; }
 
   /// Stored score of a resident block (tests/introspection).
   double stored_score(std::uint64_t set, std::uint32_t way) const {
@@ -90,17 +127,27 @@ class GmmPolicy final : public ReplacementPolicy {
   }
 
  private:
+  /// Whether the pending score is this miss's (page and timestamp).
+  bool pending_for(const AccessContext& ctx) const noexcept;
   double score_page(const AccessContext& ctx);
+  /// One inference settled with `value` standing in for the page's score.
+  void settle(const AccessContext& ctx, double value);
+  /// Rescores the set's ways at `t`, all but `mru`, the ones a bracket
+  /// rules out excepted.
+  void rescore(std::uint64_t base, std::uint32_t mru,
+               std::span<const PageIndex> resident, Timestamp t);
   void touch(std::uint64_t set, std::uint32_t way);
 
   ScoreFn scorer_;
   BatchScoreFn batch_scorer_;  ///< null: rescore falls back to scorer_
+  BracketFn bracket_;          ///< null: every decision scores
   GmmPolicyConfig cfg_;
   std::uint32_t ways_ = 0;
   std::uint64_t tick_ = 0;
   std::vector<double> score_;           ///< per-block GMM score table
   std::vector<std::uint64_t> last_use_; ///< LRU fallback for kCachingOnly
   std::uint64_t inferences_ = 0;
+  SettledCounts settled_;
 
   // One inference per miss: should_admit caches the score for on_fill.
   bool pending_valid_ = false;

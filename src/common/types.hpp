@@ -36,6 +36,13 @@ constexpr PageIndex page_of(PhysAddr pa) noexcept { return pa >> kPageShift; }
 /// First byte address of a page.
 constexpr PhysAddr addr_of(PageIndex pi) noexcept { return pi << kPageShift; }
 
+/// A guaranteed range of one GMM log-score: lo <= score <= hi. An input
+/// the model cannot bound gets {-inf, +inf}.
+struct ScoreBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
 /// Memory request direction.
 enum class AccessType : std::uint8_t { kRead = 0, kWrite = 1 };
 

@@ -232,10 +232,24 @@ std::pair<double, double> band_extent(std::size_t i, double lo, double hi,
 }  // namespace
 
 /// The pruning grid: kTimeCells rows of kPageCells cells, each a compacted
-/// SoA block of the components it keeps.
+/// SoA block of the components it keeps, and the score-bracket table
+/// nested in it.
 struct ScorerKernel::Grid {
   static constexpr std::size_t kPageCells = kGridPageBands + 2;
   static constexpr std::size_t kTimeCells = kGridTimeBands + 2;
+  static constexpr std::size_t kBracketPageCells = kBracketPageBands + 2;
+  static constexpr std::size_t kBracketTimeCells = kBracketTimeBands + 2;
+  /// Bracket bands per grid band on each axis. band_of scales by
+  /// bands / (hi - lo), exactly 64 for both bracket axes and 8 and 32 for
+  /// the grid's; power-of-two ratios keep the scaled coordinates exact
+  /// multiples of each other, so bracket band i (1-based, finite) always
+  /// lies in grid band 1 + (i - 1) / nest.
+  static constexpr std::size_t kPageNest = kBracketPageBands / kGridPageBands;
+  static constexpr std::size_t kTimeNest = kBracketTimeBands / kGridTimeBands;
+  static_assert(kPageNest * kGridPageBands == kBracketPageBands &&
+                std::has_single_bit(kPageNest));
+  static_assert(kTimeNest * kGridTimeBands == kBracketTimeBands &&
+                std::has_single_bit(kTimeNest));
 
   struct Cell {
     std::uint32_t offset = 0;  ///< first coefficient in `coef`
@@ -249,6 +263,8 @@ struct ScorerKernel::Grid {
   /// Per cell: mu_p | mu_t | a | b | g | c, each round_up_lanes(count)
   /// doubles, pad entries zero.
   std::vector<double> coef;
+  /// kBracketTimeCells rows of kBracketPageCells brackets.
+  std::vector<ScoreBracket> brackets;
 
   /// The cells of the time band holding normalized timestamp xt.
   const Cell* row(double xt) const noexcept {
@@ -258,7 +274,60 @@ struct ScorerKernel::Grid {
   static std::size_t column(double xp) noexcept {
     return band_of(xp, kGridPageLo, kGridPageHi, kGridPageBands);
   }
+  /// The brackets of the bracket time band holding xt.
+  const ScoreBracket* bracket_row(double xt) const noexcept {
+    return brackets.data() +
+           band_of(xt, kGridTimeLo, kGridTimeHi, kBracketTimeBands) *
+               kBracketPageCells;
+  }
+  static std::size_t bracket_column(double xp) noexcept {
+    return band_of(xp, kGridPageLo, kGridPageHi, kBracketPageBands);
+  }
+
+  /// Fills `brackets` from the finished cells (see kernel.hpp).
+  void build_brackets();
 };
+
+void ScorerKernel::Grid::build_brackets() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  brackets.assign(kBracketTimeCells * kBracketPageCells, {-kInf, kInf});
+  std::vector<double> upper;
+  for (std::size_t ti = 1; ti <= kBracketTimeBands; ++ti) {
+    const auto [t0, t1] =
+        band_extent(ti, kGridTimeLo, kGridTimeHi, kBracketTimeBands, false);
+    const Cell* grid_row = cells.data() + (1 + (ti - 1) / kTimeNest) * kPageCells;
+    for (std::size_t pi = 1; pi <= kBracketPageBands; ++pi) {
+      const auto [p0, p1] =
+          band_extent(pi, kGridPageLo, kGridPageHi, kBracketPageBands, false);
+      // Kept components only: inside a finite cell every score sums them
+      // (a fallback adds less than e^-37 of the sum), and the component
+      // with the best lower bound on this smaller box is kept, since that
+      // bound is at least its grid cell's best lower bound.
+      const Cell& cell = grid_row[1 + (pi - 1) / kPageNest];
+      const std::size_t stride = round_up_lanes(cell.count);
+      const double* mp = coef.data() + cell.offset;
+      const double* mt = mp + stride;
+      const double* a = mp + 2 * stride;
+      const double* b = mp + 3 * stride;
+      const double* g = mp + 4 * stride;
+      const double* c = mp + 5 * stride;
+      upper.resize(cell.count);
+      double lo = -kInf;
+      for (std::size_t i = 0; i < cell.count; ++i) {
+        upper[i] = c[i] - box_min_quad(a[i], b[i], g[i], p0 - mp[i],
+                                       p1 - mp[i], t0 - mt[i], t1 - mt[i]);
+        lo = std::max(lo, c[i] - box_max_quad(a[i], b[i], g[i], p0 - mp[i],
+                                              p1 - mp[i], t0 - mt[i],
+                                              t1 - mt[i]));
+      }
+      const double hi = lse_max_subtracted(upper.data(), upper.size());
+      if (cell.count > 0 && lo <= hi) {  // NaN bounds stay unbounded
+        brackets[ti * kBracketPageCells + pi] = {lo - kBracketMarginNats,
+                                                 hi + kBracketMarginNats};
+      }
+    }
+  }
+}
 
 /// The scoring core, templated on K so trip counts are compile-time
 /// constants (fully unrolled + SLP-vectorized inside each clone). All
@@ -549,13 +618,15 @@ void ScorerKernel::build_grid() {
     }
     next += cell.count;
   }
+  grid->build_brackets();
   grid_ = std::move(grid);
 }
 
 std::size_t ScorerKernel::grid_bytes() const noexcept {
   if (grid_ == nullptr) return 0;
   return grid_->cells.size() * sizeof(Grid::Cell) +
-         grid_->coef.size() * sizeof(double);
+         grid_->coef.size() * sizeof(double) +
+         grid_->brackets.size() * sizeof(ScoreBracket);
 }
 
 std::size_t ScorerKernel::terms_kept(PageIndex page,
@@ -595,6 +666,30 @@ std::size_t ScorerKernel::score_batch(std::span<const PageIndex> pages,
     fallbacks += run_batch(xs, n, xt, out.data() + base);
   }
   return fallbacks;
+}
+
+bool ScorerKernel::bracket_batch(std::span<const PageIndex> pages,
+                                 Timestamp t,
+                                 std::span<ScoreBracket> out) const noexcept {
+  if (grid_ == nullptr) return false;
+  assert(out.size() >= pages.size());
+  // Normalized exactly as score_batch does, so each page lands in the
+  // bracket cell nested in the grid cell its score sums.
+  const ScoreBracket* row = grid_->bracket_row(
+      (static_cast<double>(t) - norm_.t_offset) * norm_.t_scale);
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    out[i] = row[Grid::bracket_column(
+        (static_cast<double>(pages[i]) - norm_.p_offset) * norm_.p_scale)];
+  }
+  return true;
+}
+
+ScoreBracket ScorerKernel::bracket_normalized(Vec2 x) const noexcept {
+  if (grid_ == nullptr) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    return {-kInf, kInf};
+  }
+  return grid_->bracket_row(x.t)[Grid::bracket_column(x.p)];
 }
 
 double ScorerKernel::log_score_normalized(Vec2 x) const noexcept {

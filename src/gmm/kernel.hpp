@@ -31,6 +31,21 @@
 // snapshot (GaussianMixture's constructor, or build_pruning_grid()) and
 // shared, immutable, by every copy of the kernel.
 //
+// Score brackets (with the grid)
+// ------------------------------
+// The grid carries a finer table of score brackets: kBracketPageBands x
+// kBracketTimeBands cells over the same finite range, each nested in one
+// finite grid cell, plus the same unbounded edge bands. A finite bracket
+// cell stores, over its grid cell's kept components and its own box,
+//
+//   hi = log sum_k e^(c[k] - min_box q_k),   lo = max_k (c[k] - max_box q_k),
+//
+// each widened by kBracketMarginNats. Every score the kernel returns for
+// an input in the cell lies in [lo, hi]: the kept sum lies there, and the
+// mass the grid drops is below e^-37 of it. Edge cells stay {-inf, +inf}.
+// A cache policy settles an admission or rules out a victim from a
+// bracket and scores only what the bracket leaves open.
+//
 // Numerical contract
 // ------------------
 // The kernel keeps the seed's log-sum-exp *shape* (a max-subtracted,
@@ -83,6 +98,15 @@ class ScorerKernel {
   /// A pruned score is accepted only if its kept sum exceeds every
   /// dropped component's bound by ln K + this many nats.
   static constexpr double kGridMarginNats = 37.0;
+  /// Score-bracket table shape over the grid's finite range: 8 x 2
+  /// bracket cells to a grid cell. Both ratios are powers of two, so an
+  /// input's bracket band and grid band come from the same exactly scaled
+  /// coordinate and always nest.
+  static constexpr std::size_t kBracketPageBands = 64;
+  static constexpr std::size_t kBracketTimeBands = 192;
+  /// Each bracket bound is widened by this many nats, for the rounding of
+  /// the kernel's sums and of the bounds themselves.
+  static constexpr double kBracketMarginNats = 1e-6;
 
   /// Below this direct-sum magnitude the kernel re-scores through the
   /// exact max-subtracted log-sum-exp (outlier inputs, -inf log-weights).
@@ -97,9 +121,9 @@ class ScorerKernel {
   const Normalizer& normalizer() const noexcept { return norm_; }
   bool timestamp_cache_enabled() const noexcept { return cache_enabled_; }
 
-  /// Whether this kernel scores from a pruning grid.
+  /// Whether this kernel scores from a pruning grid (and so has brackets).
   bool pruned() const noexcept { return grid_ != nullptr; }
-  /// Heap bytes of the shared grid (0 without one).
+  /// Heap bytes of the shared grid and its bracket table (0 without one).
   std::size_t grid_bytes() const noexcept;
   /// Terms the core sums for this input before any full-K fallback: the
   /// kept count of the input's grid cell, or K without a grid.
@@ -118,6 +142,16 @@ class ScorerKernel {
   /// K-term sum (always 0 without a grid).
   std::size_t score_batch(std::span<const PageIndex> pages, Timestamp t,
                           std::span<double> out) const noexcept;
+
+  /// Brackets the log-scores of pages[i] at the shared timestamp `t` into
+  /// out[i]: out[i].lo <= score_one(pages[i], t) <= out[i].hi, and
+  /// {-inf, +inf} in the grid's edge cells. Requires out.size() >=
+  /// pages.size(). Returns false, writing nothing, without a grid.
+  bool bracket_batch(std::span<const PageIndex> pages, Timestamp t,
+                     std::span<ScoreBracket> out) const noexcept;
+
+  /// Bracket of an already-normalized input ({-inf, +inf} without a grid).
+  ScoreBracket bracket_normalized(Vec2 x) const noexcept;
 
   /// Log-score of an already-normalized input (EM / tests).
   double log_score_normalized(Vec2 x) const noexcept;
@@ -152,9 +186,10 @@ class ScorerKernel {
 
   static BatchFn pick_batch_fn(std::size_t k) noexcept;
 
-  /// Builds the pruning grid from this kernel's coefficients (no-op for
-  /// K <= kMaxFixedComponents or when one is already attached). Only
-  /// GaussianMixture calls it, before the kernel is shared.
+  /// Builds the pruning grid and its bracket table from this kernel's
+  /// coefficients (no-op for K <= kMaxFixedComponents or when one is
+  /// already attached). Only GaussianMixture calls it, before the kernel
+  /// is shared.
   void build_grid();
   /// Turns on the single-owner timestamp cache (make_kernel copies): the
   /// fixed-K cores then skip recomputing the timestamp-dependent

@@ -129,6 +129,8 @@ Server::Server(runtime::Runtime& rt, ServerConfig cfg)
             {"icgmm_server_connections_accepted", s.connections_accepted});
         out.push_back(
             {"icgmm_server_connections_closed", s.connections_closed});
+        out.push_back(
+            {"icgmm_server_connections_refused", s.connections_refused});
         out.push_back({"icgmm_server_frames_served", s.frames_served});
         out.push_back({"icgmm_server_requests_served", s.requests_served});
         out.push_back({"icgmm_server_protocol_errors", s.protocol_errors});
@@ -233,6 +235,7 @@ void Server::stop() {
 ServerStats Server::stats() const noexcept {
   return {.connections_accepted = accepted_.load(std::memory_order_relaxed),
           .connections_closed = closed_.load(std::memory_order_relaxed),
+          .connections_refused = refused_.load(std::memory_order_relaxed),
           .frames_served = frames_.load(std::memory_order_relaxed),
           .requests_served = requests_.load(std::memory_order_relaxed),
           .protocol_errors = protocol_errors_.load(std::memory_order_relaxed),
@@ -314,7 +317,13 @@ void Server::accept_ready() {
     const std::uint64_t live = accepted_.load(std::memory_order_relaxed) -
                                closed_.load(std::memory_order_relaxed);
     if (live >= cfg_.max_connections) {
-      ::close(fd);  // at capacity: refuse
+      // At capacity: refuse, counted and recorded before the peer can see
+      // the close.
+      refused_.fetch_add(1, std::memory_order_relaxed);
+      if (cfg_.events != nullptr) {
+        cfg_.events->emit(obs::EventType::kConnRefused, live);
+      }
+      ::close(fd);
       continue;
     }
     set_nodelay(fd);

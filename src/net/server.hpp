@@ -91,6 +91,8 @@ static_assert(kMaxBufferedBytes / 2 > kMaxFrameBytes);
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
+  /// Sockets closed at accept because max_connections were live.
+  std::uint64_t connections_refused = 0;
   std::uint64_t frames_served = 0;
   std::uint64_t requests_served = 0;  ///< individual accesses
   std::uint64_t protocol_errors = 0;  ///< stream-poison closes
@@ -192,6 +194,7 @@ class Server {
   mutable std::atomic<std::uint64_t> writev_calls_{0};
   mutable std::atomic<std::uint64_t> writev_replies_{0};
   mutable std::atomic<std::uint64_t> read_pauses_{0};
+  mutable std::atomic<std::uint64_t> refused_{0};
   mutable std::atomic<std::uint64_t> buffered_max_{0};
 
   // Per-stage latency histograms, resolved once from the runtime's

@@ -34,6 +34,7 @@ enum class EventType : std::uint8_t {
   kClearStats = 6,    ///< arg = accesses at the clear
   kShadowRingDrop = 8,  ///< arg = shard whose shadow ring dropped an access
   kReadPause = 9,  ///< arg = fd (connection hit the server's buffer cap)
+  kConnRefused = 10,  ///< arg = live connections (at max_connections)
 };
 
 const char* to_string(EventType t) noexcept;
@@ -138,6 +139,7 @@ inline const char* to_string(EventType t) noexcept {
     case EventType::kClearStats: return "stats-clear";
     case EventType::kShadowRingDrop: return "shadow-ring-drop";
     case EventType::kReadPause: return "read-pause";
+    case EventType::kConnRefused: return "conn-refused";
   }
   return "unknown";
 }

@@ -14,7 +14,7 @@ void InferenceBatcher::refresh_kernel() {
 void InferenceBatcher::score_span(std::span<const PageIndex> pages,
                                   Timestamp t, std::span<double> out) {
   // One snapshot pin and one kernel call per span.
-  refresh_kernel();
+  refresh_unless_pinned();
   count_fallbacks(kernel_.score_batch(pages, t, out));
   batches_.fetch_add(1, std::memory_order_relaxed);
   scored_.fetch_add(pages.size(), std::memory_order_relaxed);
@@ -22,12 +22,20 @@ void InferenceBatcher::score_span(std::span<const PageIndex> pages,
 
 double InferenceBatcher::score_one(PageIndex page, Timestamp t) {
   scored_.fetch_add(1, std::memory_order_relaxed);
-  refresh_kernel();
+  refresh_unless_pinned();
   // A one-page span: bit-identical to ScorerKernel::score_one, and it
   // reports the fallback.
   double out;
   count_fallbacks(kernel_.score_batch({&page, 1}, t, {&out, 1}));
   return out;
+}
+
+bool InferenceBatcher::bracket_span(std::span<const PageIndex> pages,
+                                    Timestamp t,
+                                    std::span<ScoreBracket> out) {
+  refresh_kernel();
+  pinned_ = true;
+  return kernel_.bracket_batch(pages, t, out);
 }
 
 }  // namespace icgmm::runtime

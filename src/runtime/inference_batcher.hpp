@@ -12,6 +12,11 @@
 // Per-page math is byte-identical to GaussianMixture::log_score (both
 // funnel into the same ScorerKernel core), which is what keeps a
 // 1-shard/1-thread runtime bit-identical to sim::run_trace.
+//
+// The batcher also serves the pinned kernel's score brackets. A policy
+// decision that brackets first (GmmPolicy's admission and eviction) scores
+// what the brackets leave open on the kernel that bracketed it, so a
+// model publish never splits one decision across two snapshots.
 #pragma once
 
 #include <atomic>
@@ -48,11 +53,20 @@ class InferenceBatcher {
   /// Single-page score (admission / fill path); still one snapshot load.
   double score_one(PageIndex page, Timestamp t);
 
+  /// Brackets pages[i]'s score at `t` into out[i] (ScorerKernel::
+  /// bracket_batch; false without a bracket table) and pins the kernel
+  /// that did it: the next score_span or score_one — the scores the
+  /// decision's brackets gate — reuses it without checking for a newer
+  /// model. A decision the brackets settle leaves the pin to the next
+  /// score call, which then runs on a snapshot one decision old.
+  bool bracket_span(std::span<const PageIndex> pages, Timestamp t,
+                    std::span<ScoreBracket> out);
+
   /// score_span invocations.
   std::uint64_t batches() const noexcept {
     return batches_.load(std::memory_order_relaxed);
   }
-  /// Total pages scored (span + single).
+  /// Total pages scored (span + single); bracketed pages are not scored.
   std::uint64_t scored() const noexcept {
     return scored_.load(std::memory_order_relaxed);
   }
@@ -66,6 +80,12 @@ class InferenceBatcher {
   /// its coefficients and a pointer to its pruning grid, which the
   /// publisher built); the common case is one relaxed integer compare.
   void refresh_kernel();
+  /// refresh_kernel() unless a bracket_span pinned the kernel for this
+  /// call; consumes the pin.
+  void refresh_unless_pinned() {
+    if (!pinned_) refresh_kernel();
+    pinned_ = false;
+  }
 
   void count_fallbacks(std::size_t n) noexcept {
     if (n != 0) fallbacks_.fetch_add(n, std::memory_order_relaxed);
@@ -79,6 +99,7 @@ class InferenceBatcher {
   std::uint64_t version_;
   std::shared_ptr<const gmm::GaussianMixture> model_;
   gmm::ScorerKernel kernel_;
+  bool pinned_ = false;  ///< see bracket_span
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> scored_{0};
   std::atomic<std::uint64_t> fallbacks_{0};

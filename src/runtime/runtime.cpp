@@ -47,6 +47,11 @@ Runtime::Runtime(RuntimeConfig cfg, gmm::GaussianMixture model,
         policy->set_batch_scorer(
             [b](std::span<const PageIndex> pages, Timestamp ts,
                 std::span<double> out) { b->score_span(pages, ts, out); });
+        policy->set_bracket_scorer(
+            [b](std::span<const PageIndex> pages, Timestamp ts,
+                std::span<ScoreBracket> out) {
+              return b->bracket_span(pages, ts, out);
+            });
         batchers_.push_back(std::move(batcher));
         return policy;
       });

@@ -13,6 +13,7 @@
 //  * degenerate inputs: zero-weight components (-inf log-weight),
 //    near-singular covariance, far outliers that take the guarded
 //    max-subtracted fallback, empty batches.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include "gmm/kernel.hpp"
 #include "gmm/mixture.hpp"
 #include "gmm/online.hpp"
+#include "test_util.hpp"
 
 namespace icgmm::gmm {
 namespace {
@@ -65,26 +67,6 @@ GaussianMixture random_model(std::size_t k, Rng& rng,
     const double stt = rng.uniform(0.001, 0.1);
     const double spt = rng.uniform(-0.6, 0.6) * std::sqrt(spp * stt);
     comps.emplace_back(mean, Cov2{spp, spt, stt});
-  }
-  Normalizer norm;
-  norm.p_scale = 1.0 / 65536.0;
-  norm.t_scale = 1.0 / 1000.0;
-  return GaussianMixture(std::move(weights), std::move(comps), norm);
-}
-
-/// A trained-like mixture: narrow components (sigma 0.005-0.05 on each
-/// normalized axis; the daemon's K = 256 model has a median sigma of about
-/// 0.02) over the unit square.
-GaussianMixture narrow_model(std::size_t k, Rng& rng) {
-  std::vector<double> weights;
-  std::vector<Gaussian2D> comps;
-  for (std::size_t i = 0; i < k; ++i) {
-    weights.push_back(0.1 + rng.uniform());
-    const Vec2 mean{rng.uniform(), rng.uniform()};
-    const double sp = rng.uniform(0.005, 0.05);
-    const double st = rng.uniform(0.005, 0.05);
-    const double rho = rng.uniform(-0.5, 0.5);
-    comps.emplace_back(mean, Cov2{sp * sp, rho * sp * st, st * st});
   }
   Normalizer norm;
   norm.p_scale = 1.0 / 65536.0;
@@ -337,11 +319,21 @@ TEST(ScorerKernel, MixtureDelegationIsSelfConsistent) {
                  2.0));
 }
 
+/// Whether `b` holds `score`; a NaN score needs the unbounded bracket.
+bool holds(ScoreBracket b, double score) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (std::isnan(score)) return b.lo == -kInf && b.hi == kInf;
+  return b.lo <= score && score <= b.hi;
+}
+
 // The pruned score of every input equals the full K-term sum of the same
 // coefficients to a few ulps (the dropped mass is below e^-37 of the
 // score), and the libm reference to a tighter tolerance than the full-sum
 // tests above use: inside cells, exactly on cell edges, in the outer time
 // bands and far outside the grid, for a broad and a trained-like model.
+// Every score also lies in its bracket, L <= score <= U: the same inputs,
+// every bracket cell corner and the doubles either side of it, and every
+// component mean (where U is tightest).
 TEST(ScorerKernel, PrunedScoresMatchFullSumAcrossTheGrid) {
   Rng rng(0x9121d);
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -350,12 +342,18 @@ TEST(ScorerKernel, PrunedScoresMatchFullSumAcrossTheGrid) {
     for (const std::size_t k : {33u, 64u, 256u}) {
       SCOPED_TRACE(testing::Message() << "narrow=" << narrow << " k=" << k);
       const GaussianMixture source =
-          narrow ? narrow_model(k, rng) : random_model(k, rng);
+          narrow ? test_util::narrow_mixture(k, rng) : random_model(k, rng);
       const GaussianMixture pruned = twin(source, PruningGrid::kBuild);
       const GaussianMixture full = twin(source, PruningGrid::kDefer);
       ASSERT_TRUE(pruned.kernel().pruned());
       ASSERT_FALSE(full.kernel().pruned());
 
+      const auto bracketed = [&](Vec2 x) {
+        const double got = pruned.log_score_normalized(x);
+        const ScoreBracket b = pruned.kernel().bracket_normalized(x);
+        EXPECT_TRUE(holds(b, got)) << "p=" << x.p << " t=" << x.t << ": "
+                                   << b.lo << " <= " << got << " <= " << b.hi;
+      };
       const auto check = [&](Vec2 x) {
         const double got = pruned.log_score_normalized(x);
         const double want = full.log_score_normalized(x);
@@ -363,7 +361,27 @@ TEST(ScorerKernel, PrunedScoresMatchFullSumAcrossTheGrid) {
         SCOPED_TRACE(testing::Message() << "p=" << x.p << " t=" << x.t);
         EXPECT_NEAR(got, want, 1e-13 * std::max(1.0, std::abs(want)));
         EXPECT_NEAR(got, ref, 1e-12 * std::max(1.0, std::abs(ref)));
+        bracketed(x);
       };
+      const std::size_t kp_bands = ScorerKernel::kBracketPageBands;
+      const std::size_t kt_bands = ScorerKernel::kBracketTimeBands;
+      for (std::size_t j = 0; j <= kp_bands; ++j) {  // bracket cell corners
+        for (std::size_t i = 0; i <= kt_bands; ++i) {
+          const double p = static_cast<double>(j) / static_cast<double>(kp_bands);
+          const double t = -1.0 + 3.0 * static_cast<double>(i) /
+                                      static_cast<double>(kt_bands);
+          for (const double dp : {p, std::nextafter(p, -kInf),
+                                  std::nextafter(p, kInf)}) {
+            for (const double dt : {t, std::nextafter(t, -kInf),
+                                    std::nextafter(t, kInf)}) {
+              bracketed({dp, dt});
+            }
+          }
+        }
+      }
+      for (const Gaussian2D& comp : pruned.components()) {
+        bracketed(comp.mean());
+      }
       for (int i = 0; i < 300; ++i) {  // inside cells, outer bands included
         check({rng.uniform(), rng.uniform(-1.0, 2.0)});
       }
@@ -384,9 +402,12 @@ TEST(ScorerKernel, PrunedScoresMatchFullSumAcrossTheGrid) {
         for (const Timestamp t :
              {Timestamp{0}, Timestamp{500}, ~Timestamp{0}}) {
           const double want = kf.score_one(page, t);
-          EXPECT_NEAR(kp.score_one(page, t), want,
-                      1e-13 * std::max(1.0, std::abs(want)))
+          const double got = kp.score_one(page, t);
+          EXPECT_NEAR(got, want, 1e-13 * std::max(1.0, std::abs(want)))
               << "page=" << page << " t=" << t;
+          ScoreBracket b;
+          ASSERT_TRUE(kp.bracket_batch({&page, 1}, t, {&b, 1}));
+          EXPECT_TRUE(holds(b, got)) << "page=" << page << " t=" << t;
         }
       }
       for (const double raw : {kInf, -kInf, kNaN, 1e300, -1e300}) {
@@ -399,6 +420,10 @@ TEST(ScorerKernel, PrunedScoresMatchFullSumAcrossTheGrid) {
           if (!std::isnan(want)) {
             EXPECT_EQ(bits(got), bits(want)) << p << " " << t;
           }
+          EXPECT_TRUE(holds(kp.bracket_normalized(
+                                pruned.normalizer().apply(p, t)),
+                            got))
+              << p << " " << t;
         }
       }
 
@@ -428,13 +453,105 @@ TEST(ScorerKernel, PrunedScoresMatchFullSumAcrossTheGrid) {
   }
 }
 
+/// Pairs of narrow components (sigma 0.001-0.003) sharing a mean, on a
+/// 6 x 6 lattice over the unit square: at a pair's mean every other
+/// component is hundreds of nats down.
+GaussianMixture isolated_model(Rng& rng) {
+  std::vector<double> weights;
+  std::vector<Gaussian2D> comps;
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 6; ++j) {
+      for (int pair = 0; pair < 2; ++pair) {
+        weights.push_back(0.1 + rng.uniform());
+        const double sp = rng.uniform(0.001, 0.003);
+        const double st = rng.uniform(0.001, 0.003);
+        comps.emplace_back(Vec2{(i + 0.5) / 6.0, (j + 0.5) / 6.0},
+                           Cov2{sp * sp, 0.0, st * st});
+      }
+    }
+  }
+  Normalizer norm;
+  norm.p_scale = 1.0 / 65536.0;
+  norm.t_scale = 1.0 / 1000.0;
+  return GaussianMixture(std::move(weights), std::move(comps), norm);
+}
+
+// At an isolated pair's mean the score is log(e^c1 + e^c2) in the
+// kernel's arithmetic and the bracket's upper bound is the same sum in
+// libm's, so they differ by rounding alone: there only the margin keeps
+// the score inside its bracket (without it, some of these scores sit an
+// ulp or two above their upper bound).
+TEST(ScorerKernel, BracketMarginCoversRoundingAtIsolatedMeans) {
+  Rng rng(0x150);
+  for (int model = 0; model < 8; ++model) {
+    const GaussianMixture m = isolated_model(rng);
+    ASSERT_TRUE(m.kernel().pruned());
+    for (const Gaussian2D& comp : m.components()) {
+      const double got = m.log_score_normalized(comp.mean());
+      const ScoreBracket b = m.kernel().bracket_normalized(comp.mean());
+      EXPECT_TRUE(holds(b, got)) << "model " << model << " p="
+                                 << comp.mean().p << " t=" << comp.mean().t
+                                 << ": " << b.lo << " <= " << got
+                                 << " <= " << b.hi;
+      EXPECT_LT(b.hi - got, 1e-5);  // the bound is tight there
+    }
+  }
+}
+
+// The bracket table comes with the grid: bracket_batch agrees with
+// bracket_normalized page by page, edge cells are unbounded, finite
+// brackets are a few nats wide on a trained-like model, and a kernel
+// without a grid has no brackets.
+TEST(ScorerKernel, BracketsComeWithTheGrid) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(0xb4ac);
+  const GaussianMixture source = test_util::narrow_mixture(256, rng);
+  const GaussianMixture pruned = twin(source, PruningGrid::kBuild);
+  const ScorerKernel kernel = pruned.make_kernel();
+  EXPECT_GE(kernel.grid_bytes(), (ScorerKernel::kBracketPageBands + 2) *
+                                     (ScorerKernel::kBracketTimeBands + 2) *
+                                     sizeof(ScoreBracket));
+
+  std::vector<PageIndex> pages;
+  for (int i = 0; i < 64; ++i) pages.push_back(rng.below(1u << 16));
+  std::vector<ScoreBracket> out(pages.size());
+  std::vector<double> widths;
+  for (const Timestamp t : {Timestamp{0}, Timestamp{700}, Timestamp{1999},
+                            Timestamp{5000}}) {
+    ASSERT_TRUE(kernel.bracket_batch(pages, t, out));
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      const ScoreBracket want = kernel.bracket_normalized(
+          pruned.normalizer().apply(static_cast<double>(pages[i]),
+                                    static_cast<double>(t)));
+      EXPECT_EQ(bits(out[i].lo), bits(want.lo));
+      EXPECT_EQ(bits(out[i].hi), bits(want.hi));
+      if (t == 5000) {  // normalized t = 5: the upper edge band
+        EXPECT_EQ(out[i].lo, -kInf);
+        EXPECT_EQ(out[i].hi, kInf);
+      } else {
+        widths.push_back(out[i].hi - out[i].lo);
+      }
+    }
+  }
+  std::sort(widths.begin(), widths.end());
+  EXPECT_LT(widths[widths.size() / 2], 8.0);
+
+  const GaussianMixture full = twin(source, PruningGrid::kDefer);
+  EXPECT_FALSE(full.make_kernel().bracket_batch(pages, 0, out));
+  const ScoreBracket none = full.kernel().bracket_normalized({0.5, 0.5});
+  EXPECT_EQ(none.lo, -kInf);
+  EXPECT_EQ(none.hi, kInf);
+  const GaussianMixture small = random_model(32, rng);
+  EXPECT_FALSE(small.make_kernel().bracket_batch(pages, 0, out));
+}
+
 // The grid belongs to the model snapshot: every copy of a mixture and
 // every make_kernel() kernel shares it, training loops defer it, and a
 // deferred mixture that builds it later scores exactly like one built
 // with it.
 TEST(ScorerKernel, GridIsPartOfTheModelSnapshot) {
   Rng rng(0x6e1d);
-  const GaussianMixture source = narrow_model(256, rng);
+  const GaussianMixture source = test_util::narrow_mixture(256, rng);
   const GaussianMixture built = twin(source, PruningGrid::kBuild);
   GaussianMixture deferred = twin(source, PruningGrid::kDefer);
   const GaussianMixture before = deferred;

@@ -3,10 +3,10 @@
 // connection churn across serving threads (the TSan targets), the
 // round-robin hand-off of connections to serving threads, malformed-stream
 // rejection (retired version-1 frames included), FLUSH semantics, the
-// per-connection buffer cap against a client that never reads, the
-// client's id correlation against a peer that answers out of order, and
-// the open-loop replay driver. Suite names start with "Net" so the CI
-// sanitizer jobs pick them up via -R.
+// per-connection buffer cap against a client that never reads, refusals
+// past the connection cap, the client's id correlation against a peer
+// that answers out of order, and open-loop replay. Suite names start
+// with "Net" so the CI sanitizer jobs pick them up via -R.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -28,6 +28,8 @@
 #include "cache/policies/classic.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "obs/event_ring.hpp"
+#include "obs/registry.hpp"
 #include "test_util.hpp"
 
 namespace icgmm {
@@ -319,6 +321,43 @@ TEST(NetServer, GarbageStreamClosesConnectionAndCountsProtocolError) {
   const net::ServerStats ss = server.stats();
   EXPECT_EQ(ss.protocol_errors, 3u);
   server.stop();
+}
+
+TEST(NetServer, ConnectionPastTheCapIsRefusedCountedAndRecorded) {
+  // With max_connections live, a new socket is closed at accept: its
+  // client reads EOF, the refusal is counted and leaves a flight-recorder
+  // event, and the live connections go on being served.
+  obs::EventRing ring(64);
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(
+      rt, {.port = 0, .workers = 1, .max_connections = 2, .events = &ring});
+  server.start();
+  net::Client first = net::Client::connect("127.0.0.1", server.port());
+  net::Client second = net::Client::connect("127.0.0.1", server.port());
+  first.ping();
+  second.ping();  // both accepted
+
+  const int third = raw_connect(server.port());
+  ASSERT_GE(third, 0);
+  char buf[8];
+  EXPECT_EQ(::recv(third, buf, sizeof(buf), 0), 0);
+  ::close(third);
+  first.ping();
+  second.ping();
+
+  const net::ServerStats ss = server.stats();
+  EXPECT_EQ(ss.connections_refused, 1u);
+  EXPECT_EQ(ss.connections_accepted, 2u);
+  EXPECT_EQ(obs::MetricsRegistry::value_of(rt.metrics().collect(),
+                                           "icgmm_server_connections_refused"),
+            1u);
+  server.stop();
+  std::vector<std::uint64_t> refused_args;
+  for (const obs::Event& e : ring.dump()) {
+    if (e.type == obs::EventType::kConnRefused) refused_args.push_back(e.arg);
+  }
+  EXPECT_EQ(refused_args, std::vector<std::uint64_t>{2});
+  EXPECT_STREQ(obs::to_string(obs::EventType::kConnRefused), "conn-refused");
 }
 
 TEST(NetServer, RequestsBeforeClientFinStillGetReplies) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cache/policies/classic.hpp"
+#include "cache/policies/gmm_policy.hpp"
 #include "common/rng.hpp"
 #include "core/icgmm.hpp"
 #include "obs/registry.hpp"
@@ -316,57 +317,83 @@ TEST(RuntimeApplyBatch, ContendedGroupLockCountsALockWait) {
 }
 
 TEST(RuntimeApplyBatch, CountsPagesScoredAndPrunedScoreFallbacks) {
-  // Above the fixed-K limit the batchers score from the model's pruning
-  // grid. Every page they score is counted (admissions plus the 8 ways of
-  // each eviction-time rescore), and so is every page whose pruned score
-  // falls back to the full K-term sum: none on a trace inside the grid,
-  // one for an admission at a timestamp far outside it.
+  // The batchers count every page they score: each admission, and each
+  // eviction's rescore of the 7 ways that are not the set's MRU way. A
+  // grid-less K = 32 model scores exactly that. The K = 256 model's score
+  // brackets settle some admissions and rule out some ways, and it scores
+  // exactly that many pages fewer. The grid also counts pages whose
+  // pruned score falls back to the full K-term sum: none on a trace
+  // inside the grid, one for an admission at a timestamp far outside it.
   const trace::Trace t = test_util::zipf_trace(20000, 2048, 0.9, 0xC0);
-  core::IcgmmConfig cfg = test_util::small_system_config(64);
-  cfg.engine.cache = test_util::tiny_cache(64, 8);
-  core::IcgmmSystem system(cfg);
-  system.train(t);
-  const gmm::GaussianMixture& model = system.engine().model();
-  ASSERT_TRUE(model.kernel().pruned());
   const auto strategy = cache::GmmStrategy::kCachingEviction;
-  const runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
-  const auto rt =
-      system.make_runtime(rcfg, strategy, system.pick_threshold(t, strategy));
+  for (const std::uint32_t k : {32u, 256u}) {
+    SCOPED_TRACE(testing::Message() << "K = " << k);
+    core::IcgmmConfig cfg = test_util::small_system_config(k);
+    cfg.engine.cache = test_util::tiny_cache(64, 8);
+    core::IcgmmSystem system(cfg);
+    system.train(t);
+    const gmm::GaussianMixture& model = system.engine().model();
+    ASSERT_EQ(model.kernel().pruned(), k > 32);
+    const runtime::RuntimeConfig rcfg{.cache = cfg.engine.cache, .shards = 4};
+    const auto rt =
+        system.make_runtime(rcfg, strategy, system.pick_threshold(t, strategy));
 
-  // The requests whose normalized (page, time) lie in the grid's finite
-  // range, [0, 1] x [-1, 2].
-  std::vector<runtime::Access> in_range;
-  for (const runtime::Access& a : make_stream(t)) {
-    const gmm::Vec2 x = model.normalizer().apply(
-        static_cast<double>(a.page), static_cast<double>(a.timestamp));
-    if (x.p >= 0.0 && x.p <= 1.0 && x.t >= -1.0 && x.t <= 2.0) {
-      in_range.push_back(a);
+    // The requests whose normalized (page, time) lie in the grid's finite
+    // range, [0, 1] x [-1, 2].
+    std::vector<runtime::Access> in_range;
+    for (const runtime::Access& a : make_stream(t)) {
+      const gmm::Vec2 x = model.normalizer().apply(
+          static_cast<double>(a.page), static_cast<double>(a.timestamp));
+      if (x.p >= 0.0 && x.p <= 1.0 && x.t >= -1.0 && x.t <= 2.0) {
+        in_range.push_back(a);
+      }
     }
-  }
-  ASSERT_GT(in_range.size(), t.size() * 9 / 10);
-  rt->apply_batch(in_range);
-  const runtime::RuntimeSnapshot snap = rt->snapshot();
-  EXPECT_GT(snap.score_batches, 0u);
-  EXPECT_EQ(snap.pages_scored, snap.inferences + 8 * snap.score_batches);
-  EXPECT_EQ(snap.score_fallbacks, 0u);
+    ASSERT_GT(in_range.size(), t.size() * 9 / 10);
+    rt->apply_batch(in_range);
+    const runtime::RuntimeSnapshot snap = rt->snapshot();
+    cache::GmmPolicy::SettledCounts settled;
+    for (std::uint32_t i = 0; i < rt->cache().shards(); ++i) {
+      rt->cache().with_policy(i, [&settled](const cache::ReplacementPolicy& p) {
+        const auto& s = dynamic_cast<const cache::GmmPolicy&>(p).settled();
+        settled.bypasses += s.bypasses;
+        settled.admissions += s.admissions;
+        settled.ways += s.ways;
+      });
+    }
+    const std::uint64_t all_scored =
+        snap.inferences + 7 * snap.merged.evictions;
+    EXPECT_GT(snap.score_batches, 0u);
+    EXPECT_EQ(snap.pages_scored, all_scored - settled.bypasses -
+                                     settled.admissions - settled.ways);
+    EXPECT_EQ(snap.score_fallbacks, 0u);
+    if (k == 32) {
+      EXPECT_EQ(snap.score_batches, snap.merged.evictions);
+      EXPECT_EQ(snap.pages_scored, snap.inferences + 7 * snap.score_batches);
+      continue;
+    }
+    EXPECT_GT(settled.bypasses + settled.admissions, 0u);
+    EXPECT_GT(settled.ways, 0u);
+    EXPECT_LT(snap.pages_scored, snap.inferences + 7 * snap.score_batches);
 
-  // A cold page at normalized time ~1000 scores far below the threshold:
-  // one admission score, a fallback, a bypass and no rescore.
-  PageIndex cold = 0;
-  while (rt->cache().contains(cold)) ++cold;
-  const auto far = static_cast<Timestamp>(model.normalizer().t_offset +
-                                          1000.0 / model.normalizer().t_scale);
-  EXPECT_FALSE(rt->access(cold, far).admitted);
-  const runtime::RuntimeSnapshot after = rt->snapshot();
-  EXPECT_EQ(after.pages_scored, snap.pages_scored + 1);
-  EXPECT_EQ(after.score_batches, snap.score_batches);
-  EXPECT_EQ(after.score_fallbacks, 1u);
-  const auto samples = rt->metrics().collect();
-  EXPECT_EQ(obs::MetricsRegistry::value_of(samples, "icgmm_gmm_pages_scored"),
-            after.pages_scored);
-  EXPECT_EQ(
-      obs::MetricsRegistry::value_of(samples, "icgmm_gmm_score_fallbacks"),
-      1u);
+    // A cold page at normalized time ~1000 lands in an unbounded edge
+    // cell: one admission score, a fallback, a bypass and no rescore.
+    PageIndex cold = 0;
+    while (rt->cache().contains(cold)) ++cold;
+    const auto far = static_cast<Timestamp>(
+        model.normalizer().t_offset + 1000.0 / model.normalizer().t_scale);
+    EXPECT_FALSE(rt->access(cold, far).admitted);
+    const runtime::RuntimeSnapshot after = rt->snapshot();
+    EXPECT_EQ(after.pages_scored, snap.pages_scored + 1);
+    EXPECT_EQ(after.score_batches, snap.score_batches);
+    EXPECT_EQ(after.score_fallbacks, 1u);
+    EXPECT_EQ(after.merged.bypasses, snap.merged.bypasses + 1);
+    const auto samples = rt->metrics().collect();
+    EXPECT_EQ(obs::MetricsRegistry::value_of(samples, "icgmm_gmm_pages_scored"),
+              after.pages_scored);
+    EXPECT_EQ(
+        obs::MetricsRegistry::value_of(samples, "icgmm_gmm_score_fallbacks"),
+        1u);
+  }
 }
 
 TEST(RuntimeApplyBatch, EmptyBatchAndNoResultsSpanAreNoOps) {

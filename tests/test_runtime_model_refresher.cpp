@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gmm/kernel.hpp"
+#include "runtime/inference_batcher.hpp"
 #include "runtime/model_refresher.hpp"
 #include "runtime/model_slot.hpp"
 
@@ -48,6 +49,28 @@ TEST(RuntimeRefresher, SlotPublishBumpsVersionAndSwapsModel) {
   slot.store(nullptr);             // null publishes are ignored
   EXPECT_EQ(slot.version(), 1u);
   EXPECT_NE(slot.load(), nullptr);
+}
+
+TEST(RuntimeRefresher, BracketedDecisionScoresOnTheSnapshotThatBracketedIt) {
+  // A publish landing between a decision's brackets and the score they
+  // gate does not split the decision: the gated score runs on the kernel
+  // that bracketed, and the next score picks the new model up.
+  const gmm::GaussianMixture first = two_blob_model();
+  std::vector<gmm::Gaussian2D> comps;
+  comps.emplace_back(gmm::Vec2{0.6, 0.6}, gmm::Cov2{0.01, 0.0, 0.01});
+  comps.emplace_back(gmm::Vec2{0.7, 0.7}, gmm::Cov2{0.01, 0.0, 0.01});
+  const gmm::GaussianMixture second({0.5, 0.5}, std::move(comps),
+                                    first.normalizer());
+  ASSERT_NE(first.log_score(200, 200), second.log_score(200, 200));
+
+  ModelSlot slot(std::make_shared<const gmm::GaussianMixture>(first));
+  runtime::InferenceBatcher batcher(slot);
+  const PageIndex page = 200;
+  ScoreBracket bracket;
+  batcher.bracket_span({&page, 1}, 200, {&bracket, 1});
+  slot.store(std::make_shared<const gmm::GaussianMixture>(second));
+  EXPECT_EQ(batcher.score_one(page, 200), first.log_score(200, 200));
+  EXPECT_EQ(batcher.score_one(page, 200), second.log_score(200, 200));
 }
 
 TEST(RuntimeRefresher, PublishesAfterEnoughSamples) {

@@ -9,12 +9,14 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cache/config.hpp"
 #include "cache/policy.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/icgmm.hpp"
+#include "gmm/mixture.hpp"
 #include "trace/trace.hpp"
 #include "trace/zipf.hpp"
 
@@ -55,6 +57,27 @@ inline core::IcgmmConfig small_system_config(std::uint32_t components = 32,
   cfg.policy.train_subsample = train_subsample;
   cfg.tuning_prefix = tuning_prefix;
   return cfg;
+}
+
+/// A trained-like K-component mixture: narrow components (sigma
+/// 0.005-0.05 on each normalized axis; the daemon's K = 256 model has a
+/// median sigma of about 0.02) over the unit square, normalized from
+/// pages 0-65535 and timestamps 0-999.
+inline gmm::GaussianMixture narrow_mixture(std::size_t k, Rng& rng) {
+  std::vector<double> weights;
+  std::vector<gmm::Gaussian2D> comps;
+  for (std::size_t i = 0; i < k; ++i) {
+    weights.push_back(0.1 + rng.uniform());
+    const gmm::Vec2 mean{rng.uniform(), rng.uniform()};
+    const double sp = rng.uniform(0.005, 0.05);
+    const double st = rng.uniform(0.005, 0.05);
+    const double rho = rng.uniform(-0.5, 0.5);
+    comps.emplace_back(mean, gmm::Cov2{sp * sp, rho * sp * st, st * st});
+  }
+  gmm::Normalizer norm;
+  norm.p_scale = 1.0 / 65536.0;
+  norm.t_scale = 1.0 / 1000.0;
+  return gmm::GaussianMixture(std::move(weights), std::move(comps), norm);
 }
 
 /// Deterministic Zipf-popularity read trace over `pages` distinct 4 KB
