@@ -1,16 +1,33 @@
-// Shared helpers for the bench binaries: CLI parsing and the paper's
-// reference numbers, printed beside ours for every reproduced artifact.
+// Shared helpers for the bench binaries: CLI parsing, the paper's
+// reference numbers printed beside ours for every reproduced artifact,
+// and what the two serving harnesses (throughput_runtime, throughput_net)
+// measure alike: their workload, interleaved reps, per-rep spreads and
+// CPU clocks.
 #pragma once
 
+#include <time.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "cache/config.hpp"
+#include "common/rng.hpp"
+#include "common/table.hpp"
+#include "trace/trace.hpp"
+#include "trace/zipf.hpp"
 
 namespace icgmm::bench {
 
 struct Options {
   std::size_t requests = 1000000;
   bool quick = false;
+  std::string json_path;  ///< --json FILE; empty writes no JSON
 
   static Options parse(int argc, char** argv) {
     Options opt;
@@ -20,6 +37,8 @@ struct Options {
         opt.requests = 300000;
       } else if (std::strcmp(argv[i], "-n") == 0 && i + 1 < argc) {
         opt.requests = std::strtoull(argv[++i], nullptr, 10);
+      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+        opt.json_path = argv[++i];
       }
     }
     return opt;
@@ -52,5 +71,130 @@ inline const PaperRow* paper_row(const std::string& name) {
   }
   return nullptr;
 }
+
+/// Zipf skew of the serving workload.
+inline constexpr double kServingZipfS = 0.99;
+
+/// The serving harnesses' workload: Zipf popularity over 4x the cache's
+/// block count (a working set larger than the cache), 10% writes, fixed
+/// seed, stamped with sequence times.
+inline trace::Trace serving_workload(std::size_t n,
+                                     const cache::CacheConfig& cache) {
+  trace::Zipf zipf(cache.blocks() * 4, kServingZipfS);
+  Rng rng(0xbe7c4);
+  trace::Trace t("zipf-serving");
+  t.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    t.push_back({.addr = addr_of(zipf.sample(rng)),
+                 .time = i,
+                 .type = rng.chance(0.10) ? AccessType::kWrite
+                                          : AccessType::kRead});
+  }
+  return t;
+}
+
+/// CPU time used so far on `clock`: CLOCK_THREAD_CPUTIME_ID for the
+/// calling thread, CLOCK_PROCESS_CPUTIME_ID for every thread of the
+/// process.
+inline std::uint64_t cpu_ns(clockid_t clock) {
+  timespec ts{};
+  ::clock_gettime(clock, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+/// Reps per cell. Each rep serves whole passes of the looped workload:
+/// as many as the cell's first rep needed to serve kRepSeconds (one pass
+/// with --quick), so every rep of a cell does the same work. With 5 reps,
+/// even independent noise puts a second run's median outside the first
+/// run's min-max once in 6 cells; with 11, about once in 80.
+inline constexpr int kReps = 11;
+inline constexpr double kRepSeconds = 0.4;
+
+/// Runs `kReps` rounds over `cells` cells, calling rep(cell), with the
+/// cell order rotated by one each round: a slow phase of a shared host
+/// lands on every cell alike, not on one cell's reps.
+template <typename Rep>
+void run_interleaved(std::size_t cells, Rep&& rep) {
+  for (int round = 0; round < kReps; ++round) {
+    for (std::size_t i = 0; i < cells; ++i) {
+      rep((i + static_cast<std::size_t>(round)) % cells);
+    }
+  }
+}
+
+/// Serves one rep's passes through pass(), which serves one pass of the
+/// workload and returns its serving seconds. With `passes` still 0 (the
+/// cell's first rep) it serves until `min_seconds` have been served and
+/// sets `passes` to that count; later reps serve that many.
+template <typename Pass>
+void serve_passes(std::uint32_t& passes, double min_seconds, Pass&& pass) {
+  if (passes != 0) {
+    for (std::uint32_t p = 0; p < passes; ++p) pass();
+    return;
+  }
+  double served = 0.0;
+  do {
+    served += pass();
+    ++passes;
+  } while (served < min_seconds);
+}
+
+/// Per-rep readings of one cell, by metric name, in first-recorded order.
+class RepSeries {
+ public:
+  struct Spread {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+  };
+
+  void add(const std::string& name, double value) {
+    for (auto& [n, values] : series_) {
+      if (n == name) {
+        values.push_back(value);
+        return;
+      }
+    }
+    series_.push_back({name, {value}});
+  }
+
+  Spread spread(const std::string& name) const {
+    for (const auto& [n, values] : series_) {
+      if (n != name || values.empty()) continue;
+      std::vector<double> v = values;
+      std::sort(v.begin(), v.end());
+      const std::size_t mid = v.size() / 2;
+      return {.median = v.size() % 2 != 0 ? v[mid] : (v[mid - 1] + v[mid]) / 2,
+              .min = v.front(),
+              .max = v.back()};
+    }
+    return {};
+  }
+
+  /// "median [min-max]" for a table cell.
+  std::string fmt(const std::string& name, int precision) const {
+    const Spread s = spread(name);
+    return Table::fmt(s.median, precision) + " [" +
+           Table::fmt(s.min, precision) + "-" + Table::fmt(s.max, precision) +
+           "]";
+  }
+
+  /// JSON fields `"name": {"median": m, "min": lo, "max": hi}`, one per
+  /// metric, comma-separated.
+  std::string json() const {
+    std::ostringstream out;
+    for (std::size_t i = 0; i < series_.size(); ++i) {
+      const Spread s = spread(series_[i].first);
+      out << (i == 0 ? "" : ", ") << '"' << series_[i].first
+          << "\": {\"median\": " << s.median << ", \"min\": " << s.min
+          << ", \"max\": " << s.max << '}';
+    }
+    return out.str();
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::vector<double>>> series_;
+};
 
 }  // namespace icgmm::bench

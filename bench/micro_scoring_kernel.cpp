@@ -27,7 +27,6 @@
 #include <span>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -172,12 +171,6 @@ int main(int argc, char** argv) {
   const bench::Options opt = bench::Options::parse(argc, argv);
   std::size_t scores = opt.requests / 2;  // scores per rep and variant
   const int reps = opt.quick ? 3 : 9;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
   constexpr std::size_t kWays = 8;  // paper geometry: 8-way set rescore
   scores = scores / kWays * kWays;
   // K = 256 costs ~16x K = 16 per score; fewer scores keep its rows in
@@ -358,8 +351,8 @@ int main(int argc, char** argv) {
             << " ms\n\n"
             << table.render();
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
+  if (!opt.json_path.empty()) {
+    std::ofstream out(opt.json_path);
     out << "{\n  " << run_env_json_fields() << ",\n"
         << "  \"bench\": \"scoring_kernel\",\n"
         << "  \"reps\": " << reps
@@ -381,7 +374,7 @@ int main(int argc, char** argv) {
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
-    std::cout << "\nwrote " << json_path << "\n";
+    std::cout << "\nwrote " << opt.json_path << "\n";
   }
   return 0;
 }

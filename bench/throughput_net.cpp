@@ -1,20 +1,26 @@
-// Network-serving throughput: aggregate requests/sec and latency
-// percentiles through the full RPC stack — loadgen-style clients ->
-// loopback TCP -> 2 epoll reactor threads -> sharded runtime — as a
-// function of client connections x wire batch size, for LRU and the GMM
-// policy. The in-process analogue (bench/throughput_runtime) measures the
-// runtime without the network; the delta between the two is the serving
-// tax (syscalls, framing, scheduling).
+// Network-serving throughput: aggregate requests/sec, latency percentiles
+// and CPU per access by thread role through the full RPC stack
+// (loadgen-style clients -> loopback TCP -> 2 epoll reactor threads ->
+// sharded runtime), as a function of client connections x wire batch
+// size, for LRU and the GMM policy. Two more cells trace every served
+// frame's stages (trace sample 1) and every 16th frame's (trace sample
+// 16) beside the untraced LRU, 1-connection, batch-64 cell: the tax of
+// observability. The in-process analogue (bench/throughput_runtime)
+// measures the runtime without the network; the delta between the two is
+// the serving tax (syscalls, framing, scheduling).
 //
 // Closed-loop: each connection keeps 8 batches in flight (the
-// id-correlated window feeds the server's writev coalescing). Client and
-// server share the host's cores, so absolute numbers are a floor; the
-// JSON records hardware_concurrency (shared schema) so captures are
-// interpretable.
+// id-correlated window feeds the server's writev coalescing). Every cell
+// is measured alike: kReps reps interleaved with every other cell's, and
+// each rep a fresh runtime and server serving whole passes of one looped
+// request stream for about kRepSeconds. A cell reports the median, min
+// and max over its reps. The client threads time their own CPU; the rest
+// of the process's CPU over the rep is the server's. Client and server
+// share the host's cores, so absolute numbers are a floor; the JSON
+// records hardware_concurrency so captures are interpretable.
 //
 // Usage: throughput_net [-n REQUESTS] [--quick] [--json FILE]
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -32,176 +38,179 @@
 #include "net/server.hpp"
 #include "obs/histogram.hpp"
 #include "trace/timestamp_transform.hpp"
-#include "trace/zipf.hpp"
 
 namespace {
 
 using namespace icgmm;
 using Clock = std::chrono::steady_clock;
 
-/// Zipf request stream over 4x the cache's blocks, 10% writes,
-/// Algorithm-1 timestamps — the serving regime of throughput_runtime.
-std::vector<net::WireAccess> make_stream(std::size_t n,
-                                         const cache::CacheConfig& cache) {
-  trace::Zipf zipf(cache.blocks() * 4, 0.99);
-  Rng rng(0xbe7c4);
-  trace::TimestampTransform transform;
-  std::vector<net::WireAccess> stream;
-  stream.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stream.push_back({.page = zipf.sample(rng),
-                      .timestamp = transform.next(),
-                      .is_write = rng.chance(0.10)});
-  }
-  return stream;
-}
-
 struct Cell {
-  std::string policy;
+  bool gmm = false;
   std::uint32_t connections = 0;
   std::uint32_t batch = 0;
-  double mreq_per_s = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double hit_rate = 0.0;
+  std::uint32_t trace_sample = 0;  ///< ServerConfig::trace_sample; 0 = off
+  std::uint32_t passes = 0;        ///< set by the cell's first rep
+  bench::RepSeries reps;
+
+  const char* policy() const { return gmm ? "GMM-caching-eviction" : "LRU"; }
 };
 
 constexpr std::uint32_t kPipeline = 8;
 constexpr std::uint32_t kWorkers = 2;
 constexpr std::uint32_t kShards = 4;
 
-void drive_connection(std::uint16_t port,
-                      std::span<const net::WireAccess> chunk,
-                      std::uint32_t batch, obs::LatencyHistogram& latency) {
-  net::Client client = net::Client::connect("127.0.0.1", port);
-  net::replay_stream(
-      client, chunk, {.batch = batch, .pipeline = kPipeline},
-      [&latency](const net::AccessReply&, Clock::time_point ref,
-                 std::uint32_t count) {
-        latency.record(static_cast<std::uint64_t>(
-                           std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               Clock::now() - ref)
-                               .count()),
-                       count);
-      });
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Options opt = bench::Options::parse(argc, argv);
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
+  const bench::Options opt = bench::Options::parse(argc, argv);
+  const std::size_t requests = opt.quick ? 100000 : opt.requests;
+  const double rep_seconds = opt.quick ? 0.0 : bench::kRepSeconds;
 
   cache::CacheConfig cache_cfg;  // paper geometry: 64 MB / 4 KB / 8-way
-  const std::vector<net::WireAccess> stream =
-      make_stream(opt.requests, cache_cfg);
+  const trace::Trace workload = bench::serving_workload(requests, cache_cfg);
+  std::vector<net::WireAccess> stream;
+  stream.reserve(workload.size());
+  trace::TimestampTransform transform;
+  for (const trace::Record& r : workload) {
+    stream.push_back({.page = r.page(),
+                      .timestamp = transform.next(),
+                      .is_write = r.is_write()});
+  }
 
   core::PolicyEngineConfig pe_cfg;
   pe_cfg.em.components = 32;
   pe_cfg.train_subsample = 8000;
   core::PolicyEngine engine(pe_cfg);
-  {
-    trace::Trace t("train");
-    t.reserve(stream.size());
-    for (const net::WireAccess& a : stream) {
-      t.push_back({.addr = addr_of(a.page),
-                   .time = a.timestamp,
-                   .type = a.is_write ? AccessType::kWrite
-                                      : AccessType::kRead});
-    }
-    engine.train(t);
-  }
-  const double threshold =
-      core::threshold_at_percentile(engine.training_scores(), 0.05);
+  engine.train(workload);
+  const cache::GmmPolicyConfig gmm_cfg{
+      .strategy = cache::GmmStrategy::kCachingEviction,
+      .threshold =
+          core::threshold_at_percentile(engine.training_scores(), 0.05)};
 
-  const std::uint32_t conn_sweep[] = {1, 2, 4};
-  const std::uint32_t batch_sweep[] = {16, 64};
   std::vector<Cell> cells;
-
-  for (const char* policy : {"LRU", "GMM-caching-eviction"}) {
-    for (const std::uint32_t conns : conn_sweep) {
-      for (const std::uint32_t batch : batch_sweep) {
-        runtime::RuntimeConfig rcfg;
-        rcfg.cache = cache_cfg;
-        rcfg.shards = kShards;
-        std::unique_ptr<runtime::Runtime> rt;
-        if (std::strcmp(policy, "LRU") == 0) {
-          rt = std::make_unique<runtime::Runtime>(rcfg, cache::LruPolicy());
-        } else {
-          rt = std::make_unique<runtime::Runtime>(
-              rcfg, engine.model(),
-              cache::GmmPolicyConfig{
-                  .strategy = cache::GmmStrategy::kCachingEviction,
-                  .threshold = threshold});
-        }
-        net::Server server(*rt, {.port = 0, .workers = kWorkers});
-        server.start();
-
-        std::vector<obs::LatencyHistogram> lat(conns);
-        std::vector<std::thread> threads;
-        const auto t0 = Clock::now();
-        for (std::uint32_t c = 0; c < conns; ++c) {
-          threads.emplace_back(drive_connection, server.port(),
-                               net::stream_chunk(stream, c, conns), batch,
-                               std::ref(lat[c]));
-        }
-        for (std::thread& th : threads) th.join();
-        const double elapsed =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        server.stop();
-
-        obs::LatencyHistogram merged;
-        for (const obs::LatencyHistogram& l : lat) merged.merge(l);
-        const runtime::RuntimeSnapshot snap = rt->snapshot();
-        cells.push_back(
-            {policy, conns, batch,
-             elapsed > 0.0
-                 ? static_cast<double>(stream.size()) / elapsed / 1e6
-                 : 0.0,
-             static_cast<double>(merged.quantile_ns(0.50)) / 1000.0,
-             static_cast<double>(merged.quantile_ns(0.99)) / 1000.0,
-             snap.merged.hit_rate()});
+  for (const bool gmm : {false, true}) {
+    for (const std::uint32_t conns : {1u, 2u, 4u}) {
+      for (const std::uint32_t batch : {16u, 64u}) {
+        cells.push_back({.gmm = gmm, .connections = conns, .batch = batch});
       }
     }
   }
+  for (const std::uint32_t sample : {1u, 16u}) {
+    cells.push_back({.connections = 1, .batch = 64, .trace_sample = sample});
+  }
+
+  bench::run_interleaved(cells.size(), [&](std::size_t index) {
+    Cell& cell = cells[index];
+    runtime::RuntimeConfig rcfg;
+    rcfg.cache = cache_cfg;
+    rcfg.shards = kShards;
+    const std::unique_ptr<runtime::Runtime> rt =
+        cell.gmm ? std::make_unique<runtime::Runtime>(rcfg, engine.model(),
+                                                      gmm_cfg)
+                 : std::make_unique<runtime::Runtime>(rcfg, cache::LruPolicy());
+    net::Server server(*rt, {.port = 0,
+                             .workers = kWorkers,
+                             .trace_sample = cell.trace_sample});
+    server.start();
+    const std::uint32_t conns = cell.connections;
+    std::vector<net::Client> clients;
+    for (std::uint32_t c = 0; c < conns; ++c) {
+      clients.push_back(net::Client::connect("127.0.0.1", server.port()));
+    }
+
+    obs::LatencyHistogram latency;
+    std::vector<obs::LatencyHistogram> lat(conns);
+    std::vector<std::uint64_t> client_ns(conns, 0);
+    double seconds = 0.0;
+    const std::uint64_t process0 = bench::cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
+    bench::serve_passes(cell.passes, rep_seconds, [&] {
+      std::vector<std::thread> threads;
+      const auto t0 = Clock::now();
+      for (std::uint32_t c = 0; c < conns; ++c) {
+        threads.emplace_back([&, c] {
+          const std::uint64_t cpu0 = bench::cpu_ns(CLOCK_THREAD_CPUTIME_ID);
+          net::replay_stream(
+              clients[c], net::stream_chunk(stream, c, conns),
+              {.batch = cell.batch, .pipeline = kPipeline},
+              [&l = lat[c]](const net::AccessReply&, Clock::time_point ref,
+                            std::uint32_t count) {
+                l.record(static_cast<std::uint64_t>(
+                             std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                 Clock::now() - ref)
+                                 .count()),
+                         count);
+              });
+          client_ns[c] += bench::cpu_ns(CLOCK_THREAD_CPUTIME_ID) - cpu0;
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+      seconds += s;
+      return s;
+    });
+    const std::uint64_t process_ns =
+        bench::cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process0;
+    clients.clear();
+    server.stop();
+
+    std::uint64_t clients_ns = 0;
+    for (std::uint32_t c = 0; c < conns; ++c) {
+      clients_ns += client_ns[c];
+      latency.merge(lat[c]);
+    }
+    const auto served =
+        static_cast<double>(stream.size()) * static_cast<double>(cell.passes);
+    const auto per_access = [served](std::uint64_t ns) {
+      return static_cast<double>(ns) / served;
+    };
+    bench::RepSeries& r = cell.reps;
+    r.add("mreq_per_s", seconds > 0.0 ? served / seconds / 1e6 : 0.0);
+    r.add("server_cpu_ns_per_access",
+          per_access(process_ns > clients_ns ? process_ns - clients_ns : 0));
+    r.add("client_cpu_ns_per_access", per_access(clients_ns));
+    r.add("p50_us", static_cast<double>(latency.quantile_ns(0.50)) / 1000.0);
+    r.add("p99_us", static_cast<double>(latency.quantile_ns(0.99)) / 1000.0);
+    r.add("hit_rate", rt->snapshot().merged.hit_rate());
+  });
 
   std::cout << "network serving throughput (loopback), " << stream.size()
-            << " requests/cell, shards " << kShards << ", workers "
-            << kWorkers << ", pipeline " << kPipeline
-            << ", hardware threads: " << std::thread::hardware_concurrency()
-            << "\n\n";
-  Table table({"policy", "conns", "batch", "M req/s", "p50 us", "p99 us",
-               "hit rate"});
+            << " requests a pass, shards " << kShards << ", workers "
+            << kWorkers << ", pipeline " << kPipeline << ", median [min-max] of "
+            << bench::kReps << " interleaved reps, hardware threads: "
+            << std::thread::hardware_concurrency() << "\n\n";
+  Table table({"policy", "conns", "batch", "trace", "M req/s", "server ns/acc",
+               "client ns/acc", "p50 us", "p99 us", "hit rate"});
   for (const Cell& c : cells) {
-    table.add_row({c.policy, std::to_string(c.connections),
+    const bench::RepSeries& r = c.reps;
+    table.add_row({c.policy(), std::to_string(c.connections),
                    std::to_string(c.batch),
-                   Table::fmt(c.mreq_per_s, 2), Table::fmt(c.p50_us, 1),
-                   Table::fmt(c.p99_us, 1), Table::fmt_percent(c.hit_rate)});
+                   c.trace_sample == 0 ? "off" : std::to_string(c.trace_sample),
+                   r.fmt("mreq_per_s", 2), r.fmt("server_cpu_ns_per_access", 1),
+                   r.fmt("client_cpu_ns_per_access", 1),
+                   Table::fmt(r.spread("p50_us").median, 1),
+                   Table::fmt(r.spread("p99_us").median, 1),
+                   Table::fmt_percent(r.spread("hit_rate").median)});
   }
   std::cout << table.render();
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
+  if (!opt.json_path.empty()) {
+    std::ofstream out(opt.json_path);
     out << "{\n  " << run_env_json_fields() << ",\n"
         << "  \"bench\": \"net_throughput\",\n"
         << "  \"requests\": " << stream.size() << ",\n"
         << "  \"shards\": " << kShards << ",\n  \"workers\": " << kWorkers
-        << ",\n  \"pipeline\": " << kPipeline << ",\n  \"cells\": [\n";
+        << ",\n  \"pipeline\": " << kPipeline << ",\n  \"reps\": "
+        << bench::kReps << ",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
-      out << "    {\"policy\": \"" << c.policy << "\", \"connections\": "
+      out << "    {\"policy\": \"" << c.policy() << "\", \"connections\": "
           << c.connections << ", \"batch\": " << c.batch
-          << ", \"mreq_per_s\": " << c.mreq_per_s << ", \"p50_us\": "
-          << c.p50_us << ", \"p99_us\": " << c.p99_us << ", \"hit_rate\": "
-          << c.hit_rate << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+          << ", \"trace_sample\": " << c.trace_sample << ", \"passes\": "
+          << c.passes << ", " << c.reps.json() << "}"
+          << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
-    std::cout << "\nwrote " << json_path << "\n";
+    std::cout << "\nwrote " << opt.json_path << "\n";
   }
   return 0;
 }

@@ -224,9 +224,17 @@ void GmmPolicy::on_hit(std::uint64_t set, std::uint32_t way,
 
 void GmmPolicy::on_fill(std::uint64_t set, std::uint32_t way,
                         const AccessContext& ctx) {
-  // kEvictionOnly never scored during admission; score now so the block
-  // carries its GMM score into future eviction decisions.
-  score_[set * ways_ + way] = score_page(ctx);
+  // kEvictionOnly never scored during admission. Its fill-time score only
+  // matters when evictions compare stored scores: with the set rescored,
+  // the filled way is the MRU way until another way is touched, and every
+  // later eviction rescores or brackets each non-MRU candidate first (a
+  // lone one is the victim unscored). So that fill counts the miss's one
+  // inference and sums no page.
+  if (cfg_.rescore_set_on_evict && !pending_for(ctx)) {
+    ++inferences_;
+  } else {
+    score_[set * ways_ + way] = score_page(ctx);
+  }
   touch(set, way);
   pending_valid_ = false;  // the pending score is consumed by this fill
 }

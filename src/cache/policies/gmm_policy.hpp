@@ -10,7 +10,8 @@
 // The paper's FPGA streams every way through an II=1 pipeline, so a score
 // that cannot change a decision costs it nothing; software pays for each
 // one. The policy therefore scores only what can change a decision: the
-// MRU way is never rescored (it is never the victim), and with a bracket
+// MRU way is never rescored (it is never the victim), a kEvictionOnly
+// fill is not scored when evictions rescore the set, and with a bracket
 // scorer (score ranges from the model's bracket table) it settles what a
 // bracket decides and scores the rest, with the same tie rule. Every
 // decision equals the one full scoring makes.

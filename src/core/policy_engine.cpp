@@ -1,6 +1,8 @@
 #include "core/policy_engine.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "gmm/kernel.hpp"
@@ -67,15 +69,29 @@ cache::ScoreFn PolicyEngine::score_fn() const {
 
 std::unique_ptr<cache::GmmPolicy> PolicyEngine::make_policy(
     cache::GmmStrategy strategy, double threshold, bool refresh_on_hit) const {
-  return std::make_unique<cache::GmmPolicy>(
-      score_fn(), cache::GmmPolicyConfig{.strategy = strategy,
-                                         .threshold = threshold,
-                                         .refresh_on_hit = refresh_on_hit});
+  return make_policy(cache::GmmPolicyConfig{.strategy = strategy,
+                                            .threshold = threshold,
+                                            .refresh_on_hit = refresh_on_hit});
 }
 
 std::unique_ptr<cache::GmmPolicy> PolicyEngine::make_policy(
     cache::GmmPolicyConfig cfg) const {
-  return std::make_unique<cache::GmmPolicy>(score_fn(), cfg);
+  auto policy = std::make_unique<cache::GmmPolicy>(score_fn(), cfg);
+  // Span scoring and brackets from one kernel of this policy's own, as
+  // the runtime wires each shard's batcher: the simulator then scores
+  // exactly the pages serving scores, with the same decisions.
+  const auto kernel = std::make_shared<const gmm::ScorerKernel>(
+      model_->make_kernel());
+  policy->set_batch_scorer([kernel](std::span<const PageIndex> pages,
+                                    Timestamp t, std::span<double> out) {
+    kernel->score_batch(pages, t, out);
+  });
+  policy->set_bracket_scorer([kernel](std::span<const PageIndex> pages,
+                                      Timestamp t,
+                                      std::span<ScoreBracket> out) {
+    return kernel->bracket_batch(pages, t, out);
+  });
+  return policy;
 }
 
 }  // namespace icgmm::core

@@ -43,7 +43,10 @@ class PolicyEngine {
   /// Log-domain scorer bound to the trained model.
   cache::ScoreFn score_fn() const;
 
-  /// Builds a cache policy for one of the Fig. 6 strategies.
+  /// Builds a cache policy for one of the Fig. 6 strategies. It scores
+  /// set spans and brackets decisions as a serving shard's policy does,
+  /// so it scores the same pages for the same decisions (a clone scores
+  /// every decision; see GmmPolicy::clone).
   std::unique_ptr<cache::GmmPolicy> make_policy(
       cache::GmmStrategy strategy, double threshold,
       bool refresh_on_hit = false) const;

@@ -9,10 +9,13 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -37,6 +40,10 @@ void set_nodelay(int fd) noexcept {
 /// object and already covers every pipeline depth the drivers use — the
 /// flush loop just issues another writev for deeper backlogs.
 constexpr std::size_t kIovBatch = IOV_MAX < 64 ? IOV_MAX : 64;
+
+/// How long reactor 0 leaves the listen socket out of its epoll set after
+/// an accept fails for want of a descriptor or buffer.
+constexpr std::chrono::milliseconds kAcceptBackoff{5};
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -112,6 +119,9 @@ struct Server::Reactor {
   /// Accepted sockets handed over by reactor 0, adopted on the next wake.
   std::mutex inbox_mu;
   std::vector<int> inbox;
+  /// Reactor 0 only: set while an accept back-off keeps the listen socket
+  /// out of the epoll set, to the time it goes back in.
+  std::optional<std::chrono::steady_clock::time_point> accept_resume;
 };
 
 Server::Server(runtime::Runtime& rt, ServerConfig cfg)
@@ -257,10 +267,25 @@ void Server::reactor_loop(Reactor& r) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (running_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(r.epoll_fd, events, kMaxEvents, -1);
+    int timeout_ms = -1;
+    if (r.accept_resume) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          *r.accept_resume - std::chrono::steady_clock::now());
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+    }
+    const int n = ::epoll_wait(r.epoll_fd, events, kMaxEvents, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone — shutting down
+    }
+    if (r.accept_resume &&
+        std::chrono::steady_clock::now() >= *r.accept_resume) {
+      // The back-off is over: a connection still pending makes the listen
+      // socket readable on the next wait.
+      r.accept_resume.reset();
+      if (!r.watch(listen_fd_)) {
+        r.accept_resume = std::chrono::steady_clock::now() + kAcceptBackoff;
+      }
     }
     bool woken = false;
     for (int i = 0; i < n; ++i) {
@@ -273,7 +298,7 @@ void Server::reactor_loop(Reactor& r) {
         continue;
       }
       if (fd == listen_fd_) {
-        accept_ready();
+        accept_ready(r);
         continue;
       }
       const auto it = r.conns.find(fd);
@@ -300,7 +325,7 @@ void Server::reactor_loop(Reactor& r) {
   }
 }
 
-void Server::accept_ready() {
+void Server::accept_ready(Reactor& r) {
   while (true) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -308,10 +333,12 @@ void Server::accept_ready() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       // Persistent failure (EMFILE/ENFILE/ENOBUFS): the connection still
-      // in the backlog keeps the listen fd readable, so returning
-      // immediately would make the level-triggered epoll loop spin at
-      // 100% CPU. Back off briefly and let an fd free up.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      // in the backlog keeps the listen fd readable, so the
+      // level-triggered loop would spin on it. Take the listen fd out of
+      // the epoll set for a back-off instead; this reactor keeps serving
+      // its connections meanwhile and re-arms it when the back-off ends.
+      ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
+      r.accept_resume = std::chrono::steady_clock::now() + kAcceptBackoff;
       return;
     }
     const std::uint64_t live = accepted_.load(std::memory_order_relaxed) -

@@ -143,8 +143,10 @@ class Server {
   void start_impl();
   void reactor_loop(Reactor& r);
   /// Reactor 0 only: accepts what the listen socket holds and hands each
-  /// socket to the next reactor's inbox.
-  void accept_ready();
+  /// socket to the next reactor's inbox. An accept that fails for want of
+  /// a descriptor takes the listen socket out of `r`'s epoll set for a
+  /// back-off, so `r` keeps serving its own connections.
+  void accept_ready(Reactor& r);
   /// Registers the sockets handed to `r` since its last wake.
   void adopt_inbox(Reactor& r);
   /// Reads what the socket holds into the connection's stream buffer,

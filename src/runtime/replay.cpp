@@ -1,7 +1,10 @@
 #include "runtime/replay.hpp"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -15,6 +18,14 @@ namespace {
 /// span setup, small enough to keep the staging arrays in L1.
 constexpr std::size_t kReplayBatch = 256;
 
+/// CPU time the calling thread has used so far.
+std::uint64_t thread_cpu_ns() noexcept {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 /// Replays records [first, last) with a fresh logical clock and private
 /// latency accumulator, staged through Runtime::apply_batch in spans of
 /// kReplayBatch — the same entry point the net server feeds, so both
@@ -22,11 +33,14 @@ constexpr std::size_t kReplayBatch = 256;
 /// this chunk's processed count; single-thread mode only) clear the
 /// runtime's stats and this thread's latency at those exact requests;
 /// batches are split at each boundary so every clear lands on exactly
-/// the request it was recorded (or warm-up-computed) at.
-void replay_chunk(Runtime& rt, const trace::Trace& trace, std::size_t first,
-                  std::size_t last, const ReplayConfig& cfg,
-                  std::span<const std::size_t> clear_points,
-                  sim::LatencyModel& latency) {
+/// the request it was recorded (or warm-up-computed) at. Returns the CPU
+/// time the calling thread spent on the chunk.
+std::uint64_t replay_chunk(Runtime& rt, const trace::Trace& trace,
+                           std::size_t first, std::size_t last,
+                           const ReplayConfig& cfg,
+                           std::span<const std::size_t> clear_points,
+                           sim::LatencyModel& latency) {
+  const std::uint64_t cpu0 = thread_cpu_ns();
   trace::TimestampTransform transform(cfg.transform);
   Access batch[kReplayBatch];
   cache::AccessResult results[kReplayBatch];
@@ -64,6 +78,7 @@ void replay_chunk(Runtime& rt, const trace::Trace& trace, std::size_t first,
     i += n;
     clear_if_due();
   }
+  return thread_cpu_ns() - cpu0;
 }
 
 }  // namespace
@@ -77,6 +92,7 @@ ReplayResult replay_trace(Runtime& rt, const trace::Trace& trace,
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<sim::LatencyModel> latency(threads,
                                          sim::LatencyModel(cfg.latency));
+  std::vector<std::uint64_t> cpu_ns(threads, 0);
   if (threads == 1) {
     std::vector<std::size_t> clear_points = cfg.clear_points;
     if (clear_points.empty()) {
@@ -85,7 +101,8 @@ ReplayResult replay_trace(Runtime& rt, const trace::Trace& trace,
           static_cast<double>(trace.size()));
       if (warmup > 0) clear_points.push_back(warmup);
     }
-    replay_chunk(rt, trace, 0, trace.size(), cfg, clear_points, latency[0]);
+    cpu_ns[0] =
+        replay_chunk(rt, trace, 0, trace.size(), cfg, clear_points, latency[0]);
   } else {
     // Contiguous chunks, remainder spread over the first chunks.
     const std::size_t base = trace.size() / threads;
@@ -97,8 +114,9 @@ ReplayResult replay_trace(Runtime& rt, const trace::Trace& trace,
       const std::size_t count = base + (t < extra ? 1 : 0);
       const std::size_t last = first + count;
       workers.emplace_back([&rt, &trace, first, last, &cfg,
-                            &lat = latency[t]] {
-        replay_chunk(rt, trace, first, last, cfg, /*clear_points=*/{}, lat);
+                            &lat = latency[t], &cpu = cpu_ns[t]] {
+        cpu = replay_chunk(rt, trace, first, last, cfg, /*clear_points=*/{},
+                           lat);
       });
       first = last;
     }
@@ -116,6 +134,7 @@ ReplayResult replay_trace(Runtime& rt, const trace::Trace& trace,
     result.run.latency.policy_ns += lm.breakdown().policy_ns;
   }
   result.run.policy_inferences = rt.inferences();
+  for (const std::uint64_t ns : cpu_ns) result.serving_cpu_ns += ns;
   result.elapsed_seconds =
       std::chrono::duration<double>(t1 - t0).count();
   result.requests_per_second =

@@ -48,6 +48,10 @@ struct ReplayResult {
   double elapsed_seconds = 0.0;
   /// Aggregate serving throughput over the measured wall-clock window.
   double requests_per_second = 0.0;
+  /// CPU time the serving threads spent in the replay, summed over them
+  /// (each thread's CLOCK_THREAD_CPUTIME_ID). Background consumers of the
+  /// served accesses run on threads of their own and are not in it.
+  std::uint64_t serving_cpu_ns = 0;
 };
 
 /// Drives `trace` through `rt` and returns merged statistics in the same

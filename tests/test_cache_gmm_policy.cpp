@@ -127,8 +127,10 @@ TEST(GmmPolicy, OneInferencePerMissWhenAdmitting) {
 }
 
 TEST(GmmPolicy, StoredScoreVisibleAfterFill) {
+  // Fill-time scores are read only when evictions compare stored scores.
   auto policy = std::make_unique<GmmPolicy>(
-      neg_page, GmmPolicyConfig{.strategy = GmmStrategy::kEvictionOnly});
+      neg_page, GmmPolicyConfig{.strategy = GmmStrategy::kEvictionOnly,
+                                .rescore_set_on_evict = false});
   GmmPolicy* raw = policy.get();
   SetAssociativeCache cache(one_set(2), std::move(policy));
   cache.access(at(7));
@@ -175,7 +177,8 @@ TEST(GmmPolicy, RefreshOnHitUpdatesScore) {
   };
   auto policy = std::make_unique<GmmPolicy>(
       scorer, GmmPolicyConfig{.strategy = GmmStrategy::kEvictionOnly,
-                              .refresh_on_hit = true});
+                              .refresh_on_hit = true,
+                              .rescore_set_on_evict = false});
   GmmPolicy* raw = policy.get();
   SetAssociativeCache cache(one_set(2), std::move(policy));
   cache.access(at(1, 5));
@@ -209,7 +212,8 @@ TEST(GmmPolicy, DirectMappedSetEvictsItsOnlyWay) {
 
 TEST(GmmPolicy, RescoreSkipsTheMruWayAndALoneCandidate) {
   // The MRU way is never the victim, so no eviction scores it; with two
-  // ways the other one is the victim whatever it scores.
+  // ways the other one is the victim whatever it scores. No fill is
+  // scored: every eviction rescores its candidates first.
   std::vector<PageIndex> scored;
   const ScoreFn counting = [&scored](PageIndex page, Timestamp) {
     scored.push_back(page);
@@ -224,17 +228,18 @@ TEST(GmmPolicy, RescoreSkipsTheMruWayAndALoneCandidate) {
     cache.access(at(20));  // MRU
     scored.clear();
     EXPECT_EQ(cache.access(at(5)).victim_page, 30u);
-    // The two candidates, then the fill.
-    EXPECT_EQ(scored, (std::vector<PageIndex>{30, 10, 5}));
+    EXPECT_EQ(scored, (std::vector<PageIndex>{30, 10}));  // the candidates
   }
   {
-    SetAssociativeCache cache(one_set(2),
-                              std::make_unique<GmmPolicy>(counting, cfg));
+    auto policy = std::make_unique<GmmPolicy>(counting, cfg);
+    const GmmPolicy& raw = *policy;
+    SetAssociativeCache cache(one_set(2), std::move(policy));
+    scored.clear();
     cache.access(at(10));
     cache.access(at(50));  // MRU
-    scored.clear();
     EXPECT_EQ(cache.access(at(20)).victim_page, 10u);
-    EXPECT_EQ(scored, (std::vector<PageIndex>{20}));  // the fill only
+    EXPECT_TRUE(scored.empty());
+    EXPECT_EQ(raw.inferences(), 3u);  // still one decision per miss
   }
 }
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "cache/cache.hpp"
 #include "gmm/model_io.hpp"
 #include "test_util.hpp"
 #include "trace/generator.hpp"
@@ -59,6 +63,46 @@ TEST(PolicyEngine, LoadPretrainedModel) {
   engine.load(gmm::GaussianMixture({1.0}, std::move(comps)));
   EXPECT_TRUE(engine.trained());
   EXPECT_NO_THROW(engine.make_policy(cache::GmmStrategy::kEvictionOnly, 0.0));
+}
+
+TEST(PolicyEngine, PolicySettlesDecisionsAsServingDoes) {
+  // The simulator's policy brackets and span-scores like a serving
+  // shard's: on a K = 256 model it settles decisions unscored, and every
+  // decision equals a policy that scores them all.
+  Rng rng(0x5e77);
+  PolicyEngine engine;
+  engine.load(test_util::narrow_mixture(256, rng));
+  ASSERT_TRUE(engine.model().kernel().pruned());
+
+  const cache::ScoreFn score = engine.score_fn();
+  trace::Zipf zipf(4096, 0.8);
+  std::vector<cache::AccessContext> stream;
+  std::vector<double> scores;
+  for (std::size_t i = 0; i < 20000; ++i) {
+    stream.push_back({.page = zipf.sample(rng) * 16 + rng.below(16),
+                      .timestamp = i / 20,
+                      .is_write = rng.chance(0.15)});
+    scores.push_back(score(stream.back().page, stream.back().timestamp));
+  }
+  std::sort(scores.begin(), scores.end());
+  const cache::GmmPolicyConfig cfg{
+      .strategy = cache::GmmStrategy::kCachingEviction,
+      .threshold = scores[scores.size() / 2]};
+  auto policy = engine.make_policy(cfg);
+  const cache::GmmPolicy& wired = *policy;
+  cache::SetAssociativeCache a(test_util::tiny_cache(64, 8), std::move(policy));
+  cache::SetAssociativeCache b(
+      test_util::tiny_cache(64, 8),
+      std::make_unique<cache::GmmPolicy>(score, cfg));
+  for (const cache::AccessContext& ctx : stream) {
+    const cache::AccessResult x = a.access(ctx);
+    const cache::AccessResult y = b.access(ctx);
+    ASSERT_EQ(x.hit, y.hit);
+    ASSERT_EQ(x.admitted, y.admitted);
+    ASSERT_EQ(x.victim_page, y.victim_page);
+  }
+  const cache::GmmPolicy::SettledCounts& settled = wired.settled();
+  EXPECT_GT(settled.bypasses + settled.admissions + settled.ways, 0u);
 }
 
 TEST(Threshold, PercentileSemantics) {

@@ -4,15 +4,17 @@
 // round-robin hand-off of connections to serving threads, malformed-stream
 // rejection (retired version-1 frames included), FLUSH semantics, the
 // per-connection buffer cap against a client that never reads, refusals
-// past the connection cap, the client's id correlation against a peer
-// that answers out of order, and open-loop replay. Suite names start
-// with "Net" so the CI sanitizer jobs pick them up via -R.
+// past the connection cap, serving through an accept back-off, the
+// client's id correlation against a peer that answers out of order, and
+// open-loop replay. Suite names start with "Net" so the CI sanitizer jobs
+// pick them up via -R.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -358,6 +360,76 @@ TEST(NetServer, ConnectionPastTheCapIsRefusedCountedAndRecorded) {
   }
   EXPECT_EQ(refused_args, std::vector<std::uint64_t>{2});
   EXPECT_STREQ(obs::to_string(obs::EventType::kConnRefused), "conn-refused");
+}
+
+TEST(NetServer, AcceptBackoffKeepsServingOnTheAcceptingThread) {
+  // Out of descriptors, every accept fails and the pending connection
+  // keeps the listen socket readable. The one serving thread, which also
+  // accepts, must go on answering its open connection without delay, and
+  // accept the pending one once a descriptor is free again.
+  runtime::Runtime rt(small_runtime_config(), cache::LruPolicy());
+  net::Server server(rt, {.port = 0, .workers = 1});
+  server.start();
+  net::Client open = net::Client::connect("127.0.0.1", server.port());
+  open.ping();
+
+  // The pending client's socket exists before the limit drops: connect
+  // needs no new descriptor, the server's accept does. Every descriptor
+  // below the lowest free one is in use, so a limit there leaves none.
+  const int pending = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(pending, 0);
+  const int lowest_free = ::dup(pending);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(lowest_free);
+  if (::setrlimit(RLIMIT_NOFILE, &low) != 0) {
+    ::close(pending);
+    GTEST_SKIP() << "cannot lower RLIMIT_NOFILE";
+  }
+  struct Restore {
+    rlimit limit;
+    ~Restore() { ::setrlimit(RLIMIT_NOFILE, &limit); }
+  } restore{saved};
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(pending, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // Each accept back-off lasts 5 ms; a thread that slept through it
+  // would take at least that per round trip.
+  constexpr int kPings = 40;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kPings; ++i) open.ping();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kPings * 5 / 2));
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+
+  ::setrlimit(RLIMIT_NOFILE, &saved);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().connections_accepted < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().connections_accepted, 2u);
+  std::vector<std::uint8_t> ping;
+  net::encode_ping(ping, 7);
+  EXPECT_EQ(::send(pending, ping.data(), ping.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(ping.size()));
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(pending, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  char buf[64];
+  EXPECT_GT(::recv(pending, buf, sizeof(buf), 0), 0);  // answered
+  ::close(pending);
+  open.ping();
+  server.stop();
 }
 
 TEST(NetServer, RequestsBeforeClientFinStillGetReplies) {

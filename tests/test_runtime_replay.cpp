@@ -1,10 +1,13 @@
 // Runtime facade + replay driver: a 1-thread/1-shard runtime reproduces
 // sim::run_trace bit for bit (stats, latency, inference counts) for both
 // classic and GMM policies; multi-threaded sharded replay keeps the
-// global stat identities; the adaptive runtime publishes models while
-// serving.
+// global stat identities and sums the serving threads' CPU; the adaptive
+// runtime publishes models while serving.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <cstdint>
 #include <limits>
 #include <memory>
 
@@ -120,6 +123,32 @@ TEST(RuntimeReplay, MultiThreadShardedReplayKeepsIdentities) {
   }
   EXPECT_EQ(sum.accesses, s.accesses);
   EXPECT_EQ(sum.hits, s.hits);
+}
+
+TEST(RuntimeReplay, ServingCpuSumsTheServingThreadsOwnClocks) {
+  // Each serving thread's CPU clock over its chunk, summed: some CPU, and
+  // no more than the whole process used over the replay.
+  const trace::Trace t = test_util::zipf_trace(40000, 4096, 0.9, 0x44);
+  for (const std::uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << threads << " serving threads");
+    runtime::Runtime rt(
+        runtime::RuntimeConfig{.cache = test_util::tiny_cache(64, 8),
+                               .shards = 4},
+        cache::LruPolicy());
+    runtime::ReplayConfig serve;
+    serve.threads = threads;
+    const auto process_ns = [] {
+      timespec ts{};
+      ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+      return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+             static_cast<std::uint64_t>(ts.tv_nsec);
+    };
+    const std::uint64_t before = process_ns();
+    const runtime::ReplayResult served = runtime::replay_trace(rt, t, serve);
+    const std::uint64_t process = process_ns() - before;
+    EXPECT_GT(served.serving_cpu_ns, 0u);
+    EXPECT_LE(served.serving_cpu_ns, process);
+  }
 }
 
 TEST(RuntimeReplay, ShardedGmmRuntimeServesAndCountsInferences) {
