@@ -25,12 +25,10 @@ const gmm::FitReport& PolicyEngine::train(const trace::Trace& collected) {
   const std::size_t keep =
       collected.size() > head + tail ? collected.size() - head - tail
                                      : collected.size() - head;
-  const trace::Trace trimmed = collected.slice(head, keep);
-
-  const std::vector<trace::GmmSample> all =
-      trace::to_gmm_samples(trimmed, cfg_.transform);
-  const std::vector<trace::GmmSample> sub =
-      trace::stride_subsample(all, cfg_.train_subsample);
+  // The kept range walked once, in place, for the stride picks: no
+  // trimmed copy and no full sample set outlive EM.
+  const std::vector<trace::GmmSample> sub = trace::subsampled_gmm_samples(
+      collected.records(head, keep), cfg_.transform, cfg_.train_subsample);
 
   gmm::EmTrainer trainer(cfg_.em);
   model_ = trainer.fit(sub);

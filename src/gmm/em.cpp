@@ -6,21 +6,18 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "gmm/estep.hpp"
 #include "gmm/kernel.hpp"
 #include "gmm/kmeans.hpp"
+#include "gmm/workers.hpp"
 
 namespace icgmm::gmm {
 namespace {
 
-/// Per-component sufficient statistics accumulated during the E-step.
-struct Suff {
-  double n = 0.0;      // sum of responsibilities
-  double sp = 0.0;     // sum r * p
-  double st = 0.0;     // sum r * t
-  double spp = 0.0;    // sum r * p * p
-  double spt = 0.0;    // sum r * p * t
-  double stt = 0.0;    // sum r * t * t
-};
+/// Fits with fewer sample x component terms than this stay on the calling
+/// thread: starting helpers and handing off every block would cost more
+/// than the team saves.
+constexpr std::size_t kTeamMinTerms = std::size_t{1} << 18;
 
 }  // namespace
 
@@ -56,24 +53,20 @@ GaussianMixture EmTrainer::fit(std::span<const trace::GmmSample> samples) {
   const std::size_t n = xs.size();
   const auto k = static_cast<std::size_t>(cfg_.components);
 
+  // One team per fit; every pass on it computes the serial loop's bits,
+  // so its size is the host's and nothing else.
+  WorkerTeam team(n * k < kTeamMinTerms ? 1 : WorkerTeam::hardware_size());
+
   // --- Initialization: k-means++ clusters become components. ---
-  const KMeansResult km =
-      kmeans(xs, {.clusters = cfg_.components, .lloyd_iters = cfg_.kmeans_iters},
-             rng);
+  const KMeansResult km = kmeans(
+      xs, {.clusters = cfg_.components, .lloyd_iters = cfg_.kmeans_iters}, rng,
+      team);
   std::vector<double> weights(k);
   std::vector<Vec2> means(k);
   std::vector<Cov2> covs(k);
   {
     std::vector<Suff> suff(k);
-    for (std::size_t i = 0; i < n; ++i) {
-      Suff& s = suff[km.assignment[i]];
-      s.n += 1.0;
-      s.sp += xs[i].p;
-      s.st += xs[i].t;
-      s.spp += xs[i].p * xs[i].p;
-      s.spt += xs[i].p * xs[i].t;
-      s.stt += xs[i].t * xs[i].t;
-    }
+    for (std::size_t i = 0; i < n; ++i) suff[km.assignment[i]].add(1.0, xs[i]);
     for (std::size_t c = 0; c < k; ++c) {
       const Suff& s = suff[c];
       if (s.n < 1.0) {
@@ -101,40 +94,16 @@ GaussianMixture EmTrainer::fit(std::span<const trace::GmmSample> samples) {
     return GaussianMixture(weights, std::move(comps), norm, grid);
   };
 
-  // --- EM iterations (streaming sufficient statistics). ---
+  // --- EM iterations (blocked E-step, sufficient statistics). ---
   double prev_ll = -std::numeric_limits<double>::infinity();
-  std::vector<double> terms(k);
+  BlockedEStep estep(k, n);
   for (std::uint32_t iter = 0; iter < cfg_.max_iters; ++iter) {
     GaussianMixture model = build(PruningGrid::kDefer);
     // The per-component log terms come from the mixture's folded SoA
     // kernel — same flat coefficients the serving miss path scores with.
-    const ScorerKernel& kern = model.kernel();
-
     std::vector<Suff> suff(k);
-    double ll = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      // E-step for one sample: responsibilities in the log domain.
-      const double max_term = kern.component_log_terms(xs[i], terms);
-      double denom = 0.0;
-      for (std::size_t c = 0; c < k; ++c) {
-        terms[c] = std::exp(terms[c] - max_term);
-        denom += terms[c];
-      }
-      ll += max_term + std::log(denom);
-      const double inv_denom = 1.0 / denom;
-      for (std::size_t c = 0; c < k; ++c) {
-        const double r = terms[c] * inv_denom;
-        if (r < 1e-12) continue;  // negligible responsibility: skip stats
-        Suff& s = suff[c];
-        s.n += r;
-        s.sp += r * xs[i].p;
-        s.st += r * xs[i].t;
-        s.spp += r * xs[i].p * xs[i].p;
-        s.spt += r * xs[i].p * xs[i].t;
-        s.stt += r * xs[i].t * xs[i].t;
-      }
-    }
-    ll /= static_cast<double>(n);
+    const double ll =
+        estep.run(model.kernel(), xs, team, suff) / static_cast<double>(n);
     report_.ll_history.push_back(ll);
     report_.iterations = iter + 1;
 

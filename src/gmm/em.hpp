@@ -1,10 +1,12 @@
 // Expectation-Maximization trainer for the 2-D GMM (paper §3.3).
 //
-// E-step: responsibilities via Bayes' theorem in the log domain.
-// M-step: closed-form weight/mean/covariance updates from sufficient
-// statistics accumulated in a single streaming pass (O(K) memory — the
-// N x K responsibility matrix is never materialized, so training scales to
-// full traces).
+// E-step: responsibilities via Bayes' theorem in the log domain, in blocks
+// of 512 samples on every core (gmm/estep.hpp). Only one block's 512 x K
+// responsibilities are held (1 MiB at K = 256), never the N x K matrix, so
+// training scales to full traces. The result is bit for bit the serial
+// loop's, whatever the host's core count.
+// M-step: closed-form weight/mean/covariance updates from the sufficient
+// statistics.
 // Convergence: relative change of the mean log-likelihood below `tol`,
 // mirroring the paper's "change in MLE below a predefined threshold".
 #pragma once

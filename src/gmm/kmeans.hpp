@@ -12,6 +12,8 @@
 
 namespace icgmm::gmm {
 
+class WorkerTeam;
+
 struct KMeansResult {
   std::vector<Vec2> centers;
   std::vector<std::uint32_t> assignment;  ///< per-sample cluster id
@@ -30,5 +32,11 @@ struct KMeansConfig {
 /// duplicate points (harmless for EM init, which regularizes covariance).
 KMeansResult kmeans(std::span<const Vec2> samples, const KMeansConfig& cfg,
                     Rng& rng);
+
+/// The same on `team`: the per-sample distance passes split across its
+/// members; the seeding draw, counts, inertia and center sums stay on the
+/// calling thread in sample order, so the result is the same bits.
+KMeansResult kmeans(std::span<const Vec2> samples, const KMeansConfig& cfg,
+                    Rng& rng, WorkerTeam& team);
 
 }  // namespace icgmm::gmm

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "gmm/kernel.hpp"
-
 namespace icgmm::gmm {
 
 OnlineEm::OnlineEm(GaussianMixture initial, OnlineEmConfig cfg)
@@ -28,28 +26,10 @@ OnlineEm::OnlineEm(GaussianMixture initial, OnlineEmConfig cfg)
 }
 
 void OnlineEm::accumulate(const trace::GmmSample& sample) {
+  // The offline trainer's per-sample E-step, on the caller's thread.
   const Vec2 x = model_.normalizer().apply(sample.page, sample.time);
-
-  // E-step for one sample (log domain): per-component terms come from the
-  // model's folded SoA scoring kernel, responsibilities stay libm-exact.
-  const double max_term = model_.kernel().component_log_terms(x, terms_);
-  double denom = 0.0;
-  for (double& t : terms_) {
-    t = std::exp(t - max_term);
-    denom += t;
-  }
-  const double inv_denom = 1.0 / denom;
-  for (std::size_t c = 0; c < model_.size(); ++c) {
-    const double r = terms_[c] * inv_denom;
-    if (r < 1e-12) continue;
-    Suff& s = batch_stats_[c];
-    s.n += r;
-    s.sp += r * x.p;
-    s.st += r * x.t;
-    s.spp += r * x.p * x.p;
-    s.spt += r * x.p * x.t;
-    s.stt += r * x.t * x.t;
-  }
+  e_step_sample(model_.kernel(), x, terms_);
+  gmm::accumulate(batch_stats_, terms_, x);
 }
 
 void OnlineEm::m_step() {

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "gmm/estep.hpp"
 #include "gmm/mixture.hpp"
 #include "trace/preprocess.hpp"
 
@@ -49,9 +50,6 @@ class OnlineEm {
   OnlineEmConfig cfg_;
   GaussianMixture model_;
   // Running (exponentially weighted) sufficient statistics per component.
-  struct Suff {
-    double n = 0.0, sp = 0.0, st = 0.0, spp = 0.0, spt = 0.0, stt = 0.0;
-  };
   std::vector<Suff> stats_;
   // Mini-batch accumulators.
   std::vector<Suff> batch_stats_;

@@ -37,8 +37,9 @@ TraceRecorder::TraceRecorder(RecorderConfig config)
 TraceRecorder::~TraceRecorder() { stop(); }
 
 bool TraceRecorder::sampled_in() noexcept {
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  // Recording everything reads no sequence: skip the shared counter.
   if (config_.sample_every == 1) return true;
+  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   return (seq / config_.sample_window) % config_.sample_every == 0;
 }
 

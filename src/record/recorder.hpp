@@ -123,7 +123,8 @@ class TraceRecorder {
   MpscRing<RingEntry> ring_;
   std::chrono::steady_clock::time_point start_;
 
-  std::atomic<std::uint64_t> seq_{0};  ///< sampling sequence, all producers
+  /// Sampling sequence, all producers; untouched when sample_every == 1.
+  std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint64_t> records_written_{0};
   std::atomic<std::uint64_t> records_dropped_{0};
   std::atomic<std::uint64_t> write_errors_{0};

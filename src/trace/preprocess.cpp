@@ -20,25 +20,50 @@ Trace trim_warmup(const Trace& input, const TrimConfig& cfg) {
 
 std::vector<GmmSample> to_gmm_samples(const Trace& input,
                                       const TransformConfig& cfg) {
-  std::vector<GmmSample> out;
-  out.reserve(input.size());
-  TimestampTransform transform(cfg);
-  for (const Record& r : input) {
-    const Timestamp ts = transform.next();
-    out.push_back({static_cast<double>(r.page()), static_cast<double>(ts)});
-  }
-  return out;
+  return subsampled_gmm_samples(input.records(), cfg, 0);
 }
+
+namespace {
+
+/// The stride of max_count picks from `size` items (1 keeps them all).
+double pick_stride(std::size_t size, std::size_t max_count) {
+  if (max_count == 0 || size <= max_count) return 1.0;
+  return static_cast<double>(size) / static_cast<double>(max_count);
+}
+
+std::size_t pick_index(double stride, std::size_t i) {
+  return static_cast<std::size_t>(stride * static_cast<double>(i));
+}
+
+}  // namespace
 
 std::vector<GmmSample> stride_subsample(const std::vector<GmmSample>& samples,
                                         std::size_t max_count) {
   if (max_count == 0 || samples.size() <= max_count) return samples;
   std::vector<GmmSample> out;
   out.reserve(max_count);
-  const double stride =
-      static_cast<double>(samples.size()) / static_cast<double>(max_count);
+  const double stride = pick_stride(samples.size(), max_count);
   for (std::size_t i = 0; i < max_count; ++i) {
-    out.push_back(samples[static_cast<std::size_t>(stride * static_cast<double>(i))]);
+    out.push_back(samples[pick_index(stride, i)]);
+  }
+  return out;
+}
+
+std::vector<GmmSample> subsampled_gmm_samples(std::span<const Record> records,
+                                              const TransformConfig& cfg,
+                                              std::size_t max_count) {
+  const std::size_t count =
+      max_count == 0 ? records.size() : std::min(records.size(), max_count);
+  const double stride = pick_stride(records.size(), max_count);
+  std::vector<GmmSample> out;
+  out.reserve(count);
+  TimestampTransform transform(cfg);
+  for (std::size_t r = 0; r < records.size() && out.size() < count; ++r) {
+    const GmmSample sample{static_cast<double>(records[r].page()),
+                           static_cast<double>(transform.next())};
+    while (out.size() < count && pick_index(stride, out.size()) == r) {
+      out.push_back(sample);
+    }
   }
   return out;
 }

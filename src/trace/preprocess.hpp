@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "trace/timestamp_transform.hpp"
@@ -34,9 +35,16 @@ std::vector<GmmSample> to_gmm_samples(const Trace& input,
                                       const TransformConfig& cfg = {});
 
 /// Subsamples `samples` down to at most `max_count` points with a fixed
-/// stride (keeps temporal coverage, unlike head-truncation). Training on a
-/// few 10k points reproduces full-trace EM fits closely (see tests).
+/// stride (keeps temporal coverage, unlike head-truncation): sample
+/// floor(stride * i) for stride = size / max_count. Training on a few 10k
+/// points reproduces full-trace EM fits closely (see tests).
 std::vector<GmmSample> stride_subsample(const std::vector<GmmSample>& samples,
                                         std::size_t max_count);
+
+/// stride_subsample(to_gmm_samples(records, cfg), max_count) in one walk
+/// that holds only the kept samples.
+std::vector<GmmSample> subsampled_gmm_samples(std::span<const Record> records,
+                                              const TransformConfig& cfg,
+                                              std::size_t max_count);
 
 }  // namespace icgmm::trace

@@ -30,13 +30,15 @@ PhysAddr Trace::max_addr() const {
   return mx;
 }
 
+std::span<const Record> Trace::records(std::size_t first,
+                                       std::size_t count) const noexcept {
+  if (first >= records_.size()) return {};
+  return records().subspan(first, std::min(count, records_.size() - first));
+}
+
 Trace Trace::slice(std::size_t first, std::size_t count) const {
-  Trace out(name_);
-  if (first >= records_.size()) return out;
-  count = std::min(count, records_.size() - first);
-  out.records_.assign(records_.begin() + static_cast<std::ptrdiff_t>(first),
-                      records_.begin() + static_cast<std::ptrdiff_t>(first + count));
-  return out;
+  const std::span<const Record> part = records(first, count);
+  return Trace(name_, std::vector<Record>(part.begin(), part.end()));
 }
 
 }  // namespace icgmm::trace

@@ -43,6 +43,9 @@ class Trace {
   /// Largest physical address touched (0 for an empty trace).
   PhysAddr max_addr() const;
 
+  /// The records [first, first+count), clamped to the trace, in place.
+  std::span<const Record> records(std::size_t first,
+                                  std::size_t count) const noexcept;
   /// Returns the sub-trace [first, first+count) as a copy.
   Trace slice(std::size_t first, std::size_t count) const;
 

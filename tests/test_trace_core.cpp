@@ -94,6 +94,21 @@ TEST(StrideSubsample, PreservesOrderAndCoverage) {
   }
 }
 
+TEST(StrideSubsample, OneWalkMatchesSubsamplingEverySample) {
+  Trace t("stride");
+  for (std::uint64_t i = 0; i < 1237; ++i) {
+    t.push_back({(i * 7919 % 613) * 4096, i, AccessType::kRead});
+  }
+  const TransformConfig cfg{.len_window = 4, .len_access_shot = 50};
+  for (const std::size_t max_count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{100}, std::size_t{618},
+        std::size_t{1236}, std::size_t{1237}, std::size_t{5000}}) {
+    EXPECT_EQ(subsampled_gmm_samples(t.records(), cfg, max_count),
+              stride_subsample(to_gmm_samples(t, cfg), max_count))
+        << max_count;
+  }
+}
+
 TEST(StrideSubsample, NoOpWhenSmall) {
   std::vector<GmmSample> samples = {{1, 2}, {3, 4}};
   EXPECT_EQ(stride_subsample(samples, 10).size(), 2u);
