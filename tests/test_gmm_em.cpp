@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -568,15 +569,31 @@ TEST(EmTrainer, ExpSkipCutoffsHoldOnThisLibm) {
   static_assert(0x1p-53 < kMinResponsibility);
 }
 
-/// Threads of this process. Starts and joins one thread first: a
-/// sanitizer runtime starts a thread of its own at the first thread
-/// creation, which no count should charge to the code under test.
-std::size_t thread_count() {
-  std::thread([] {}).join();
+std::size_t listed_threads() {
   std::size_t n = 0;
   for ([[maybe_unused]] const auto& entry :
        std::filesystem::directory_iterator("/proc/self/task")) {
     ++n;
+  }
+  return n;
+}
+
+/// Threads of this process once none is mid-exit. A joined thread stays
+/// listed for a moment while the kernel finishes its exit, so this reads
+/// until the count is `want` (or, for want = 0, until two reads 10 ms
+/// apart agree), for at most 2 s. Starts and joins one thread first: a
+/// sanitizer runtime starts a thread of its own at the first thread
+/// creation, which no count should charge to the code under test.
+std::size_t thread_count(std::size_t want = 0) {
+  std::thread([] {}).join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::size_t n = listed_threads();
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::size_t again = listed_threads();
+    if (want == 0 ? again == n : again == want) return again;
+    n = again;
   }
   return n;
 }
@@ -588,12 +605,13 @@ TEST(WorkerTeam, JoinsEveryHelper) {
   const std::size_t before = thread_count();
   {
     WorkerTeam team(4);
-    EXPECT_EQ(thread_count(), before + team.size() - 1);
+    const std::size_t with_team = before + team.size() - 1;
+    EXPECT_EQ(thread_count(with_team), with_team);
     std::vector<unsigned> ran(team.size(), 0);
     team.run([&](unsigned member) noexcept { ++ran[member]; });
     EXPECT_EQ(ran, std::vector<unsigned>(team.size(), 1u));
   }
-  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(thread_count(before), before);
 }
 
 TEST(EmTrainer, FitLeavesNoThreadBehind) {
@@ -607,7 +625,7 @@ TEST(EmTrainer, FitLeavesNoThreadBehind) {
   const std::size_t before = thread_count();
   EmTrainer trainer(cfg);
   trainer.fit(samples);
-  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(thread_count(before), before);
 }
 
 TEST(KMeans, ThrowsOnBadInput) {
